@@ -45,8 +45,14 @@ import hashlib
 import json
 import os
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
+
+from repro.ioutil import atomic_write_json
+
+#: A content address: the lowercase SHA-256 hex :meth:`FaultPlan.plan_key`.
+_PLAN_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 class FaultKind(enum.Enum):
@@ -176,17 +182,26 @@ class FaultPlan:
     # --------------------------------------------------------------- disk
 
     def save(self, directory: str) -> str:
-        """Write the plan as ``<plan_key>.json`` under ``directory``."""
+        """Atomically write the plan as ``<plan_key>.json`` under
+        ``directory``."""
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{self.plan_key()}.json")
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
+        atomic_write_json(path, self.to_dict(), indent=2)
         return path
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
+        """Read a saved plan. A file named by a plan key (``<64 hex>.json``,
+        as :meth:`save` writes) must hash back to that key, so an edited
+        plan is refused instead of replayed under the wrong identity."""
         with open(path) as handle:
-            return cls.from_dict(json.load(handle))
+            plan = cls.from_dict(json.load(handle))
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if _PLAN_KEY.fullmatch(stem) and stem != plan.plan_key():
+            raise ValueError(
+                f"{path}: file names plan_key {stem[:12]}… but its content "
+                f"hashes to {plan.plan_key()[:12]}…")
+        return plan
 
 
 def load_plan_by_key(directory: str, key_prefix: str) -> FaultPlan:

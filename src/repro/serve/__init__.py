@@ -24,6 +24,9 @@ Fleet supervision (restart budgets, autoscaling, the partition drill)
 lives one layer up, in :mod:`repro.fleet`.
 """
 
+import importlib
+from typing import Any
+
 from repro.serve.api import ServeService
 from repro.serve.breaker import CircuitBreaker, CircuitOpenError
 from repro.serve.client import ServeClient, ServeHTTPError
@@ -34,7 +37,19 @@ from repro.serve.model import (HEALTH_DEGRADED, HEALTH_OK,
                                ServiceUnavailableError, StaleLeaseError,
                                Submission, UnknownJobError)
 from repro.serve.queue import JobQueue
-from repro.serve.worker import Worker, execute_serve_job, spawn_worker
+
+#: Exported lazily (PEP 562): importing the package must not import
+#: ``repro.serve.worker``, or ``python -m repro.serve.worker`` — how
+#: ``spawn_worker`` starts every worker — would find the module already
+#: in ``sys.modules`` and run it a second time as ``__main__``.
+_WORKER_EXPORTS = ("Worker", "execute_serve_job", "spawn_worker")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _WORKER_EXPORTS:
+        return getattr(importlib.import_module("repro.serve.worker"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "HEALTH_DEGRADED",

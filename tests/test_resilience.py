@@ -84,6 +84,26 @@ class TestFaultPlans:
         loaded = load_plan_by_key(str(tmp_path), plan.plan_key()[:10])
         assert loaded.faults == plan.faults
 
+    def test_tampered_plan_is_refused(self, tmp_path):
+        plan = plan_for("CB-One", count=3, kinds=(FaultKind.WAKEUP_DELAY,))
+        path = plan.save(str(tmp_path))
+        with open(path) as handle:
+            doc = json.load(handle)
+        doc["faults"][0]["magnitude"] += 1
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        with pytest.raises(ValueError, match="hashes to"):
+            FaultPlan.load(path)
+        with pytest.raises(ValueError, match="hashes to"):
+            load_plan_by_key(str(tmp_path), plan.plan_key()[:10])
+
+    def test_plan_under_a_free_name_loads_unchecked(self, tmp_path):
+        plan = plan_for("CB-One", count=2)
+        path = str(tmp_path / "hand-written.json")
+        with open(path, "w") as handle:
+            json.dump(plan.to_dict(), handle)
+        assert FaultPlan.load(path).plan_key() == plan.plan_key()
+
     def test_prefix_lookup_rejects_missing_and_ambiguous(self, tmp_path):
         plan_for("CB-One", count=1).save(str(tmp_path))
         plan_for("CB-One", count=2).save(str(tmp_path))

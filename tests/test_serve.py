@@ -13,6 +13,8 @@ worker-process story (SIGKILL, resume, 1000-job flood) lives in
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -23,7 +25,7 @@ from repro.orchestrate.jobspec import JobSpec
 from repro.orchestrate.status import job_status_entry
 from repro.serve import (JobQueue, Journal, QuotaExceededError,
                          ServeClient, ServeHTTPError, ServeService,
-                         StaleLeaseError, execute_serve_job)
+                         StaleLeaseError, execute_serve_job, spawn_worker)
 from repro.serve.journal import journal_path
 from repro.serve.model import (RUN_DONE, RUN_FAILED, RUN_LEASED,
                                RUN_QUEUED, SUB_DONE, UnknownJobError)
@@ -576,6 +578,36 @@ class TestServeHTTP:
     def test_health(self, service):
         _, client = service
         assert client.health()["ok"] is True
+
+
+class TestWorkerProcess:
+    def test_package_import_leaves_worker_module_unloaded(self):
+        code = ("import sys, repro.serve; "
+                "assert 'repro.serve.worker' not in sys.modules; "
+                "from repro.serve import spawn_worker; "
+                "assert spawn_worker.__module__ == 'repro.serve.worker'")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_spawned_worker_runs_its_module_once(self, service,
+                                                  monkeypatch):
+        # With the RuntimeWarning runpy emits for a module found in
+        # sys.modules before execution turned into an error, a worker
+        # whose package import pulled in repro.serve.worker exits 1
+        # before leasing anything.
+        monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        svc, client = service
+        view = client.submit("alice", spec_for(seed=23).to_dict())
+        proc = spawn_worker(svc.url, index=7, poll_s=0.05)
+        try:
+            client.wait_idle(timeout_s=60.0, poll_s=0.1)
+            assert client.run(view["job_key"])["state"] == RUN_DONE
+            client.drain(True)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 class TestServeEventsOnDisk:
