@@ -3,11 +3,12 @@
 :class:`Orchestrator` turns a list of :class:`JobSpec`s into records:
 
 * **Parallelism** — ``jobs > 1`` executes on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; ``jobs == 1`` is a
-  dependency-free serial fallback running in-process. Results are
-  bit-identical either way: each job is an independent, seeded
-  simulation, and batch output order follows input order, never
-  completion order.
+  :class:`~concurrent.futures.ProcessPoolExecutor`; ``jobs == 1`` runs
+  each job in-process (closures work as ``run_fn``, nothing is
+  pickled). Both drive the same scheduling loop, so retries, timeouts
+  and quarantine mean the same thing in either mode, and results are
+  bit-identical: each job is an independent, seeded simulation, and
+  batch output order follows input order, never completion order.
 * **Caching** — with a :class:`~repro.orchestrate.cache.ResultCache`,
   each spec's content hash is checked first; hits skip the simulation
   entirely, so re-running a figure or resuming an interrupted sweep
@@ -17,13 +18,14 @@
   ``BrokenProcessPool``) costs the in-flight jobs one attempt each, the
   pool is rebuilt, and the batch continues. Jobs that exhaust their
   attempts are recorded as ``failed`` without sinking the batch.
-* **Timeouts** — ``timeout`` bounds each job's wall-clock. In parallel
-  mode the scheduler abandons the future at its deadline (the worker is
-  left to finish in the background and its slot is only reclaimed when
-  it does — a hard kill would take private-API process surgery); in
-  serial mode the deadline is checked after the fact. Timed-out jobs
-  are not retried (the simulator is deterministic — they would time out
-  again) and are not cached.
+* **Timeouts** — ``timeout`` bounds each job's wall-clock: an attempt
+  that ends past its deadline is a ``timeout``. A pool job still
+  running at its deadline is abandoned (its worker finishes in the
+  background, and its slot is only reclaimed when it does — a hard
+  kill would take private-API process surgery). Without checkpointing
+  a timeout is terminal and not cached (the simulator is deterministic
+  — it would time out again); with checkpointing the retry resumes
+  past where the attempt got, so it is retried like a crash.
 * **Failure classification + quarantine** — every failure is classified
   with the shared taxonomy (:mod:`repro.resilience.classify`):
   ``invariant`` / ``liveness`` / ``timeout`` / ``crash`` / ``error``.
@@ -42,16 +44,19 @@ and every occurrence shares the record.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.config import config_for
-from repro.harness.runner import run_workload
+from repro.energy.model import energy_of
+from repro.harness.runner import RunResult, run_workload
 from repro.resilience.classify import classify_failure, exit_code_for
 
 from repro.orchestrate.cache import ResultCache
@@ -59,6 +64,9 @@ from repro.orchestrate.events import EventLog
 from repro.orchestrate.jobspec import JobSpec
 from repro.orchestrate.record import RecordResult, record_of
 from repro.orchestrate.registry import build_workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.flight import FlightRecorder
 
 RunFn = Callable[[Dict[str, Any]], Dict[str, Any]]
 
@@ -71,48 +79,156 @@ _POLL_S = 0.05
 DETERMINISTIC_KINDS = frozenset({"invariant", "liveness", "timeout"})
 
 
-def _is_fatal(exc: BaseException) -> bool:
-    """Deterministic spec errors (unknown label/workload/field) fail the
-    same way every time — retrying them only wastes backoff delays."""
-    return isinstance(exc, (ValueError, TypeError))
+def is_retryable(exc: BaseException, kind: str) -> bool:
+    """The one retry rule, shared by :class:`Orchestrator` and the serve
+    worker. Deterministic spec errors (unknown label/workload/field:
+    ``ValueError``/``TypeError``) and deterministic simulation verdicts
+    fail the same way every time — retrying them only wastes attempts."""
+    return (not isinstance(exc, (ValueError, TypeError))
+            and kind not in DETERMINISTIC_KINDS)
 
 
-def execute_job(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one JobSpec (as a dict) to its record. Top-level and
-    picklable: this is what pool workers import and call.
+def execute_job(payload: Dict[str, Any],
+                boundary_hook: Optional[Callable[[int], None]] = None,
+                flight: Optional["FlightRecorder"] = None,
+                ) -> Dict[str, Any]:
+    """Run one JobSpec (as a dict) to its record — the one executor for
+    orchestrator batches and serve workers. Top-level and picklable:
+    this is what pool workers import and call.
 
-    A ``"_checkpoint"`` entry (injected by the scheduler, never part of
-    the spec's content address) makes the run durable: the job
-    checkpoints into the given store every ``every`` cycles and, when
-    the store already holds a valid checkpoint for this job key (a
-    previous attempt crashed or timed out), resumes from it instead of
-    scratch — the record's meta then carries ``resumed_from``."""
-    payload = dict(spec_dict)
+    The payload may carry out-of-band routing (none of it is part of
+    the spec's content address):
+
+    * ``_checkpoint`` — ``{dir, every, ring, resume}``: checkpoint into
+      the store every ``every`` cycles and, when the store already
+      holds a valid checkpoint for this job key (a previous attempt
+      crashed or timed out), resume from it instead of scratch — the
+      record's meta then carries ``resumed_from``;
+    * ``_telemetry`` — ``{dir, sample_every?}``: attach the obs layer
+      and export a Perfetto trace (``trace.json``) and counter
+      time-series (``series.csv``) into ``dir``;
+    * ``_trace`` — ``{trace_id, attempt}``: the run's host-domain trace
+      id. The attempt is wrapped in ``worker.attempt`` / ``ckpt.restore``
+      / ``sim.run`` host spans that ride back on the record's
+      ``meta.host_spans`` (meta is parity-exempt);
+    * ``_deadline`` — ``{expires, max_cycles?}``: an absolute wall
+      cutoff checked before any simulation work, plus an engine cycle
+      budget riding the engine's own ``max_cycles``, so a doomed run
+      stops at a structured SimulationTimeout.
+
+    ``boundary_hook`` and ``flight`` (a host-side ring of recent worker
+    events) are handed to the
+    :class:`~repro.ckpt.checkpoint.Checkpointer`: the first is the
+    crash-testing hook, the second lands in a failed run's black box.
+    """
+    payload = dict(payload)
     ckpt_cfg = payload.pop("_checkpoint", None)
+    tel_cfg = payload.pop("_telemetry", None)
+    trace_cfg = payload.pop("_trace", None)
+    deadline_cfg = payload.pop("_deadline", None)
     spec = JobSpec.from_dict(payload)
+
+    deadline_cycles: Optional[int] = None
+    if deadline_cfg:
+        expires = float(deadline_cfg.get("expires", 0.0) or 0.0)
+        if expires and time.time() >= expires:
+            raise TimeoutError(
+                f"job deadline passed {time.time() - expires:.2f}s "
+                f"before execution started")
+        cap = int(deadline_cfg.get("max_cycles", 0) or 0)
+        if cap > 0:
+            deadline_cycles = cap
+
+    def _cap_cycles(cfg: Any) -> None:
+        if deadline_cycles is not None:
+            cfg.max_cycles = (deadline_cycles if cfg.max_cycles is None
+                              else min(cfg.max_cycles, deadline_cycles))
+
+    tracectx = None
+    if trace_cfg and trace_cfg.get("trace_id"):
+        from repro.obs.tracectx import TraceContext
+        tracectx = TraceContext(str(trace_cfg["trace_id"]),
+                                track="host/worker")
+        tracectx.begin("worker.attempt", job_key=spec.job_key()[:12],
+                       attempt=int(trace_cfg.get("attempt", 0)),
+                       pid=os.getpid())
     config = config_for(spec.config_label, seed=spec.seed,
                         **spec.config_overrides)
+    _cap_cycles(config)
     workload = build_workload(spec.workload, spec.workload_params)
+
+    telemetry = None
+    if tel_cfg is not None:
+        from repro.obs.telemetry import Telemetry, TelemetryConfig
+        telemetry = Telemetry(TelemetryConfig(
+            sample_every=int(tel_cfg.get("sample_every", 200)),
+            spans=True))
+
     t0 = time.perf_counter()
+    resumed_from: Optional[int] = None
+    events_executed: Optional[int] = None
     if ckpt_cfg:
         from repro.ckpt import Checkpointer, CheckpointStore
-        from repro.energy.model import energy_of
-        from repro.harness.runner import RunResult
         checkpointer = Checkpointer(
             spec, CheckpointStore(ckpt_cfg["dir"]),
             every=int(ckpt_cfg.get("every", 2000)),
             ring=int(ckpt_cfg.get("ring", 8)),
-            workload=workload)
-        stats = checkpointer.run(resume=bool(ckpt_cfg.get("resume", True)))
+            telemetry=telemetry, workload=workload,
+            boundary_hook=boundary_hook, flight=flight)
+        resume = bool(ckpt_cfg.get("resume", True))
+        if tracectx is not None:
+            tracectx.begin("ckpt.restore")
+        machine = checkpointer.prepare(resume=resume)
+        # The checkpoint path builds its machine from the spec (not the
+        # local config above), so the deadline cap is applied to the
+        # prepared machine's config directly.
+        _cap_cycles(machine.config)
+        if tracectx is not None:
+            tracectx.end("ckpt.restore",
+                         resumed_from=checkpointer.resumed_from)
+            tracectx.begin("sim.run")
+        stats = checkpointer.run(resume=resume)
+        if tracectx is not None:
+            tracectx.end("sim.run", cycles=stats.cycles)
+        resumed_from = checkpointer.resumed_from
+        if checkpointer.machine is not None:
+            events_executed = checkpointer.machine.events_executed
         result = RunResult(workload=workload.name,
                            config_label=config.label(), stats=stats,
-                           energy=energy_of(stats))
-        record = record_of(spec, result, wall_s=time.perf_counter() - t0)
-        if checkpointer.resumed_from is not None:
-            record["meta"]["resumed_from"] = checkpointer.resumed_from
-        return record
-    result = run_workload(config, workload)
-    return record_of(spec, result, wall_s=time.perf_counter() - t0)
+                           energy=energy_of(stats), telemetry=telemetry)
+    else:
+        if tracectx is not None:
+            tracectx.begin("sim.run")
+        result = run_workload(config, workload, telemetry=telemetry)
+        if tracectx is not None:
+            tracectx.end("sim.run", cycles=result.cycles)
+
+    record = record_of(spec, result, wall_s=time.perf_counter() - t0)
+    if resumed_from is not None:
+        record["meta"]["resumed_from"] = resumed_from
+    if events_executed is not None:
+        record["meta"]["events_executed"] = events_executed
+    if telemetry is not None and tel_cfg.get("dir"):
+        record["meta"]["artifacts"] = _export_artifacts(
+            telemetry, tel_cfg["dir"])
+    if tracectx is not None:
+        tracectx.end("worker.attempt")
+        record["meta"]["trace_id"] = tracectx.trace_id
+        record["meta"]["host_spans"] = tracectx.as_dicts()
+    return record
+
+
+def _export_artifacts(telemetry: Any, directory: str) -> List[str]:
+    os.makedirs(directory, exist_ok=True)
+    names = []
+    telemetry.write_perfetto(os.path.join(directory, "trace.json"),
+                             validate=False)
+    names.append("trace.json")
+    if telemetry.sampler is not None:
+        with open(os.path.join(directory, "series.csv"), "w") as handle:
+            telemetry.sampler.to_csv(handle)
+        names.append("series.csv")
+    return names
 
 
 @dataclass
@@ -280,10 +396,7 @@ class Orchestrator:
                 misses.append(spec)
 
         if misses:
-            if self.jobs == 1:
-                self._run_serial(misses, outcomes)
-            else:
-                self._run_parallel(misses, outcomes)
+            self._run_misses(misses, outcomes)
 
         results = [outcomes[spec.job_key()] for spec in specs]
         if self.cache is not None:
@@ -344,66 +457,28 @@ class Orchestrator:
         outcomes[key] = JobResult(spec, "quarantined", error=error,
                                   kind="quarantined")
 
-    # ------------------------------------------------------ serial path
+    # ------------------------------------------------------ the one loop
 
-    def _run_serial(self, specs: List[JobSpec],
+    def _executor(self) -> Union[ProcessPoolExecutor, "_InlineExecutor"]:
+        if self.jobs == 1:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(max_workers=self.jobs)
+
+    def _run_misses(self, specs: List[JobSpec],
                     outcomes: Dict[str, JobResult]) -> None:
-        for spec in specs:
-            key = spec.job_key()
-            if self._quarantined(spec):
-                self._refuse_quarantined(spec, outcomes)
-                continue
-            attempt = 1
-            while True:
-                self.events.record("started", key, spec.describe(),
-                                   attempt=attempt)
-                t0 = time.perf_counter()
-                try:
-                    record = self.run_fn(self._payload(spec))
-                except Exception as exc:  # noqa: BLE001 — job isolation
-                    kind = classify_failure(exc)
-                    retryable = (not _is_fatal(exc)
-                                 and kind not in DETERMINISTIC_KINDS)
-                    if retryable and attempt <= self.retries:
-                        self.events.record("retried", key, spec.describe(),
-                                           attempt=attempt, error=str(exc))
-                        time.sleep(self.backoff_s * 2 ** (attempt - 1))
-                        attempt += 1
-                        continue
-                    self.events.record("failed", key, spec.describe(),
-                                       attempt=attempt, failure_kind=kind,
-                                       error=str(exc))
-                    self._note_failure(spec, kind)
-                    outcomes[key] = JobResult(spec, "failed", error=str(exc),
-                                              attempts=attempt, kind=kind)
-                    break
-                elapsed = time.perf_counter() - t0
-                if self.timeout is not None and elapsed > self.timeout:
-                    self.events.record("timeout", key, spec.describe(),
-                                       failure_kind="timeout",
-                                       elapsed_s=round(elapsed, 3))
-                    self._note_failure(spec, "timeout")
-                    outcomes[key] = JobResult(
-                        spec, "timeout", attempts=attempt, kind="timeout",
-                        error=f"exceeded {self.timeout}s "
-                              f"(took {elapsed:.3f}s)")
-                    break
-                self._finish(spec, record, attempt, outcomes)
-                break
-
-    # ---------------------------------------------------- parallel path
-
-    def _run_parallel(self, specs: List[JobSpec],
-                      outcomes: Dict[str, JobResult]) -> None:
         pending: List[_Pending] = [(spec, 1, 0.0) for spec in specs]
         inflight: Dict[Future, Tuple[JobSpec, int, Optional[float]]] = {}
-        executor = ProcessPoolExecutor(max_workers=self.jobs)
+        #: Timed-out futures whose worker is still busy: each holds its
+        #: pool slot until it really finishes.
+        abandoned: List[Future] = []
+        executor = self._executor()
         try:
             while pending or inflight:
                 now = time.monotonic()
+                abandoned = [f for f in abandoned if not f.done()]
                 # Submit every ready entry into free slots.
                 ready = [p for p in pending if p[2] <= now]
-                while ready and len(inflight) < self.jobs:
+                while ready and len(inflight) + len(abandoned) < self.jobs:
                     entry = ready.pop(0)
                     pending.remove(entry)
                     spec, attempt, _ = entry
@@ -413,28 +488,40 @@ class Orchestrator:
                     key = spec.job_key()
                     self.events.record("started", key, spec.describe(),
                                        attempt=attempt)
+                    deadline = (time.monotonic() + self.timeout
+                                if self.timeout is not None else None)
                     future = executor.submit(self.run_fn,
                                              self._payload(spec))
-                    deadline = (now + self.timeout
-                                if self.timeout is not None else None)
                     inflight[future] = (spec, attempt, deadline)
                 if not inflight:
-                    # Everything pending is backing off; sleep to the
-                    # earliest not-before point.
-                    time.sleep(max(_POLL_S,
-                                   min(p[2] for p in pending) - now))
+                    # Everything pending (if anything is left after
+                    # quarantine) is backing off or waiting for an
+                    # abandoned job's slot; sleep to the earliest
+                    # not-before point.
+                    if pending:
+                        time.sleep(max(_POLL_S,
+                                       min(p[2] for p in pending) - now))
                     continue
-                done, _ = futures_wait(set(inflight), timeout=_POLL_S,
-                                       return_when=FIRST_COMPLETED)
+                futures_wait(set(inflight), timeout=_POLL_S,
+                             return_when=FIRST_COMPLETED)
+                now = time.monotonic()
                 broken = False
-                for future in done:
-                    spec, attempt, _ = inflight.pop(future)
-                    error = future.exception()
-                    if error is None:
+                for future, (spec, attempt, deadline) in list(
+                        inflight.items()):
+                    late = deadline is not None and now > deadline
+                    if not (late or future.done()):
+                        continue
+                    del inflight[future]
+                    error = future.exception() if future.done() else None
+                    broken |= isinstance(error, BrokenProcessPool)
+                    if late:
+                        if not future.cancel():
+                            abandoned.append(future)
+                        self._timed_out(spec, attempt, pending, outcomes)
+                    elif error is None:
                         self._finish(spec, future.result(), attempt,
                                      outcomes)
                     elif isinstance(error, BrokenProcessPool):
-                        broken = True
                         self._retry_or_fail(spec, attempt,
                                             "worker process crashed",
                                             pending, outcomes,
@@ -443,8 +530,7 @@ class Orchestrator:
                         kind = classify_failure(error)
                         self._retry_or_fail(
                             spec, attempt, str(error), pending, outcomes,
-                            retryable=(not _is_fatal(error)
-                                       and kind not in DETERMINISTIC_KINDS),
+                            retryable=is_retryable(error, kind),
                             kind=kind)
                 if broken:
                     # The pool is dead: every other in-flight job is
@@ -456,37 +542,34 @@ class Orchestrator:
                                             pending, outcomes,
                                             kind="crash")
                     inflight.clear()
+                    abandoned.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
-                    executor = ProcessPoolExecutor(max_workers=self.jobs)
-                    continue
-                # Reap jobs past their deadline. Without checkpointing a
-                # wall-clock timeout is terminal (the simulator is
-                # deterministic — a rerun from scratch would time out at
-                # the same point); with it, the attempt left durable
-                # checkpoints behind, so a retry *resumes* past where
-                # this attempt got and is genuine forward progress.
-                now = time.monotonic()
-                for future in [f for f, (_, _, dl) in inflight.items()
-                               if dl is not None and now > dl]:
-                    spec, attempt, _ = inflight.pop(future)
-                    future.cancel()
-                    key = spec.job_key()
-                    if self._checkpointing:
-                        self._retry_or_fail(
-                            spec, attempt,
-                            f"exceeded {self.timeout}s "
-                            f"(next attempt resumes from checkpoint)",
-                            pending, outcomes, kind="timeout")
-                        continue
-                    self.events.record("timeout", key, spec.describe(),
-                                       failure_kind="timeout",
-                                       timeout_s=self.timeout)
-                    self._note_failure(spec, "timeout")
-                    outcomes[key] = JobResult(
-                        spec, "timeout", attempts=attempt, kind="timeout",
-                        error=f"exceeded {self.timeout}s")
+                    executor = self._executor()
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
+
+    def _timed_out(self, spec: JobSpec, attempt: int,
+                   pending: List[_Pending],
+                   outcomes: Dict[str, JobResult]) -> None:
+        """Without checkpointing a wall-clock timeout is terminal (the
+        simulator is deterministic — a rerun from scratch would time out
+        at the same point); with it, the attempt left durable
+        checkpoints behind, so a retry *resumes* past where this attempt
+        got and is genuine forward progress."""
+        if self._checkpointing:
+            self._retry_or_fail(
+                spec, attempt,
+                f"exceeded {self.timeout}s "
+                f"(next attempt resumes from checkpoint)",
+                pending, outcomes, kind="timeout")
+            return
+        key = spec.job_key()
+        self.events.record("timeout", key, spec.describe(),
+                           failure_kind="timeout", timeout_s=self.timeout)
+        self._note_failure(spec, "timeout")
+        outcomes[key] = JobResult(spec, "timeout", attempts=attempt,
+                                  kind="timeout",
+                                  error=f"exceeded {self.timeout}s")
 
     # ----------------------------------------------------------- shared
 
@@ -525,6 +608,23 @@ class Orchestrator:
             self._note_failure(spec, kind)
             outcomes[key] = JobResult(spec, "failed", error=error,
                                       attempts=attempt, kind=kind)
+
+
+class _InlineExecutor:
+    """The ``jobs == 1`` executor: ``submit`` runs the job in-process
+    and returns an already-completed future."""
+
+    def submit(self, fn: RunFn, payload: Dict[str, Any]) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(payload))
+        except Exception as exc:  # noqa: BLE001 — job isolation
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True,
+                 cancel_futures: bool = False) -> None:
+        pass
 
 
 def run_batch(specs: Sequence[JobSpec], jobs: int = 1,

@@ -42,7 +42,7 @@ from repro.serve.queue import JobQueue
 #: ``repro.serve.worker``, or ``python -m repro.serve.worker`` — how
 #: ``spawn_worker`` starts every worker — would find the module already
 #: in ``sys.modules`` and run it a second time as ``__main__``.
-_WORKER_EXPORTS = ("Worker", "execute_serve_job", "spawn_worker")
+_WORKER_EXPORTS = ("Worker", "spawn_worker")
 
 
 def __getattr__(name: str) -> Any:
@@ -71,6 +71,5 @@ __all__ = [
     "Submission",
     "UnknownJobError",
     "Worker",
-    "execute_serve_job",
     "spawn_worker",
 ]

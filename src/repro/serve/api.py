@@ -32,7 +32,7 @@ Worker surface::
     POST /v1/worker/lease       {worker}                 -> lease | idle
     POST /v1/worker/heartbeat   {job_key, token, worker} -> deadline
     POST /v1/worker/commit      {job_key, token, record} -> run view
-    POST /v1/worker/fail        {job_key, token, kind, error}
+    POST /v1/worker/fail        {job_key, token, kind, error, retryable?}
 
 Admin surface::
 
@@ -235,7 +235,9 @@ class _Handler(BaseHTTPRequestHandler):
             if head == "worker" and rest == ["fail"]:
                 view = queue.fail(str(body["job_key"]), int(body["token"]),
                                   str(body.get("kind", "error")),
-                                  str(body.get("error", "")))
+                                  str(body.get("error", "")),
+                                  retryable=bool(body.get("retryable",
+                                                          True)))
                 self._send_json(view)
                 return True
             if head == "admin" and rest == ["drain"]:

@@ -345,11 +345,12 @@ class ServeClient:
                             {"job_key": job_key, "token": token,
                              "record": record}, idempotent=True)
 
-    def fail(self, job_key: str, token: int, kind: str,
-             error: str) -> Dict[str, Any]:
+    def fail(self, job_key: str, token: int, kind: str, error: str,
+             retryable: bool = True) -> Dict[str, Any]:
         return self.request("POST", "/v1/worker/fail",
                             {"job_key": job_key, "token": token,
-                             "kind": kind, "error": error})
+                             "kind": kind, "error": error,
+                             "retryable": retryable})
 
     # --------------------------------------------------------------- admin
 

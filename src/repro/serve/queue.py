@@ -773,12 +773,14 @@ class JobQueue:
                 **({"resumed_from": resumed} if resumed is not None else {}))
             return run.view(record)
 
-    def fail(self, job_key: str, token: int, kind: str,
-             error: str) -> Dict[str, Any]:
+    def fail(self, job_key: str, token: int, kind: str, error: str,
+             retryable: bool = True) -> Dict[str, Any]:
         """A worker reports a failed execution. Deterministic verdicts
-        (invariant/liveness/timeout) are terminal — the simulation
-        would fail identically again; infrastructure failures requeue
-        until ``max_attempts``. Fenced like :meth:`commit`."""
+        (invariant/liveness/timeout) and failures the worker judged not
+        ``retryable`` (:func:`repro.orchestrate.scheduler.is_retryable`)
+        are terminal — the run would fail identically again;
+        infrastructure failures requeue until ``max_attempts``. Fenced
+        like :meth:`commit`."""
         with self._lock:
             run = self._run(job_key)
             if run.state != RUN_LEASED or token != run.generation:
@@ -788,8 +790,8 @@ class JobQueue:
                     f"not held")
             self._close_lease_span(run, outcome=f"fail:{kind}")
             run.worker = None
-            if kind in DETERMINISTIC_KINDS or run.attempts >= \
-                    self.max_attempts:
+            if not retryable or kind in DETERMINISTIC_KINDS or \
+                    run.attempts >= self.max_attempts:
                 self._terminal_failure(run, kind=kind, error=error)
             else:
                 self._requeue(run, reason=f"worker_failed: {error}")

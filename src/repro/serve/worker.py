@@ -37,166 +37,15 @@ import sys
 import threading
 import time
 import zlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.flight import FlightRecorder
-
-from repro.config import config_for
-from repro.energy.model import energy_of
-from repro.harness.runner import RunResult, run_workload
-from repro.orchestrate.jobspec import JobSpec
-from repro.orchestrate.record import record_of
-from repro.orchestrate.registry import build_workload
+from repro.orchestrate.scheduler import execute_job, is_retryable
 from repro.resilience.classify import classify_failure
 
 from repro.serve.client import ServeClient, ServeHTTPError
 from repro.serve.model import StaleLeaseError
 
-__all__ = ["Worker", "execute_serve_job", "spawn_worker", "main"]
-
-
-def execute_serve_job(payload: Dict[str, Any],
-                      boundary_hook: Optional[Callable[[int], None]] = None,
-                      flight: Optional["FlightRecorder"] = None,
-                      ) -> Dict[str, Any]:
-    """Run one leased payload to its record.
-
-    The payload is a JobSpec dict plus the out-of-band routing the
-    queue attached (none of it is part of the content address):
-
-    * ``_checkpoint`` — ``{dir, every, ring, resume}``: checkpoint into
-      the shared store while running and resume from the newest valid
-      checkpoint a previous attempt left behind (the record's meta then
-      carries ``resumed_from``);
-    * ``_telemetry`` — ``{dir, sample_every?}``: attach the obs layer
-      and export a Perfetto trace (``trace.json``) and counter
-      time-series (``series.csv``) into the run's artifact directory,
-      which the service's artifact endpoints serve;
-    * ``_trace`` — ``{trace_id, attempt}``: the run's host-domain trace
-      id. The attempt is wrapped in ``worker.attempt`` / ``ckpt.restore``
-      / ``sim.run`` host spans that ride back to the queue on the
-      record's ``meta.host_spans`` (meta is parity-exempt), where they
-      join the queue's own spans for the same trace id.
-
-    ``flight`` (a host-side ring of recent worker events) is handed to
-    the :class:`~repro.ckpt.checkpoint.Checkpointer` so a deadlocked or
-    timed-out run's black box records what the worker was doing.
-    """
-    payload = dict(payload)
-    ckpt_cfg = payload.pop("_checkpoint", None)
-    tel_cfg = payload.pop("_telemetry", None)
-    trace_cfg = payload.pop("_trace", None)
-    deadline_cfg = payload.pop("_deadline", None)
-    spec = JobSpec.from_dict(payload)
-
-    # Deadline propagation, worker side. ``_deadline`` carries the
-    # run's absolute wall cutoff plus (optionally) an engine cycle
-    # budget the queue derived from the remaining time. The wall check
-    # fires before any simulation work; the cycle cap rides the
-    # engine's own max_cycles deadline, so a doomed run stops at a
-    # structured SimulationTimeout instead of burning its full lease.
-    deadline_cycles: Optional[int] = None
-    if deadline_cfg:
-        expires = float(deadline_cfg.get("expires", 0.0) or 0.0)
-        if expires and time.time() >= expires:
-            raise TimeoutError(
-                f"job deadline passed {time.time() - expires:.2f}s "
-                f"before execution started")
-        cap = int(deadline_cfg.get("max_cycles", 0) or 0)
-        if cap > 0:
-            deadline_cycles = cap
-
-    def _cap_cycles(cfg: Any) -> None:
-        if deadline_cycles is not None:
-            cfg.max_cycles = (deadline_cycles if cfg.max_cycles is None
-                              else min(cfg.max_cycles, deadline_cycles))
-
-    tracectx = None
-    if trace_cfg and trace_cfg.get("trace_id"):
-        from repro.obs.tracectx import TraceContext
-        tracectx = TraceContext(str(trace_cfg["trace_id"]),
-                                track="host/worker")
-        tracectx.begin("worker.attempt", job_key=spec.job_key()[:12],
-                       attempt=int(trace_cfg.get("attempt", 0)),
-                       pid=os.getpid())
-    config = config_for(spec.config_label, seed=spec.seed,
-                        **spec.config_overrides)
-    _cap_cycles(config)
-    workload = build_workload(spec.workload, spec.workload_params)
-
-    telemetry = None
-    if tel_cfg is not None:
-        from repro.obs.telemetry import Telemetry, TelemetryConfig
-        telemetry = Telemetry(TelemetryConfig(
-            sample_every=int(tel_cfg.get("sample_every", 200)),
-            spans=True))
-
-    t0 = time.perf_counter()
-    resumed_from: Optional[int] = None
-    events_executed: Optional[int] = None
-    if ckpt_cfg:
-        from repro.ckpt import Checkpointer, CheckpointStore
-        checkpointer = Checkpointer(
-            spec, CheckpointStore(ckpt_cfg["dir"]),
-            every=int(ckpt_cfg.get("every", 2000)),
-            ring=int(ckpt_cfg.get("ring", 8)),
-            telemetry=telemetry, workload=workload,
-            boundary_hook=boundary_hook, flight=flight)
-        resume = bool(ckpt_cfg.get("resume", True))
-        if tracectx is not None:
-            tracectx.begin("ckpt.restore")
-        machine = checkpointer.prepare(resume=resume)
-        # The checkpoint path builds its machine from the spec (not the
-        # local config above), so the deadline cap is applied to the
-        # prepared machine's config directly.
-        _cap_cycles(machine.config)
-        if tracectx is not None:
-            tracectx.end("ckpt.restore",
-                         resumed_from=checkpointer.resumed_from)
-            tracectx.begin("sim.run")
-        stats = checkpointer.run(resume=resume)
-        if tracectx is not None:
-            tracectx.end("sim.run", cycles=stats.cycles)
-        resumed_from = checkpointer.resumed_from
-        if checkpointer.machine is not None:
-            events_executed = checkpointer.machine.events_executed
-        result = RunResult(workload=workload.name,
-                           config_label=config.label(), stats=stats,
-                           energy=energy_of(stats), telemetry=telemetry)
-    else:
-        if tracectx is not None:
-            tracectx.begin("sim.run")
-        result = run_workload(config, workload, telemetry=telemetry)
-        if tracectx is not None:
-            tracectx.end("sim.run", cycles=result.cycles)
-
-    record = record_of(spec, result, wall_s=time.perf_counter() - t0)
-    if resumed_from is not None:
-        record["meta"]["resumed_from"] = resumed_from
-    if events_executed is not None:
-        record["meta"]["events_executed"] = events_executed
-    if telemetry is not None and tel_cfg.get("dir"):
-        record["meta"]["artifacts"] = _export_artifacts(
-            telemetry, tel_cfg["dir"])
-    if tracectx is not None:
-        tracectx.end("worker.attempt")
-        record["meta"]["trace_id"] = tracectx.trace_id
-        record["meta"]["host_spans"] = tracectx.as_dicts()
-    return record
-
-
-def _export_artifacts(telemetry: Any, directory: str) -> List[str]:
-    os.makedirs(directory, exist_ok=True)
-    names = []
-    telemetry.write_perfetto(os.path.join(directory, "trace.json"),
-                             validate=False)
-    names.append("trace.json")
-    if telemetry.sampler is not None:
-        with open(os.path.join(directory, "series.csv"), "w") as handle:
-            telemetry.sampler.to_csv(handle)
-        names.append("series.csv")
-    return names
+__all__ = ["Worker", "spawn_worker", "main"]
 
 
 class Worker:
@@ -360,9 +209,9 @@ class Worker:
             name=f"{self.worker_id}-heartbeat", daemon=True)
         beat.start()
         try:
-            record = execute_serve_job(lease["payload"],
-                                       boundary_hook=self._kill_hook(),
-                                       flight=self.flight)
+            record = execute_job(lease["payload"],
+                                 boundary_hook=self._kill_hook(),
+                                 flight=self.flight)
         except Exception as exc:  # noqa: BLE001 — job isolation
             stop.set()
             beat.join(timeout=1.0)
@@ -371,7 +220,8 @@ class Worker:
             self.flight.record("failed", job_key=job_key[:12],
                                failure_kind=kind)
             try:
-                self.client.fail(job_key, token, kind, str(exc))
+                self.client.fail(job_key, token, kind, str(exc),
+                                 retryable=is_retryable(exc, kind))
             except (StaleLeaseError, ServeHTTPError, OSError):
                 pass  # lease already gone; the service requeued it
             return

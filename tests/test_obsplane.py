@@ -25,10 +25,10 @@ from repro.obs.promtext import (Family, histogram_family,
 from repro.obs.tracectx import (HOST_SPAN_NAMES, HostSpan, HostSpanLog,
                                 TraceContext, mint_trace_id,
                                 stitch_trace)
+from repro.orchestrate import execute_job
 from repro.orchestrate.jobspec import JobSpec
 from repro.orchestrate.status import gauge_lines
-from repro.serve import (JobQueue, ServeClient, ServeService,
-                         execute_serve_job)
+from repro.serve import JobQueue, ServeClient, ServeService
 from repro.serve.model import RUN_LEASED, RUN_QUEUED
 
 
@@ -259,7 +259,7 @@ class TestTraceIdPropagation:
         spec = spec_for(seed=43)
         queue.submit("alice", spec.to_dict())
         lease = queue.lease("w1")
-        record = execute_serve_job(lease["payload"])
+        record = execute_job(lease["payload"])
         meta = record["meta"]
         assert meta["trace_id"] == lease["trace_id"]
         names = {s["name"] for s in meta["host_spans"]}
@@ -398,7 +398,7 @@ class TestHTTPObservability:
         svc, client = service
         view = client.submit("alice", spec_for(seed=54).to_dict())
         lease = client.lease("w1")
-        record = execute_serve_job(lease["payload"])
+        record = execute_job(lease["payload"])
         client.commit(lease["job_key"], lease["token"], record)
         doc = client.trace(view["job_key"])
         assert validate_chrome_trace(doc) == []

@@ -58,6 +58,26 @@ def sleepy_run(spec_dict, seconds):
     return fake_run(spec_dict)
 
 
+def bad_label_run(spec_dict):
+    raise ValueError("unknown configuration label: 'CB-Two'")
+
+
+def slow_first_two_run(spec_dict):
+    """Seeds 1-2 outlive a short batch timeout; seed 3 is quick."""
+    time.sleep(1.2 if JobSpec.from_dict(spec_dict).seed < 3 else 0.05)
+    return fake_run(spec_dict)
+
+
+def slow_once_run(spec_dict, sentinel):
+    """Sleeps 0.3 s on the first call ever (the sentinel file marks that
+    it already did), then runs fast."""
+    if not os.path.exists(sentinel):
+        with open(sentinel, "w"):
+            pass
+        time.sleep(0.3)
+    return fake_run(spec_dict)
+
+
 class TestJobSpec:
     def test_key_is_stable_and_order_insensitive(self):
         a = JobSpec("CB-One", "lock",
@@ -153,7 +173,37 @@ class TestExecuteJob:
         assert view.energy.total > 0
 
 
-class TestOrchestratorSerial:
+class SchedulingModeCases:
+    """Tests whose ``run_fn`` is module-level (picklable), so they run
+    unchanged under both scheduling modes: subclasses pick ``jobs``."""
+
+    jobs = 1
+
+    def test_deterministic_errors_fail_fast(self):
+        batch = Orchestrator(jobs=self.jobs, retries=2,
+                             run_fn=bad_label_run).run([spec_for()])
+        (job,) = batch.results
+        assert job.status == "failed" and job.attempts == 1
+        assert batch.events.counts["retried"] == 0
+
+    def test_timeout_recorded_and_not_cached(self, tmp_path):
+        batch = Orchestrator(
+            jobs=self.jobs, cache=str(tmp_path), timeout=0.01,
+            run_fn=functools.partial(sleepy_run, seconds=0.05),
+        ).run([spec_for()])
+        (job,) = batch.results
+        assert job.status == "timeout" and not job.ok
+        assert batch.events.counts["timeout"] == 1
+        assert len(ResultCache(str(tmp_path))) == 0
+
+    def test_duplicate_specs_simulate_once(self):
+        batch = run_batch([spec_for(), spec_for()], jobs=self.jobs,
+                          run_fn=fake_run)
+        assert batch.simulations_executed == 1
+        assert batch.results[0].record is batch.results[1].record
+
+
+class TestOrchestratorSerial(SchedulingModeCases):
     def test_cache_hit_miss_round_trip(self, tmp_path):
         specs = [spec_for(seed=s) for s in (1, 2, 3)]
         first = run_batch(specs, cache_dir=str(tmp_path), run_fn=fake_run)
@@ -203,30 +253,6 @@ class TestOrchestratorSerial:
         with pytest.raises(RuntimeError, match="always fails"):
             failed.result()
 
-    def test_deterministic_errors_fail_fast(self):
-        def bad(spec_dict):
-            raise ValueError("unknown configuration label: 'CB-Two'")
-
-        batch = Orchestrator(retries=2, run_fn=bad).run([spec_for()])
-        (job,) = batch.results
-        assert job.status == "failed" and job.attempts == 1
-        assert batch.events.counts["retried"] == 0
-
-    def test_timeout_recorded_and_not_cached(self, tmp_path):
-        batch = Orchestrator(
-            cache=str(tmp_path), timeout=0.01,
-            run_fn=functools.partial(sleepy_run, seconds=0.05),
-        ).run([spec_for()])
-        (job,) = batch.results
-        assert job.status == "timeout" and not job.ok
-        assert batch.events.counts["timeout"] == 1
-        assert len(ResultCache(str(tmp_path))) == 0
-
-    def test_duplicate_specs_simulate_once(self):
-        batch = run_batch([spec_for(), spec_for()], run_fn=fake_run)
-        assert batch.simulations_executed == 1
-        assert batch.results[0].record is batch.results[1].record
-
     def test_events_narrate_the_batch(self, tmp_path):
         run_batch([spec_for()], cache_dir=str(tmp_path), run_fn=fake_run)
         sink = tmp_path / "events.jsonl"
@@ -234,6 +260,20 @@ class TestOrchestratorSerial:
                  for line in sink.read_text().splitlines()]
         assert kinds == ["queued", "started", "finished",
                          "cache_stats"]
+
+    def test_checkpointed_timeout_is_retried(self, tmp_path):
+        batch = Orchestrator(
+            timeout=0.1, checkpoint_dir=str(tmp_path / "ckpt"),
+            checkpoint_every=1000,
+            run_fn=functools.partial(slow_once_run,
+                                     sentinel=str(tmp_path / "slow")),
+        ).run([spec_for()])
+        (job,) = batch.results
+        assert job.status == "finished" and job.attempts == 2
+
+
+class TestOrchestratorTwoJobs(SchedulingModeCases):
+    jobs = 2
 
 
 class TestOrchestratorParallel:
@@ -254,6 +294,16 @@ class TestOrchestratorParallel:
         ).run([spec_for()])
         (job,) = batch.results
         assert job.status == "timeout"
+
+    def test_abandoned_jobs_hold_their_slots(self):
+        # Seeds 1-2 time out at 0.4 s but keep both pool workers busy
+        # until 1.2 s; seed 3 must not start its deadline clock before
+        # a worker is free to run it.
+        batch = Orchestrator(jobs=2, timeout=0.4, retries=0,
+                             run_fn=slow_first_two_run).run(
+            [spec_for(seed=s) for s in (1, 2, 3)])
+        assert [r.status for r in batch.results] \
+            == ["timeout", "timeout", "finished"]
 
     def test_parallel_matches_serial_bit_for_bit(self, tmp_path):
         """jobs=4 must produce bit-identical records to serial runs."""
@@ -411,8 +461,11 @@ def severity_run(spec_dict):
 
 
 class TestFailureTaxonomy:
+    jobs = 1
+
     def test_deterministic_kinds_classified_and_not_retried(self):
-        batch = Orchestrator(retries=3, run_fn=invariant_run).run([spec_for()])
+        batch = Orchestrator(jobs=self.jobs, retries=3,
+                             run_fn=invariant_run).run([spec_for()])
         (result,) = batch.results
         assert result.status == "failed"
         assert result.kind == "invariant"
@@ -421,22 +474,25 @@ class TestFailureTaxonomy:
         assert batch.exit_code() == 2
 
     def test_liveness_and_timeout_kinds(self):
-        batch = Orchestrator(run_fn=deadlock_run).run([spec_for()])
+        batch = Orchestrator(jobs=self.jobs,
+                             run_fn=deadlock_run).run([spec_for()])
         assert batch.results[0].kind == "liveness"
         assert batch.exit_code() == 3
-        batch = Orchestrator(run_fn=sim_timeout_run).run([spec_for(seed=2)])
+        batch = Orchestrator(jobs=self.jobs,
+                             run_fn=sim_timeout_run).run([spec_for(seed=2)])
         assert batch.results[0].kind == "timeout"
         assert batch.exit_code() == 4
 
     def test_exit_code_reports_the_most_severe_class(self):
-        batch = Orchestrator(run_fn=severity_run).run(
+        batch = Orchestrator(jobs=self.jobs, run_fn=severity_run).run(
             [spec_for(seed=1), spec_for(seed=2)])
         kinds = sorted(r.kind for r in batch.results)
         assert kinds == ["invariant", "timeout"]
         assert batch.exit_code() == 2   # invariant outranks timeout
 
     def test_failure_manifest_names_every_failure(self):
-        batch = Orchestrator(run_fn=invariant_run).run([spec_for()])
+        batch = Orchestrator(jobs=self.jobs,
+                             run_fn=invariant_run).run([spec_for()])
         manifest = batch.failure_manifest()
         assert manifest["total"] == 1
         assert manifest["failed"] == 1
@@ -448,7 +504,8 @@ class TestFailureTaxonomy:
     def test_events_and_inspect_summarize_failure_classes(self, tmp_path,
                                                           capsys):
         cache = str(tmp_path)
-        run_batch([spec_for()], cache_dir=cache, run_fn=invariant_run)
+        run_batch([spec_for()], jobs=self.jobs, cache_dir=cache,
+                  run_fn=invariant_run)
         with open(os.path.join(cache, "events.jsonl")) as handle:
             events = [json.loads(line) for line in handle]
         failed = [e for e in events if e["kind"] == "failed"]
@@ -457,6 +514,10 @@ class TestFailureTaxonomy:
         out = capsys.readouterr().out
         assert "failure classes" in out
         assert "invariant" in out
+
+
+class TestFailureTaxonomyTwoJobs(TestFailureTaxonomy):
+    jobs = 2
 
 
 class TestQuarantine:

@@ -20,12 +20,13 @@ import time
 
 import pytest
 
+from repro.orchestrate import execute_job
 from repro.orchestrate.events import read_events
 from repro.orchestrate.jobspec import JobSpec
 from repro.orchestrate.status import job_status_entry
 from repro.serve import (JobQueue, Journal, QuotaExceededError,
                          ServeClient, ServeHTTPError, ServeService,
-                         StaleLeaseError, execute_serve_job, spawn_worker)
+                         StaleLeaseError, spawn_worker)
 from repro.serve.journal import journal_path
 from repro.serve.model import (RUN_DONE, RUN_FAILED, RUN_LEASED,
                                RUN_QUEUED, SUB_DONE, UnknownJobError)
@@ -427,7 +428,7 @@ class TestServeHTTP:
         """Act as the worker for exactly one job, over HTTP."""
         lease = client.lease(worker)
         assert lease is not None
-        record = execute_serve_job(lease["payload"])
+        record = execute_job(lease["payload"])
         return client.commit(lease["job_key"], lease["token"], record)
 
     def test_submit_execute_result_round_trip(self, service):
@@ -567,6 +568,19 @@ class TestServeHTTP:
                            "invariant", "bad interleaving")
         assert view["state"] == RUN_FAILED
         assert view["failure_kind"] == "invariant"
+
+    def test_worker_fails_an_unresolvable_spec_once(self, service):
+        # The orchestrator's retry rule, on the serve plane: an unknown
+        # label fails identically on every lease, so the first attempt
+        # is terminal instead of burning max_attempts.
+        from repro.serve import Worker
+        svc, client = service
+        view = client.submit("alice", spec_for(label="CB-Two").to_dict())
+        Worker(svc.url, worker_id="w1", poll_s=0.05, max_jobs=1).run()
+        run = client.run(view["job_key"])
+        assert run["state"] == RUN_FAILED
+        assert run["attempts"] == 1
+        assert run["failure_kind"] == "error"
 
     def test_drain_endpoint(self, service):
         _, client = service
@@ -838,7 +852,7 @@ class TestDeadlinePropagation:
         payload = spec_for(seed=38).to_dict()
         payload["_deadline"] = {"expires": time.time() - 1.0}
         with pytest.raises(TimeoutError, match="before execution"):
-            execute_serve_job(payload)
+            execute_job(payload)
 
     def test_cycle_budget_cuts_the_simulation_off(self):
         from repro.sim.engine import SimulationTimeout
@@ -846,7 +860,7 @@ class TestDeadlinePropagation:
         payload["_deadline"] = {"expires": time.time() + 600.0,
                                 "max_cycles": 1}
         with pytest.raises(SimulationTimeout):
-            execute_serve_job(payload)
+            execute_job(payload)
 
     def test_deadline_survives_journal_replay(self, tmp_path):
         queue = make_queue(tmp_path)
