@@ -41,16 +41,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.config import PAPER_CONFIGS, config_for
 from repro.sync.base import SyncStyle
 
 from repro.analyze.findings import Report
-
-#: ``name:detail`` shorthand -> the workload param the detail names.
-_DETAIL_PARAM = {"app": "name", "lock": "lock_name",
-                 "barrier": "barrier_name"}
 
 
 def _parse_styles(names: List[str]) -> List[SyncStyle]:
@@ -79,17 +75,6 @@ def _emit(report: Report, args: argparse.Namespace) -> None:
         for finding in report:
             print(finding.brief())
         print(report.summary())
-
-
-def _parse_pairs(pairs: List[str], what: str) -> Dict[str, Any]:
-    from repro.orchestrate.cli import parse_value
-    out: Dict[str, Any] = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"bad {what} {pair!r}; expected KEY=VALUE")
-        out[key] = parse_value(value)
-    return out
 
 
 # ------------------------------------------------------------- subcommands
@@ -137,17 +122,12 @@ def cmd_race(args: argparse.Namespace) -> int:
         if not args.workload:
             raise SystemExit("race needs --workload (or --trace FILE)")
         from repro.core.machine import Machine
-        from repro.orchestrate.registry import build_workload
+        from repro.orchestrate.registry import (build_workload,
+                                                parse_run_spec)
         from repro.analyze.hb import RaceMonitor
 
-        name, _, detail = args.workload.partition(":")
-        name = name.replace("-", "_")
-        params = _parse_pairs(args.param, "--param")
-        if detail:
-            params.setdefault(_DETAIL_PARAM.get(name, "name"), detail)
-        overrides = _parse_pairs(args.override, "--override")
-        if args.cores:
-            overrides.setdefault("num_cores", args.cores)
+        name, params, overrides = parse_run_spec(
+            args.workload, args.param, args.override, args.cores)
         config = config_for(args.config, seed=args.seed, **overrides)
         telemetry = None
         if args.obs:

@@ -59,13 +59,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    plan = ChaosPlan.load(args.plan)
+    plan, doc = ChaosPlan.load_doc(args.plan)
     jobs = args.jobs
     if jobs is None:
         # A campaign manifest records how many jobs the original run
         # submitted; replaying a different count is a different run.
-        with open(args.plan) as handle:
-            jobs = json.load(handle).get("jobs", 8)
+        jobs = doc.get("jobs", 8)
     print(f"replaying {plan.plan_key()[:12]} "
           f"({len(plan.faults)} fault(s), jobs={jobs})", flush=True)
     manifest = run_campaign(args.root, plan, jobs=jobs,

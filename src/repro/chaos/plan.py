@@ -15,15 +15,14 @@ with zero faults must be bit-identical to an unshimmed run.
 from __future__ import annotations
 
 import fnmatch
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.iohooks import (SITE_DIR_FSYNC, SITE_JOURNAL_FSYNC,
                            SITE_JOURNAL_WRITE, SITE_READ, SITE_TMP_FSYNC,
                            SITE_TMP_WRITE)
-from repro.ioutil import canonical_json, read_checked_json, sha256_of
+from repro.ioutil import ContentAddressedPlan
 
 __all__ = ["HostFault", "ChaosPlan", "FaultMatcher", "make_chaos_plan",
            "IO_KINDS", "HTTP_KINDS"]
@@ -86,8 +85,12 @@ class HostFault:
 
 
 @dataclass
-class ChaosPlan:
-    """A complete, content-addressed host-fault schedule."""
+class ChaosPlan(ContentAddressedPlan):
+    """A complete, content-addressed host-fault schedule.
+
+    Keyed, saved and loaded by :class:`~repro.ioutil.ContentAddressedPlan`
+    (a campaign manifest loads as its plan).
+    """
 
     label: str = ""
     seed: int = 0
@@ -117,34 +120,12 @@ class ChaosPlan:
             faults=[HostFault.from_dict(f)
                     for f in doc.get("faults", [])])
 
-    def canonical_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def plan_key(self) -> str:
-        return sha256_of(self.to_dict())
-
     def describe(self) -> str:
         head = (f"chaos plan {self.plan_key()[:12]} "
                 f"({self.label or 'unlabeled'}, seed {self.seed}, "
                 f"{len(self.faults)} fault(s))")
         return "\n".join([head] + [f"  - {f.describe()}"
                                    for f in self.faults])
-
-    def save(self, path: str) -> None:
-        from repro.ioutil import atomic_write_json
-        atomic_write_json(path, {"plan": self.to_dict(),
-                                 "plan_key": self.plan_key()}, indent=2)
-
-    @staticmethod
-    def load(path: str) -> "ChaosPlan":
-        doc = read_checked_json(path)
-        plan = ChaosPlan.from_dict(doc.get("plan", doc))
-        stated = doc.get("plan_key")
-        if stated and stated != plan.plan_key():
-            raise ValueError(
-                f"{path}: stated plan_key {str(stated)[:12]}… does not "
-                f"match recomputed {plan.plan_key()[:12]}…")
-        return plan
 
 
 class FaultMatcher:

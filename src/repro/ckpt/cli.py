@@ -34,27 +34,21 @@ import json
 import os
 import signal
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.ckpt.checkpoint import (Checkpoint, CheckpointMismatchError,
                                    Checkpointer, restore_checkpoint)
 from repro.ckpt.state import capture_state, state_fingerprint
 from repro.ckpt.store import CheckpointStore
-from repro.orchestrate.cli import _DETAIL_PARAM, _parse_kv
 from repro.orchestrate.jobspec import JobSpec
+from repro.orchestrate.registry import parse_run_spec
 from repro.sim.engine import (DeadlockError, LivenessError, SimulationError,
                               SimulationTimeout)
 
 
 def _spec_of(args: argparse.Namespace) -> JobSpec:
-    name, _, detail = args.workload.partition(":")
-    name = name.replace("-", "_")
-    params = _parse_kv(args.param, "--param", sweep=False)
-    if detail:
-        params.setdefault(_DETAIL_PARAM.get(name, "name"), detail)
-    overrides = _parse_kv(args.override, "--override", sweep=False)
-    if args.cores:
-        overrides.setdefault("num_cores", args.cores)
+    name, params, overrides = parse_run_spec(
+        args.workload, args.param, args.override, args.cores)
     return JobSpec(config_label=args.config, workload=name,
                    workload_params=params, config_overrides=overrides,
                    seed=args.seed)

@@ -38,11 +38,10 @@ change results" contract, now mechanically checkable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import TYPE_CHECKING, Any, Dict
 
 from repro.ioutil import sha256_of
+from repro.resilience import campaign
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import Machine
@@ -62,13 +61,9 @@ def state_fingerprint(state: Dict[str, Any]) -> str:
 
 
 def functional_fingerprint(machine: "Machine") -> str:
-    """SHA-256 over the store's non-zero word values — byte-compatible
-    with the fault campaigns' fingerprint, so a restored run can be
-    checked against a campaign baseline directly."""
-    snapshot = machine.store.snapshot()
-    blob = json.dumps(sorted(snapshot.items()),
-                      separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """The fault campaigns' fingerprint of ``machine.store``, so a
+    restored run can be checked against a campaign baseline directly."""
+    return campaign.functional_fingerprint(machine.store)
 
 
 def diff_captures(expected: Dict[str, Any],

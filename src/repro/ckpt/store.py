@@ -31,6 +31,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.ckpt.checkpoint import Checkpoint
 from repro.ioutil import (CorruptArtifactError, atomic_write_json, fsync_dir,
                           quarantine, read_checked_json, sha256_of)
+from repro.orchestrate.events import read_events
 
 __all__ = ["CheckpointStore"]
 
@@ -74,18 +75,10 @@ class CheckpointStore:
             os.fsync(handle.fileno())
 
     def manifest(self) -> List[Dict[str, Any]]:
-        """Parsed journal entries, oldest first (unparsable lines — a
-        torn tail write — are skipped)."""
-        if not os.path.exists(self.manifest_path):
-            return []
-        entries = []
-        with open(self.manifest_path) as handle:
-            for line in handle:
-                try:
-                    entries.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-        return entries
+        """Parsed journal entries, oldest first (a torn tail write and
+        damaged lines are skipped, as by
+        :func:`repro.orchestrate.events.read_events`)."""
+        return read_events(self.manifest_path)
 
     # -------------------------------------------------------------- save
 

@@ -51,6 +51,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.chaos.lifecycle import lifecycle_spec
 from repro.chaos.plan import ChaosPlan, HostFault
 from repro.fleet.paths import (control_path, fleet_dir,
                                supervisor_state_path)
@@ -66,18 +67,12 @@ __all__ = ["run_drill", "run_parity", "drill_specs", "partition_plan",
 TENANTS = ("alice", "bob", "carol")
 
 
-def drill_spec(seed: int) -> Dict[str, Any]:
-    """A few thousand cycles: enough to cross checkpoint boundaries at
-    ``checkpoint_every=300`` (so kamikazes die mid-run, between durable
-    checkpoints), small enough that a 300-submission flood drains in
-    well under a minute."""
-    return JobSpec(config_label="CB-All", workload="lock",
-                   workload_params={"lock_name": "ttas", "iterations": 2},
-                   config_overrides={"num_cores": 4}, seed=seed).to_dict()
-
-
 def drill_specs(unique: int) -> List[Dict[str, Any]]:
-    return [drill_spec(7000 + i) for i in range(unique)]
+    """Seeds 7000+i of the chaos lifecycle spec: a few thousand cycles,
+    enough to cross checkpoint boundaries at ``checkpoint_every=300``
+    (so kamikazes die mid-run, between durable checkpoints), small
+    enough that a 300-submission flood drains in well under a minute."""
+    return [lifecycle_spec(6000 + i).to_dict() for i in range(unique)]
 
 
 def partition_plan(seed: int, nth: int = 40, count: int = 10) -> ChaosPlan:

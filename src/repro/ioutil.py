@@ -31,8 +31,9 @@ import errno
 import hashlib
 import json
 import os
+import re
 import tempfile
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Tuple, Type, TypeVar
 
 from repro.iohooks import (SITE_DIR_FSYNC, SITE_PUBLISHED, SITE_READ,
                            SITE_RENAME, SITE_TMP_FSYNC, SITE_TMP_WRITE,
@@ -42,7 +43,7 @@ from repro.obs.metrics import Counter
 __all__ = [
     "canonical_json", "sha256_of", "atomic_write_text",
     "atomic_write_json", "fsync_dir", "quarantine", "read_checked_json",
-    "CorruptArtifactError", "FSYNC_ERRORS",
+    "CorruptArtifactError", "FSYNC_ERRORS", "ContentAddressedPlan",
 ]
 
 #: Process-wide count of fsync failures observed at this layer (file
@@ -201,3 +202,91 @@ def read_checked_json(path: str, checksum_field: Optional[str] = None) -> Any:
             path, f"checksum mismatch (stated {str(stated)[:12]}…, "
                   f"actual {actual[:12]}…)")
     return body
+
+
+#: A content address: the lowercase SHA-256 hex of a plan's canonical form.
+_PLAN_KEY = re.compile(r"[0-9a-f]{64}")
+
+_PlanT = TypeVar("_PlanT", bound="ContentAddressedPlan")
+
+
+class ContentAddressedPlan:
+    """Keying, saving and checked loading shared by every seeded plan
+    type (:class:`repro.resilience.faults.FaultPlan`,
+    :class:`repro.chaos.plan.ChaosPlan`).
+
+    A subclass supplies ``to_dict()`` and a ``from_dict(doc)``
+    constructor that ignores unknown fields. The plan key is
+    :func:`sha256_of` the ``to_dict()`` form. A plan file holds that
+    form with the key beside it, ``{<plan fields>..., "plan_key": ...}``.
+    :meth:`load` also reads the wrapped ``{"plan": {...}, "plan_key":
+    ...}`` form (a chaos campaign manifest) and a bare dict (a legacy or
+    hand-written plan). It refuses content that does not hash to the
+    stated ``plan_key`` or, when none is stated, to a 64-hex file stem,
+    so an edited plan never replays under another plan's identity.
+    """
+
+    def to_dict(self) -> Dict[str, Any]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def canonical_json(self) -> str:
+        return canonical_json(self.to_dict())
+
+    def plan_key(self) -> str:
+        """Stable content address: SHA-256 hex of the canonical JSON."""
+        return sha256_of(self.to_dict())
+
+    def save(self, path: str) -> str:
+        """Atomically write the plan file at ``path`` and return it. A
+        ``path`` not ending in ``.json`` names a directory instead (see
+        :meth:`save_in`)."""
+        if not path.endswith(".json"):
+            return self.save_in(path)
+        atomic_write_json(path, {**self.to_dict(),
+                                 "plan_key": self.plan_key()}, indent=2)
+        return path
+
+    def save_in(self, directory: str) -> str:
+        """Save as ``<directory>/<plan_key>.json``; returns the path."""
+        return self.save(os.path.join(directory, f"{self.plan_key()}.json"))
+
+    @classmethod
+    def load_doc(cls: Type[_PlanT],
+                 path: str) -> Tuple[_PlanT, Dict[str, Any]]:
+        """The checked plan at ``path`` plus the whole JSON document it
+        came from (a campaign manifest's other fields ride along)."""
+        doc = read_checked_json(path)
+        if not isinstance(doc, dict):
+            raise CorruptArtifactError(path, "expected a JSON object")
+        body = doc.get("plan", doc)
+        plan = cls.from_dict(body)  # type: ignore[attr-defined]
+        stem = os.path.splitext(os.path.basename(path))[0]
+        stated = doc.get("plan_key") or (
+            stem if _PLAN_KEY.fullmatch(stem) else None)
+        key = plan.plan_key()
+        if stated is not None and stated != key:
+            raise ValueError(
+                f"{path}: expected plan_key {str(stated)[:12]}… but its "
+                f"content hashes to {key[:12]}…")
+        return plan, doc
+
+    @classmethod
+    def load(cls: Type[_PlanT], path: str) -> _PlanT:
+        """Read a plan file, refusing one whose key does not check."""
+        return cls.load_doc(path)[0]
+
+    @classmethod
+    def load_by_key(cls: Type[_PlanT], directory: str,
+                    key_prefix: str) -> _PlanT:
+        """Load the unique ``<plan_key>.json`` in ``directory`` whose key
+        starts with ``key_prefix`` (full hashes are unwieldy on a
+        command line)."""
+        matches = [name for name in sorted(os.listdir(directory))
+                   if name.endswith(".json") and name.startswith(key_prefix)]
+        if not matches:
+            raise FileNotFoundError(
+                f"no {cls.__name__} matching {key_prefix!r} in {directory}")
+        if len(matches) > 1:
+            raise ValueError(
+                f"ambiguous plan key {key_prefix!r}: {matches}")
+        return cls.load(os.path.join(directory, matches[0]))

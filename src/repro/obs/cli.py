@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import PAPER_CONFIGS, config_for
 from repro.harness.runner import RunResult, run_workload
@@ -42,35 +42,15 @@ from repro.obs.export import (chrome_trace, trace_events_to_spans,
                               validate_chrome_trace, write_chrome_trace)
 from repro.obs.spans import load_spans
 from repro.obs.telemetry import Telemetry, TelemetryConfig
-from repro.orchestrate.cli import parse_value
-from repro.orchestrate.registry import build_workload, workload_spec_names
-
-#: ``name:detail`` shorthand -> the workload param the detail names.
-_DETAIL_PARAM = {"app": "name", "lock": "lock_name",
-                 "barrier": "barrier_name"}
-
-
-def _parse_pairs(pairs: List[str], what: str) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"bad {what} {pair!r}; expected KEY=VALUE")
-        out[key] = parse_value(value)
-    return out
+from repro.orchestrate.registry import (build_workload, parse_run_spec,
+                                        workload_spec_names)
 
 
 def _simulate(args: argparse.Namespace,
               tconfig: TelemetryConfig) -> Tuple[RunResult, Telemetry]:
     """One telemetered run described by the common CLI options."""
-    name, _, detail = args.workload.partition(":")
-    name = name.replace("-", "_")
-    params = _parse_pairs(args.param, "--param")
-    if detail:
-        params.setdefault(_DETAIL_PARAM.get(name, "name"), detail)
-    overrides = _parse_pairs(args.override, "--override")
-    if args.cores:
-        overrides.setdefault("num_cores", args.cores)
+    name, params, overrides = parse_run_spec(
+        args.workload, args.param, args.override, args.cores)
     config = config_for(args.config, seed=args.seed, **overrides)
     workload = build_workload(name, params)
     telemetry = Telemetry(tconfig)

@@ -174,29 +174,14 @@ class HostSpanLog:
     def read(path: str,
              trace_id: Optional[str] = None) -> List[HostSpan]:
         """All (optionally one trace's) spans at ``path``; missing file
-        reads as empty, torn/damaged lines are skipped."""
-        spans: List[HostSpan] = []
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            return spans
-        end = data.rfind(b"\n")
-        if end < 0:
-            return spans
-        for line in data[:end + 1].splitlines():
-            if not line.strip():
-                continue
-            try:
-                item = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue
-            if not isinstance(item, dict) or "trace_id" not in item:
-                continue
-            if trace_id is not None and item["trace_id"] != trace_id:
-                continue
-            spans.append(HostSpan.from_dict(item))
-        return spans
+        reads as empty, torn/damaged lines are skipped
+        (:func:`repro.orchestrate.events.read_events`)."""
+        # Imported here: repro.orchestrate imports repro.ioutil, which
+        # imports repro.obs (this package) at module load.
+        from repro.orchestrate.events import read_events
+        return [HostSpan.from_dict(item) for item in read_events(path)
+                if "trace_id" in item
+                and (trace_id is None or item["trace_id"] == trace_id)]
 
     def for_trace(self, trace_id: str) -> List[HostSpan]:
         with self._lock:

@@ -19,8 +19,9 @@ Workload specs are ``name[:detail]`` where ``name`` is a registry entry
 (``app``, ``lock``, ``barrier``, ``signal_wait``, ``pipeline``,
 ``task_queue``) and the optional detail names the app / lock / barrier
 (e.g. ``app:barnes``, ``lock:clh``). ``--param`` adds workload params;
-``--override`` adds config overrides, and comma-separated override
-values are swept as a cartesian product.
+``--override`` adds config overrides, parsed as in every other CLI by
+:func:`repro.orchestrate.registry.parse_run_spec`. On top of that,
+comma-separated override values are swept as a cartesian product.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.config import PAPER_CONFIGS
 
@@ -38,54 +39,17 @@ from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.events import read_events
 from repro.orchestrate.jobspec import JobSpec
 from repro.orchestrate.scheduler import BatchResult, Orchestrator
-from repro.orchestrate.registry import workload_spec_names
+from repro.orchestrate.registry import (parse_run_spec, parse_value,
+                                        workload_spec_names)
 from repro.orchestrate.status import (batch_status, cache_status,
                                       failure_histogram, gauge_lines)
-
-#: Maps a CLI spec's ``name:detail`` shorthand to the param it sets.
-_DETAIL_PARAM = {"app": "name", "lock": "lock_name", "barrier":
-                 "barrier_name"}
-
-
-def parse_value(text: str) -> Any:
-    """Best-effort literal: int, float, bool, None, else string."""
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("none", "null"):
-        return None
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_kv(pairs: Sequence[str], what: str,
-              sweep: bool) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"bad {what} {pair!r}; expected KEY=VALUE")
-        if sweep:
-            out[key] = [parse_value(v) for v in value.split(",")]
-        else:
-            out[key] = parse_value(value)
-    return out
 
 
 def build_specs(args: argparse.Namespace) -> List[JobSpec]:
     """The batch implied by the ``run`` subcommand's arguments."""
-    name, _, detail = args.workload.partition(":")
-    name = name.replace("-", "_")
-    params = _parse_kv(args.param, "--param", sweep=False)
-    if detail:
-        params.setdefault(_DETAIL_PARAM.get(name, "name"), detail)
-    overrides = _parse_kv(args.override, "--override", sweep=True)
-    if args.cores:
-        overrides.setdefault("num_cores", [args.cores])
+    name, params, overrides = parse_run_spec(
+        args.workload, args.param, args.override, args.cores,
+        value=lambda text: [parse_value(v) for v in text.split(",")])
     configs = [c.strip() for c in args.configs.split(",") if c.strip()]
     seeds = [int(s) for s in args.seeds.split(",")]
     keys = list(overrides)

@@ -28,11 +28,18 @@ Built-in specs (params in parentheses, all optional unless noted):
 
 New specs register with :func:`register_workload_spec`; registration at
 import time makes them visible to forked pool workers automatically.
+
+Every CLI names a simulation point the same way, parsed here by
+:func:`parse_run_spec`: ``--workload name[:detail]`` (the detail fills
+the param :data:`DETAIL_PARAM` names, e.g. ``app:barnes`` or
+``lock:clh``), repeated ``--param KEY=VALUE`` and ``--override
+KEY=VALUE`` pairs, and ``--cores N`` as a default ``num_cores``
+override.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.workloads.base import Workload
 from repro.workloads.extra import PipelineWorkload, TaskQueueWorkload
@@ -95,3 +102,57 @@ register_workload_spec("signal_wait",
                        lambda **kw: SignalWaitMicrobench(**kw))
 register_workload_spec("pipeline", lambda **kw: PipelineWorkload(**kw))
 register_workload_spec("task_queue", lambda **kw: TaskQueueWorkload(**kw))
+
+
+# ------------------------------------------------------------ CLI parsing
+
+#: ``name:detail`` shorthand -> the workload param the detail names
+#: (any other spec's detail sets ``name``).
+DETAIL_PARAM = {"app": "name", "lock": "lock_name",
+                "barrier": "barrier_name"}
+
+
+def parse_value(text: str) -> Any:
+    """Best-effort literal: int, float, bool, None, else string."""
+    lowered = text.lower()
+    if lowered in ("true", "false"):
+        return lowered == "true"
+    if lowered in ("none", "null"):
+        return None
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    return text
+
+
+def parse_pairs(pairs: Sequence[str], what: str,
+                value: Callable[[str], Any] = parse_value) -> Dict[str, Any]:
+    """``KEY=VALUE`` strings as a dict, each value through ``value``;
+    a malformed pair exits with a message naming the ``what`` flag."""
+    out: Dict[str, Any] = {}
+    for pair in pairs or ():
+        key, sep, text = pair.partition("=")
+        if not sep or not key:
+            raise SystemExit(f"bad {what} {pair!r}; expected KEY=VALUE")
+        out[key] = value(text)
+    return out
+
+
+def parse_run_spec(workload: str, params: Sequence[str] = (),
+                   overrides: Sequence[str] = (), cores: int = 0,
+                   value: Callable[[str], Any] = parse_value,
+                   ) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
+    """``(spec name, workload params, config overrides)`` from the
+    shared CLI flags (see the module docstring). ``value`` parses
+    override values, so a sweeping CLI can turn each into a list."""
+    name, _, detail = workload.partition(":")
+    name = name.replace("-", "_")
+    parsed = parse_pairs(params, "--param")
+    if detail:
+        parsed.setdefault(DETAIL_PARAM.get(name, "name"), detail)
+    config = parse_pairs(overrides, "--override", value)
+    if cores:
+        config.setdefault("num_cores", value(str(cores)))
+    return name, parsed, config

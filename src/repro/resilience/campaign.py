@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import config_for
 from repro.core.machine import Machine
+from repro.ioutil import atomic_write_json
 from repro.mem.store import WordStore
 from repro.resilience.classify import classify_failure
 from repro.resilience.faults import FaultKind, FaultPlan, make_fault_plan
@@ -205,7 +206,7 @@ def run_campaign(config_labels: Sequence[str], workload: str,
                                        audit_every=audit_every)
                 outcomes.append(outcome)
                 if not outcome.ok and out_dir:
-                    plan.save(plans_dir)
+                    plan.save_in(plans_dir)
                     if outcome.diagnosis is not None:
                         os.makedirs(diagnoses_dir, exist_ok=True)
                         outcome.diagnosis.write_trace(os.path.join(
@@ -213,9 +214,8 @@ def run_campaign(config_labels: Sequence[str], workload: str,
                             f"{plan.plan_key()[:16]}.trace.json"))
     result = CampaignResult(outcomes=outcomes, plans_dir=plans_dir)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "manifest.json"), "w") as handle:
-            json.dump(result.manifest(), handle, indent=2, sort_keys=True)
+        atomic_write_json(os.path.join(out_dir, "manifest.json"),
+                          result.manifest(), indent=2)
     return result
 
 

@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.config import PAPER_CONFIGS
 
@@ -51,32 +51,10 @@ def _parse_kinds(text: str) -> List[FaultKind]:
     return kinds
 
 
-def _parse_params(pairs) -> Dict[str, object]:
-    from repro.orchestrate.cli import parse_value
-    out: Dict[str, object] = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"bad param {pair!r}; expected KEY=VALUE")
-        out[key] = parse_value(value)
-    return out
-
-
-def _workload_of(args: argparse.Namespace):
-    from repro.orchestrate.cli import _DETAIL_PARAM
-    name, _, detail = args.workload.partition(":")
-    name = name.replace("-", "_")
-    params = _parse_params(args.param)
-    if detail:
-        params.setdefault(_DETAIL_PARAM.get(name, "name"), detail)
-    return name, params
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
-    name, params = _workload_of(args)
-    overrides = _parse_params(args.override)
-    if args.cores:
-        overrides.setdefault("num_cores", args.cores)
+    from repro.orchestrate.registry import parse_run_spec
+    name, params, overrides = parse_run_spec(
+        args.workload, args.param, args.override, args.cores)
     result = run_campaign(
         config_labels=[c.strip() for c in args.configs.split(",")
                        if c.strip()],
@@ -130,7 +108,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     if len(minimal) == len(plan):
         print("plan is already minimal (or does not fail)")
         return 0
-    path = minimal.save(args.plans)
+    path = minimal.save_in(args.plans)
     print(f"reduced to {len(minimal)} fault(s): {minimal.describe()}")
     print(f"minimal plan saved to {path}")
     for fault in minimal.faults:

@@ -41,18 +41,11 @@ races would hide:
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
-import os
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.ioutil import atomic_write_json
-
-#: A content address: the lowercase SHA-256 hex :meth:`FaultPlan.plan_key`.
-_PLAN_KEY = re.compile(r"[0-9a-f]{64}")
+from repro.ioutil import ContentAddressedPlan
 
 
 class FaultKind(enum.Enum):
@@ -106,8 +99,11 @@ class Fault:
 
 
 @dataclass
-class FaultPlan:
-    """A self-contained, replayable fault schedule for one simulation."""
+class FaultPlan(ContentAddressedPlan):
+    """A self-contained, replayable fault schedule for one simulation.
+
+    Keyed, saved and loaded by :class:`~repro.ioutil.ContentAddressedPlan`.
+    """
 
     config_label: str
     workload: str
@@ -154,14 +150,6 @@ class FaultPlan:
             faults=[Fault.from_dict(f) for f in data.get("faults", [])],
         )
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def plan_key(self) -> str:
-        """Stable content address: SHA-256 hex of the canonical JSON."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
     def describe(self) -> str:
         counts: Dict[str, int] = {}
         for fault in self.faults:
@@ -179,43 +167,11 @@ class FaultPlan:
                          seed=self.seed, fault_seed=self.fault_seed,
                          faults=list(faults))
 
-    # --------------------------------------------------------------- disk
-
-    def save(self, directory: str) -> str:
-        """Atomically write the plan as ``<plan_key>.json`` under
-        ``directory``."""
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{self.plan_key()}.json")
-        atomic_write_json(path, self.to_dict(), indent=2)
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "FaultPlan":
-        """Read a saved plan. A file named by a plan key (``<64 hex>.json``,
-        as :meth:`save` writes) must hash back to that key, so an edited
-        plan is refused instead of replayed under the wrong identity."""
-        with open(path) as handle:
-            plan = cls.from_dict(json.load(handle))
-        stem = os.path.splitext(os.path.basename(path))[0]
-        if _PLAN_KEY.fullmatch(stem) and stem != plan.plan_key():
-            raise ValueError(
-                f"{path}: file names plan_key {stem[:12]}… but its content "
-                f"hashes to {plan.plan_key()[:12]}…")
-        return plan
-
 
 def load_plan_by_key(directory: str, key_prefix: str) -> FaultPlan:
-    """Load the unique plan in ``directory`` whose key starts with
-    ``key_prefix`` (full hashes are unwieldy on a command line)."""
-    matches = [name for name in sorted(os.listdir(directory))
-               if name.endswith(".json") and name.startswith(key_prefix)]
-    if not matches:
-        raise FileNotFoundError(
-            f"no fault plan matching {key_prefix!r} in {directory}")
-    if len(matches) > 1:
-        raise ValueError(
-            f"ambiguous plan key {key_prefix!r}: {matches}")
-    return FaultPlan.load(os.path.join(directory, matches[0]))
+    """Load the unique fault plan in ``directory`` whose key starts with
+    ``key_prefix``."""
+    return FaultPlan.load_by_key(directory, key_prefix)
 
 
 #: Default magnitudes per kind: (min, max) inclusive, drawn per fault.

@@ -73,6 +73,31 @@ class TestChaosPlan:
         plan.save(path)
         assert ChaosPlan.load(path).plan_key() == plan.plan_key()
 
+    def test_key_is_pinned(self):
+        # Recorded before plans moved onto the shared ioutil base.
+        assert make_chaos_plan(seed=1).plan_key() == \
+            "be1ccb922a0809915ca82db532acd819d146d17dde1c5a7bea97a5a9407fea31"
+
+    def test_bare_plan_under_a_wrong_key_name_is_refused(self, tmp_path):
+        plan = make_chaos_plan(seed=4)
+        path = str(tmp_path / f"{'0' * 64}.json")
+        atomic_write_json(path, plan.to_dict())
+        with pytest.raises(ValueError):
+            ChaosPlan.load(path)
+
+    def test_campaign_manifest_loads_as_its_plan(self, tmp_path):
+        # The shape repro.chaos.campaign.run_campaign writes.
+        plan = make_chaos_plan(seed=7, label="campaign-seed-7")
+        path = str(tmp_path / "campaign-seed7.json")
+        atomic_write_json(path, {"schema": "chaos-campaign-v1",
+                                 "plan_key": plan.plan_key(),
+                                 "plan": plan.to_dict(), "jobs": 6,
+                                 "ok": True}, indent=2)
+        loaded, doc = ChaosPlan.load_doc(path)
+        assert loaded.plan_key() == plan.plan_key()
+        assert doc["jobs"] == 6
+        assert ChaosPlan.load(path).faults == plan.faults
+
     def test_load_rejects_tampered_key(self, tmp_path):
         plan = make_chaos_plan(seed=4)
         path = str(tmp_path / "plan.json")

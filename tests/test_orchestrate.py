@@ -12,7 +12,8 @@ from repro.harness.sweeps import Sweep
 from repro.orchestrate import (JobSpec, Orchestrator, RecordResult,
                                ResultCache, build_workload, execute_job,
                                run_batch)
-from repro.orchestrate.cli import build_specs, main, parse_value
+from repro.orchestrate.cli import build_specs, main
+from repro.orchestrate.registry import parse_run_spec, parse_value
 from repro.workloads.microbench import BarrierMicrobench, LockMicrobench
 
 
@@ -121,6 +122,29 @@ class TestRegistry:
     def test_unknown_spec_raises(self):
         with pytest.raises(ValueError, match="unknown workload spec"):
             build_workload("nope", {})
+
+    @pytest.mark.parametrize("workload,name,detail", [
+        ("app:barnes", "app", {"name": "barnes"}),
+        ("lock:ttas", "lock", {"lock_name": "ttas"}),
+        ("barrier:sr", "barrier", {"barrier_name": "sr"}),
+        ("signal-wait", "signal_wait", {}),
+        ("task_queue", "task_queue", {}),
+    ])
+    def test_run_spec_parser_matches_build_specs(self, workload, name,
+                                                 detail):
+        import argparse
+        parsed = parse_run_spec(workload, ["iterations=3"],
+                                ["cb_entries_per_bank=8"], cores=16)
+        # The name, params and overrides build_specs produced before
+        # every CLI moved onto the registry parser.
+        assert parsed == (name, {"iterations": 3, **detail},
+                          {"cb_entries_per_bank": 8, "num_cores": 16})
+        (spec,) = build_specs(argparse.Namespace(
+            workload=workload, param=["iterations=3"],
+            override=["cb_entries_per_bank=8"], cores=16,
+            configs="CB-One", seeds="1"))
+        assert (spec.workload, spec.workload_params,
+                spec.config_overrides) == parsed
 
 
 class TestCache:
@@ -603,6 +627,26 @@ class TestEventLogReader:
         events, _, skipped = tail_events(str(path))
         assert [e["kind"] for e in events] == ["finished"]
         assert skipped == 1
+
+    def test_ckpt_manifest_and_host_span_log_skip_bad_lines(self,
+                                                           tmp_path):
+        from repro.ckpt import CheckpointStore
+        from repro.obs.tracectx import HostSpan, HostSpanLog
+        store = CheckpointStore(str(tmp_path / "ckpt"))
+        entry = {"event": "saved", "job_key": "a", "boundary": 300}
+        with open(store.manifest_path, "w") as handle:
+            handle.write(json.dumps(entry) + "\n"
+                         + '{"event": "sav{"event": "gc"}\n'
+                         + '{"event": "gc", "job_key": "a"}')
+        assert store.manifest() == [entry]
+        span = HostSpan(name="queue.wait", trace_id="t1", start=1.0,
+                        end=2.0)
+        path = str(tmp_path / "spans.jsonl")
+        with open(path, "w") as handle:
+            handle.write(json.dumps(span.as_dict()) + "\n" + "not json\n"
+                         + '{"name": "sim.run", "trace_id": "t1", '
+                           '"start": 2.0}')
+        assert HostSpanLog.read(path) == [span]
 
     def test_missing_file_reads_empty(self, tmp_path):
         from repro.orchestrate.events import tail_events

@@ -104,6 +104,31 @@ class TestFaultPlans:
             json.dump(plan.to_dict(), handle)
         assert FaultPlan.load(path).plan_key() == plan.plan_key()
 
+    def test_key_is_pinned(self):
+        # Recorded before plans moved onto the shared ioutil base.
+        assert make_fault_plan("CB-One", "lock", count=4).plan_key() == \
+            "29486528f85fad9cce067a096a678f4c79965434ba25795208f4b8f199d277dd"
+
+    def test_edited_plan_under_a_new_name_is_refused(self, tmp_path):
+        plan = plan_for("CB-One", count=2)
+        with open(plan.save(str(tmp_path))) as handle:
+            doc = json.load(handle)
+        doc["seed"] = 99
+        edited = str(tmp_path / "edited.json")
+        with open(edited, "w") as handle:
+            json.dump(doc, handle)
+        with pytest.raises(ValueError, match="hashes to"):
+            FaultPlan.load(edited)
+
+    def test_legacy_bare_plan_under_its_key_loads(self, tmp_path):
+        plan = plan_for("CB-One", count=3)
+        path = tmp_path / f"{plan.plan_key()}.json"
+        with open(path, "w") as handle:
+            json.dump(plan.to_dict(), handle)
+        assert FaultPlan.load(str(path)).plan_key() == plan.plan_key()
+        loaded = load_plan_by_key(str(tmp_path), plan.plan_key()[:10])
+        assert loaded.faults == plan.faults
+
     def test_prefix_lookup_rejects_missing_and_ambiguous(self, tmp_path):
         plan_for("CB-One", count=1).save(str(tmp_path))
         plan_for("CB-One", count=2).save(str(tmp_path))
