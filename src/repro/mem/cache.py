@@ -10,7 +10,8 @@ snapshots, F/E+CB bit vectors) lives.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 
 class CacheLine:
@@ -153,16 +154,36 @@ class SetAssociativeCache:
             return [state, digest[:16]]
         return [state]
 
+    def _buckets_of(self, lines: Iterable[int]
+                    ) -> List["OrderedDict[int, CacheLine]"]:
+        """The sets ``lines`` map to, each once, in ascending set order."""
+        sets = self.sets
+        return [self._sets[index]
+                for index in sorted({line % sets for line in lines})]
+
+    def entries_in_sets_of(self, lines: Iterable[int]) -> Iterator[CacheLine]:
+        """Every resident line of the sets that ``lines`` map to, in the
+        order :meth:`__iter__` visits them (ascending set, replacement
+        order within a set). The sets are fixed before the first line is
+        yielded, so the caller may shrink ``lines`` while iterating."""
+        for bucket in self._buckets_of(lines):
+            yield from bucket.values()
+
     def evict_matching(
-        self, predicate: Callable[[CacheLine], bool]
+        self, predicate: Callable[[CacheLine], bool],
+        candidates: Optional[Iterable[int]] = None,
     ) -> List[CacheLine]:
         """Remove and return every resident line satisfying ``predicate``.
 
         Used for bulk self-invalidation: evict all shared lines at an
-        acquire fence.
+        acquire fence. ``candidates`` (a superset of the matching lines)
+        restricts the scan to the sets they map to; the lines removed and
+        their order are the same as for a full scan.
         """
+        buckets = (self._sets if candidates is None
+                   else self._buckets_of(candidates))
         removed: List[CacheLine] = []
-        for bucket in self._sets:
+        for bucket in buckets:
             doomed = [line for line, entry in bucket.items() if predicate(entry)]
             for line in doomed:
                 removed.append(bucket.pop(line))

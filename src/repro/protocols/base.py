@@ -98,6 +98,9 @@ class CoherenceProtocol:
         self.classifier = PageClassifier(self.addr_map)
         self.memory = MainMemory(config, stats)
         self.banks = [BankPort() for _ in range(config.num_banks)]
+        # Hardware thread -> its core's tile/L1, read on every op.
+        self._tile_of = tuple(config.core_of(tid)
+                              for tid in range(config.num_threads))
         # Lines whose data is resident in the LLC (first touch pays DRAM).
         self._llc_present: set = set()
         #: Telemetry probe bus (set when a Telemetry attaches), else None.
@@ -168,12 +171,12 @@ class CoherenceProtocol:
     def node_of(self, tid: int) -> int:
         """The mesh tile of a hardware thread (its core's tile). With
         SMT off (threads_per_core == 1) this is the identity map."""
-        return self.config.core_of(tid)
+        return self._tile_of[tid]
 
     def l1_of(self, tid: int) -> int:
         """The L1 a hardware thread uses (one per core, shared by its
         SMT siblings)."""
-        return self.config.core_of(tid)
+        return self._tile_of[tid]
 
     def bank_service(self, bank: int, data: bool, sync: bool = False) -> int:
         """Occupy bank ``bank`` for a tag or tag+data access starting now.

@@ -23,29 +23,36 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 State = Dict[str, Any]
 Guard = Callable[[Mapping[str, Any], "Event"], bool]
 Apply = Callable[[Mapping[str, Any], "Event"], "Effect"]
 
+#: The payload of an :class:`Event` built without one (never mutated).
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass(frozen=True)
-class Event:
+# The per-step value types below are named tuples: the simulator builds
+# one Event, Effect and StepResult per table step, and a tuple is far
+# cheaper to create than a frozen dataclass. They compare as tuples.
+
+
+class Event(NamedTuple):
     """One stimulus delivered to an FSM: a request kind, the acting core
     (if any), and a payload of edge-specific arguments."""
 
     kind: str
     core: Optional[int] = None
-    payload: Mapping[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = _NO_PAYLOAD
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.payload.get(key, default)
 
 
-@dataclass(frozen=True)
-class Emit:
+class Emit(NamedTuple):
     """One message emitted by a transition (wakeup, invalidation, data
     grant, writeback, ...). ``core`` is the destination where relevant."""
 
@@ -60,8 +67,7 @@ class Emit:
         return default
 
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(NamedTuple):
     """The result of applying a transition: next state + emitted messages."""
 
     state: State
@@ -79,8 +85,7 @@ class Transition:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """What :meth:`TransitionTable.step` returns: which edge fired, the
     state it produced, and the messages it emitted."""
 

@@ -26,7 +26,7 @@ top of an unchanged VIPS-M.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.mem.cache import SetAssociativeCache
 from repro.noc.messages import MsgKind
@@ -71,6 +71,12 @@ class VIPSProtocol(CoherenceProtocol):
                                 policy=cfg.l1_replacement)
             for _ in range(cfg.num_cores)
         ]
+        # Fence indexes, per L1: the lines ``self_invl`` drops and the
+        # lines a fence flushes (shared lines; shared lines with dirty
+        # words). Fences visit only the sets holding them. Derived from
+        # the L1 contents, so they stay out of ckpt_state().
+        self._shared_lines: List[Set[int]] = [set() for _ in self.l1]
+        self._dirty_shared_lines: List[Set[int]] = [set() for _ in self.l1]
         # Per-word atomic serialization at the home bank (LLC MSHR lock).
         self._mshr_locked: Dict[int, WaitQueue] = {}
 
@@ -111,9 +117,13 @@ class VIPSProtocol(CoherenceProtocol):
         word = self.addr_map.word_base(op.addr)
 
         def commit() -> None:
-            cached = self.l1[self.l1_of(core)].lookup(line)
+            node = self.l1_of(core)
+            cached = self.l1[node].lookup(line)
             if cached is not None:
-                cached.payload.dirty_words.add(word)
+                payload: VIPSLine = cached.payload
+                payload.dirty_words.add(word)
+                if flushes_on_fence(payload.shared, payload.dirty_words):
+                    self._dirty_shared_lines[node].add(line)
             if op.value is not None:
                 self.store.write(word, op.value)
             self.resolve_later(future, self.config.l1_latency)
@@ -151,9 +161,19 @@ class VIPSProtocol(CoherenceProtocol):
               done: Callable[[], None]) -> None:
         node = self.l1_of(core)
         _entry, victim = self.l1[node].insert(line, VIPSLine(shared))
+        # A refill of a resident line replaces its payload with a clean one.
+        self._unindex(node, line)
+        if drops_on_self_invl(shared):
+            self._shared_lines[node].add(line)
         if victim is not None:
+            self._unindex(node, victim.line)
             self._write_back_victim(node, victim.line, victim.payload)
         done()
+
+    def _unindex(self, node: int, line: int) -> None:
+        """Take ``line`` out of both fence indexes of L1 ``node``."""
+        self._shared_lines[node].discard(line)
+        self._dirty_shared_lines[node].discard(line)
 
     def _write_back_victim(self, core: int, line: int, payload: VIPSLine
                            ) -> None:
@@ -176,12 +196,14 @@ class VIPSProtocol(CoherenceProtocol):
         are never dropped — that would lose writes, which no component of
         the modelled system does. Returns the dropped line number, or
         None if the L1 holds no clean line."""
-        l1 = self.l1[self.l1_of(core)]
+        node = self.l1_of(core)
+        l1 = self.l1[node]
         clean = [entry.line for entry in l1 if not entry.payload.dirty_words]
         if not clean:
             return None
         line = clean[selector % len(clean)]
         l1.remove(line)
+        self._unindex(node, line)
         self.stats.l1_fault_drops += 1
         if self.obs is not None:
             self.obs.emit("l1.fault_drop", core=core, line=line)
@@ -195,9 +217,14 @@ class VIPSProtocol(CoherenceProtocol):
             # Footnote 7: self_invl also downgrades transient dirty shared
             # words so that the invalidation cannot lose data.
             flush_delay = self._flush_dirty_shared(core)
-            removed = self.l1[self.l1_of(core)].evict_matching(
-                lambda entry: drops_on_self_invl(entry.payload.shared)
+            node = self.l1_of(core)
+            shared_lines = self._shared_lines[node]
+            removed = self.l1[node].evict_matching(
+                lambda entry: drops_on_self_invl(entry.payload.shared),
+                candidates=shared_lines,
             )
+            for entry in removed:
+                shared_lines.discard(entry.line)
             self.stats.self_invalidations += 1
             self.stats.lines_self_invalidated += len(removed)
             if self.obs is not None:
@@ -217,10 +244,13 @@ class VIPSProtocol(CoherenceProtocol):
 
         Returns the fence's completion delay: the write-throughs drain in
         parallel per bank; the fence waits for the slowest ack round-trip.
+        Only the sets holding indexed lines are visited, in the order a
+        full scan of the L1 would visit them.
         """
         max_latency = 0
         node = self.l1_of(core)
-        for entry in self.l1[node]:
+        dirty_lines = self._dirty_shared_lines[node]
+        for entry in self.l1[node].entries_in_sets_of(dirty_lines):
             payload: VIPSLine = entry.payload
             if not flushes_on_fence(payload.shared, payload.dirty_words):
                 continue
@@ -228,6 +258,7 @@ class VIPSProtocol(CoherenceProtocol):
             count = len(payload.dirty_words)
             self.stats.words_written_through += count
             payload.dirty_words.clear()
+            dirty_lines.discard(entry.line)
             # One word-sized write-through message per dirty word plus one
             # ack per line (merged acks), as in VIPS-M's word-merged flush.
             for _ in range(count):

@@ -1,0 +1,70 @@
+"""Pinned full-``Stats`` digests of fence-heavy application runs.
+
+Each digest is ``sha256_of({"cycles": ..., "stats": stats.ckpt_state()})``
+of one 16-core, scale-0.25, seed-1 run of a Fig-21 application with CLH
+locks and TreeSR barriers. A hot-path change (fence indexes, transition
+tables, tile lookup) must leave every one of them unchanged.
+
+The small-L1 points (2 KB, 8 sets) evict dirty lines, so they also pin
+the victim path of the VIPS L1 under each replacement policy.
+"""
+
+import pytest
+
+from repro.config import config_for
+from repro.core.machine import Machine
+from repro.ioutil import sha256_of
+from repro.workloads.suite import get_workload
+
+DEFAULT_L1 = {
+    ("barnes", "Invalidation"):
+        "4987e57f185e3801af72536d47768b4cba73c53106cc6b81afdf38315c8d1719",
+    ("barnes", "BackOff-10"):
+        "6b7dbf430b6027b63c7af56d3cd3596287b4dee73ba16cf40295fd685f0fb0e7",
+    ("barnes", "CB-One"):
+        "fa0a4d836d15cb4001ef2aae9432919d76a09cdae033eed260169112b177622d",
+    ("streamcluster", "Invalidation"):
+        "742def43b8711bee7e4ae4b508777d6f7755d400c4ef0c6ed7458c3532e8766f",
+    ("streamcluster", "BackOff-10"):
+        "eb6ed5bc49ccaf6635b0c338fca96b7183fd7d83396ec0361ad5313dd88d894c",
+    ("streamcluster", "CB-One"):
+        "c04fd8ee4b95639dd12970d919b5fb99287bae7bd1b0634ddc92c256e8b145a7",
+}
+
+#: streamcluster with ``l1_size_bytes=2048``: (policy, label) -> digest.
+SMALL_L1 = {
+    ("lru", "BackOff-10"):
+        "758b46232c1b6c6f6ac6da16cf06b40a67f07f01791ed3b1cab96ef8758c2618",
+    ("lru", "CB-One"):
+        "3289a9c88c3c5c170d82423a112f1620779b834b08437bf964d195e1430c6d7d",
+    ("fifo", "BackOff-10"):
+        "df4eaede6127c431b46df978006f20db4d2fba013c592b6f8cca72135d30ed83",
+    ("fifo", "CB-One"):
+        "9a04f83bdd794a78ccc4eb1e61b80f3ea70ec72b277fe503bacea1e57b2c4d68",
+    ("random", "BackOff-10"):
+        "d379cebf8efd794795ec5fcc1469c93b8446351179b32a3e813aa52f350544f8",
+    ("random", "CB-One"):
+        "e563f6b730eb4032a35a2628f638687216c57a787a511fe812efc8b838887ab6",
+}
+
+
+def _run(app, label, **overrides):
+    machine = Machine(config_for(label, num_cores=16, seed=1, **overrides))
+    get_workload(app, "clh", "treesr", 0.25).install(machine)
+    stats = machine.run()
+    return stats, sha256_of({"cycles": stats.cycles,
+                             "stats": stats.ckpt_state()})
+
+
+@pytest.mark.parametrize("app,label", sorted(DEFAULT_L1))
+def test_default_l1_digest(app, label):
+    _stats, digest = _run(app, label)
+    assert digest == DEFAULT_L1[(app, label)]
+
+
+@pytest.mark.parametrize("policy,label", sorted(SMALL_L1))
+def test_small_l1_digest(policy, label):
+    stats, digest = _run("streamcluster", label, l1_size_bytes=2048,
+                         l1_replacement=policy)
+    assert stats.writebacks > 0  # the victim path ran
+    assert digest == SMALL_L1[(policy, label)]

@@ -1,9 +1,12 @@
 """VIPS-M protocol: fences, classification effects, racy ops, atomics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import config_for
 from repro.core.machine import Machine
+from repro.noc.messages import MsgKind
 from repro.protocols import ops
 
 from tests.protocol_utils import issue, issue_pending
@@ -178,3 +181,114 @@ class TestEvictionWriteThrough:
         wb = m.stats.writebacks
         issue(m, 0, ops.Load(b))             # evicts it
         assert m.stats.writebacks == wb + 1
+
+
+# ----------------------------------------------- fence indexes vs full scan
+
+TINY_L1 = {"l1_size_bytes": 256, "l1_ways": 2}  # 2 sets x 2 ways
+SHARED_PAGE = 0x40000
+
+
+def _own_page(core):
+    return 0x80000 + core * PAGE
+
+
+def _scan_indexes(protocol, node):
+    """The fence indexes of L1 ``node`` derived from its contents."""
+    entries = list(protocol.l1[node])
+    shared = {e.line for e in entries if e.payload.shared}
+    dirty = {e.line for e in entries
+             if e.payload.shared and e.payload.dirty_words}
+    return shared, dirty
+
+
+def _scan_fence(protocol, node, kind):
+    """What a fence does under a full scan of the L1: the lines
+    ``self_invl`` removes and the ordered (src, dst, kind) sends."""
+    banks = protocol.config.num_banks
+    removed, sends = [], []
+    for entry in protocol.l1[node]:
+        if entry.payload.shared and entry.payload.dirty_words:
+            bank = entry.line % banks
+            sends += ([(node, bank, MsgKind.WRITE_THROUGH)]
+                      * len(entry.payload.dirty_words))
+            sends.append((bank, node, MsgKind.ACK))
+        if entry.payload.shared and kind is ops.FenceKind.SELF_INVL:
+            removed.append(entry.line)
+    return removed, sends
+
+
+def _record_fence(m, core, kind):
+    """Issue a fence; return the lines it removed and its sends."""
+    protocol = m.protocol
+    l1 = protocol.l1[protocol.l1_of(core)]
+    sends, removed = [], []
+    send, evict = protocol.network.send, l1.evict_matching
+
+    def recording_send(src, dst, msg_kind, handler, sync=False):
+        sends.append((src, dst, msg_kind))
+        return send(src, dst, msg_kind, handler, sync)
+
+    def recording_evict(*args, **kwargs):
+        lines = evict(*args, **kwargs)
+        removed.extend(entry.line for entry in lines)
+        return lines
+
+    protocol.network.send = recording_send
+    l1.evict_matching = recording_evict
+    try:
+        issue(m, core, ops.Fence(kind))
+    finally:
+        del protocol.network.send, l1.evict_matching
+    return removed, sends
+
+
+fence_step = st.tuples(
+    st.sampled_from(["load", "store", "refill", "self_invl", "self_down",
+                     "drop"]),
+    st.integers(0, 1),      # core
+    st.booleans(),          # shared page (else the core's own page)
+    st.integers(0, 3),      # line within the page
+    st.integers(0, 7),      # word within the line / drop selector
+)
+
+
+class TestFenceIndexes:
+    @settings(max_examples=60, deadline=None)
+    @given(label=st.sampled_from(["BackOff-10", "CB-One"]),
+           policy=st.sampled_from(["lru", "fifo", "random"]),
+           script=st.lists(fence_step, min_size=10, max_size=60))
+    def test_indexes_track_l1_and_fences_match_full_scan(
+            self, label, policy, script):
+        m = Machine(config_for(label, num_cores=4, l1_replacement=policy,
+                               **TINY_L1))
+        protocol = m.protocol
+        assert protocol.config.l1_sets == 2
+        # Touched by a third core first: its lines fill as shared.
+        protocol.classifier.touch(SHARED_PAGE, 2)
+        for kind, core, shared, line, word in script:
+            node = protocol.l1_of(core)
+            page = SHARED_PAGE if shared else _own_page(core)
+            addr = page + line * protocol.config.line_bytes + word * 8
+            if kind == "load":
+                issue(m, core, ops.Load(addr))
+            elif kind == "store":
+                issue(m, core, ops.Store(addr, word))
+            elif kind == "refill":
+                # On a miss, two fetches of one line are in flight: the
+                # load's fill replaces the payload the store dirtied.
+                store = protocol.issue(core, ops.Store(addr, word))
+                load = protocol.issue(core, ops.Load(addr))
+                m.engine.run()
+                assert store.done and load.done
+            elif kind == "drop":
+                protocol.drop_clean_line(core, word)
+            else:
+                fence = (ops.FenceKind.SELF_INVL if kind == "self_invl"
+                         else ops.FenceKind.SELF_DOWN)
+                expected = _scan_fence(protocol, node, fence)
+                assert _record_fence(m, core, fence) == expected
+            for l1 in range(len(protocol.l1)):
+                assert (protocol._shared_lines[l1],
+                        protocol._dirty_shared_lines[l1]) == \
+                    _scan_indexes(protocol, l1)
