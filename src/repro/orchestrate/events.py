@@ -2,11 +2,15 @@
 
 Every scheduler decision emits one :class:`Event` — job queued, started,
 finished, retried, failed, timed out, or served from cache — onto an
-in-memory :class:`EventLog` that also mirrors each event as a JSON line
-to an optional sink file (``events.jsonl`` in the cache directory, when
-there is one). The log is the orchestrator's observability surface:
+:class:`EventLog` that mirrors each event as a JSON line to an optional
+sink file (``events.jsonl`` in the cache directory, when there is one).
+The log keeps derived counters, not the events themselves, so a
+long-lived service does not grow with its history. It is the
+orchestrator's observability surface:
 
 * ``counts`` — events per kind, e.g. ``{"finished": 12, "cache_hit": 7}``;
+* :meth:`failure_kinds` — failures by class; :meth:`last` — the latest
+  event of a kind;
 * :meth:`throughput` — wall-clock time, simulated cycles executed,
   cycles/second and jobs/second;
 * :meth:`summary` — the one-paragraph progress report the CLI prints.
@@ -108,6 +112,10 @@ class Event:
 class EventLog:
     """Append-only event stream with derived counters.
 
+    Events are not retained: ``counts``, the failure-class histogram
+    and the last event of each kind are updated in :meth:`record`, and
+    the full history lives in the sink file.
+
     The sink file is opened once (append mode) and held for the log's
     lifetime — one ``open()`` per *batch*, not per event. Call
     :meth:`close` (idempotent) when the batch is done; :meth:`flush`
@@ -121,8 +129,9 @@ class EventLog:
 
     def __init__(self, sink_path: Optional[str] = None,
                  verbose: bool = False, bus=None) -> None:
-        self.events: List[Event] = []
         self.counts: Counter = Counter()
+        self._failure_kinds: Counter = Counter()
+        self._last: Dict[str, Event] = {}
         self.sink_path = sink_path
         self.verbose = verbose
         self.bus = bus
@@ -135,8 +144,10 @@ class EventLog:
                **detail: Any) -> Event:
         event = Event(kind=kind, job_key=job_key, label=label,
                       detail=detail)
-        self.events.append(event)
         self.counts[kind] += 1
+        self._last[kind] = event
+        if kind in _DURABLE_KINDS:
+            self._failure_kinds[detail.get("failure_kind", "error")] += 1
         if kind == "finished":
             self.sim_cycles += int(detail.get("cycles", 0))
         elif kind == "cache_hit":
@@ -174,17 +185,14 @@ class EventLog:
 
     # Derived views ------------------------------------------------------
 
-    def of_kind(self, kind: str) -> List[Event]:
-        return [e for e in self.events if e.kind == kind]
+    def last(self, kind: str) -> Optional[Event]:
+        """The most recent event of ``kind``, or None if there was none."""
+        return self._last.get(kind)
 
     def failure_kinds(self) -> Dict[str, int]:
         """Failure-class histogram over failed/timeout/quarantined
         events (from each event's ``failure_kind`` detail)."""
-        counts: Counter = Counter()
-        for event in self.events:
-            if event.kind in ("failed", "timeout", "quarantined"):
-                counts[event.detail.get("failure_kind", "error")] += 1
-        return dict(counts)
+        return dict(self._failure_kinds)
 
     @property
     def simulations_executed(self) -> int:

@@ -42,7 +42,8 @@ Admin surface::
 ``/v1/events`` is the streaming surface: it tails the queue's
 orchestration event log (``events.jsonl``) with the torn-tail-tolerant
 reader, returns a byte offset to resume from, and optionally long-polls
-(``wait_s``) so a client can follow the log live without busy-waiting.
+(``wait_s``): a parked request is woken by the queue's next append, so a
+client follows the log live without busy-waiting.
 Errors map :class:`~repro.serve.model.ServeError` subclasses to their
 HTTP statuses (404 unknown, 409 stale lease, 429 quota/backlog, 503
 read-only); errors carrying ``retry_after`` get a ``Retry-After``
@@ -53,6 +54,7 @@ header plus a ``retry_after`` field in the JSON body — the signal
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -69,6 +71,8 @@ __all__ = ["ServeService"]
 
 #: Cap on the events endpoint's long-poll, seconds.
 _MAX_WAIT_S = 30.0
+#: How often a parked long-poll re-reads the log for lines appended by
+#: other writers; the queue's own appends wake it at once.
 _POLL_S = 0.05
 
 
@@ -262,18 +266,29 @@ class _Handler(BaseHTTPRequestHandler):
     def _tail(self, queue: JobQueue,
               query: Dict[str, str]) -> Dict[str, Any]:
         offset = int(query.get("offset", 0))
+        if offset < 0:
+            raise ValueError(f"offset must be >= 0, got {offset}")
+        wait_s = float(query.get("wait_s", 0))
+        if not math.isfinite(wait_s):
+            raise ValueError(f"wait_s must be finite, got {wait_s}")
         job = query.get("job")
-        wait_s = min(float(query.get("wait_s", 0)), _MAX_WAIT_S)
-        deadline = time.monotonic() + wait_s
+        deadline = time.monotonic() + min(wait_s, _MAX_WAIT_S)
+        skipped = 0
         while True:
-            events, new_offset, skipped = tail_events(queue.events_path,
-                                                      offset)
+            # Read the append count before the file: an append landing
+            # after the read below then shows up as a newer count.
+            seen = queue.event_appends
+            events, offset, more = tail_events(queue.events_path, offset)
+            skipped += more
             if job is not None:
                 events = [e for e in events if e.get("job_key") == job]
-            if events or time.monotonic() >= deadline:
-                return {"events": events, "offset": new_offset,
+            remaining = deadline - time.monotonic()
+            if events or remaining <= 0:
+                return {"events": events, "offset": offset,
                         "skipped": skipped}
-            time.sleep(_POLL_S)
+            # Woken by the queue's next append; _POLL_S bounds the wait
+            # so lines another process appends are still re-read.
+            queue.wait_for_append(seen, min(remaining, _POLL_S))
 
     def _send_artifact(self, queue: JobQueue, job_key: str,
                        name: str) -> bool:

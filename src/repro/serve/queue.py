@@ -122,6 +122,12 @@ class JobQueue:
         self.artifacts_root = os.path.join(self.root, "artifacts")
         self.events_path = os.path.join(self.root, "events.jsonl")
         self.events = EventLog(sink_path=self.events_path, verbose=verbose)
+        #: The event log as a callback source: every flushed append
+        #: bumps ``event_appends`` and notifies this condition, so a
+        #: long-poll on ``/v1/events`` wakes on the write itself
+        #: instead of re-reading the file on a timer.
+        self._appended = threading.Condition()
+        self.event_appends = 0
         #: Bounded ring of recent transitions — the black box attached
         #: to failure dumps (see :meth:`_dump_flight`).
         self.flight = FlightRecorder(capacity=flight_capacity)
@@ -173,6 +179,10 @@ class JobQueue:
             self.events.flush()
         except OSError:
             self.counters["dropped_events"] += 1
+        else:
+            with self._appended:
+                self.event_appends += 1
+                self._appended.notify_all()
         self.flight.record(kind, job_key=job_key, label=label, **detail)
 
     def _journal_op(self, op: str, **fields: Any) -> None:
@@ -321,6 +331,16 @@ class JobQueue:
             return os.path.getsize(self.events_path)
         except OSError:
             return 0
+
+    def wait_for_append(self, seen: int, timeout: float) -> int:
+        """Block until the event log has had an append past count
+        ``seen`` (read from :attr:`event_appends` *before* reading the
+        file, so an append in between is never missed) or ``timeout``
+        seconds pass; returns the current count."""
+        with self._appended:
+            self._appended.wait_for(lambda: self.event_appends != seen,
+                                    timeout)
+            return self.event_appends
 
     def artifact_names(self, job_key: str) -> List[str]:
         directory = self.artifacts_dir(job_key)

@@ -665,6 +665,48 @@ class TestEventLogReader:
         assert more == [{"n": 5}]
 
 
+class TestEventLogDerivedViews:
+    """EventLog keeps counters, not events: its views must equal what
+    the full event list would give."""
+
+    def test_views_match_the_list_derived_values(self, tmp_path):
+        from collections import Counter
+
+        from repro.orchestrate.events import EventLog, read_events
+        sink = str(tmp_path / "events.jsonl")
+        log = EventLog(sink_path=sink)
+        batch = [("queued", {}), ("started", {}),
+                 ("failed", {"failure_kind": "invariant"}),
+                 ("retried", {"attempt": 2}),
+                 ("timeout", {"failure_kind": "timeout"}),
+                 ("finished", {"cycles": 40}),
+                 ("quarantined", {}),
+                 ("failed", {"failure_kind": "invariant"}),
+                 ("cache_hit", {"cycles": 7}),
+                 ("cache_stats", {"hit": 1}),
+                 ("failed", {"failure_kind": "deadlock"}),
+                 ("finished", {"cycles": 2}),
+                 ("cache_stats", {"hit": 2})]
+        history = [log.record(kind, f"job{i % 3}", **detail)
+                   for i, (kind, detail) in enumerate(batch)]
+        log.close()
+
+        assert not hasattr(log, "events")
+        failures: Counter = Counter()
+        for event in history:
+            if event.kind in ("failed", "timeout", "quarantined"):
+                failures[event.detail.get("failure_kind", "error")] += 1
+        assert log.failure_kinds() == dict(failures) == {
+            "invariant": 2, "timeout": 1, "error": 1, "deadlock": 1}
+        for kind in {kind for kind, _ in batch}:
+            of_kind = [e for e in history if e.kind == kind]
+            assert log.last(kind) is of_kind[-1]
+            assert log.counts[kind] == len(of_kind)
+        assert log.last("cancelled") is None
+        assert log.sim_cycles == 42 and log.cached_cycles == 7
+        assert read_events(sink) == [e.as_dict() for e in history]
+
+
 class TestCacheCounters:
     """Hit/miss/quarantine counters: dedup observability (satellite)."""
 
@@ -692,11 +734,13 @@ class TestCacheCounters:
     def test_scheduler_emits_cache_stats_event(self, tmp_path):
         batch = run_batch([spec_for()], cache_dir=str(tmp_path),
                           run_fn=fake_run)
-        (stats,) = batch.events.of_kind("cache_stats")
+        assert batch.events.counts["cache_stats"] == 1
+        stats = batch.events.last("cache_stats")
         assert stats.detail["miss"] == 1 and stats.detail["put"] == 1
         second = run_batch([spec_for()], cache_dir=str(tmp_path),
                            run_fn=fake_run)
-        (stats,) = second.events.of_kind("cache_stats")
+        assert second.events.counts["cache_stats"] == 1
+        stats = second.events.last("cache_stats")
         assert stats.detail["hit"] == 1
 
 

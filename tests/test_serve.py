@@ -887,3 +887,176 @@ class TestIdleLeaseEventsOffset:
                              {"worker": "w1"})
         assert "events_offset" not in doc      # a real lease this time
         assert doc["job_key"]
+
+
+class TestEventLongPollCallback:
+    """``/v1/events`` long-polls wake on the queue's append (a callback),
+    not on the re-read timer; ``_POLL_S`` only bounds how late a line
+    from another writer is seen."""
+
+    def _park(self, client, **query):
+        """Start one long-poll in a thread; returns (thread, box) where
+        box gets the response and the time it arrived."""
+        box = {}
+
+        def poll():
+            box["doc"] = client.request(
+                "GET", "/v1/events?" + "&".join(
+                    f"{k}={v}" for k, v in query.items()))
+            box["t"] = time.monotonic()
+
+        thread = threading.Thread(target=poll, daemon=True)
+        thread.start()
+        return thread, box
+
+    def test_submit_wakes_a_parked_long_poll(self, service, monkeypatch):
+        from repro.serve import api
+        monkeypatch.setattr(api, "_POLL_S", 30.0)
+        svc, client = service
+        offset = svc.queue.events_offset()
+        thread, box = self._park(client, offset=offset, wait_s=20)
+        time.sleep(0.3)                  # let it park on the condition
+        assert thread.is_alive()
+        t0 = time.monotonic()
+        client.submit("alice", spec_for(seed=51).to_dict())
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert box["t"] - t0 < 2.0
+        assert [e["kind"] for e in box["doc"]["events"]] == ["queued"]
+
+    def test_append_between_count_read_and_wait_wakes(self, service,
+                                                      monkeypatch):
+        from repro.serve import api
+        monkeypatch.setattr(api, "_POLL_S", 30.0)
+        svc, client = service
+        real_tail = api.tail_events
+        calls = []
+
+        def tail_then_append(path, offset=0):
+            result = real_tail(path, offset)
+            calls.append(offset)
+            if len(calls) == 1:
+                # The file has been read, the wait has not begun.
+                svc.queue.drain(True)
+            return result
+
+        monkeypatch.setattr(api, "tail_events", tail_then_append)
+        offset = svc.queue.events_offset()
+        t0 = time.monotonic()
+        doc = client.request("GET", f"/v1/events?offset={offset}&wait_s=3")
+        assert time.monotonic() - t0 < 2.0
+        assert [e["kind"] for e in doc["events"]] == ["drain"]
+        assert len(calls) == 2
+
+    def test_line_from_another_writer_reaches_a_parked_long_poll(
+            self, service, monkeypatch):
+        from repro.serve import api
+        monkeypatch.setattr(api, "_POLL_S", 0.2)
+        svc, client = service
+        offset = svc.queue.events_offset()
+        thread, box = self._park(client, offset=offset, wait_s=10)
+        time.sleep(0.3)
+        line = {"kind": "external", "job_key": "x", "n": 1}
+        t0 = time.monotonic()
+        with open(svc.queue.events_path, "a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert box["t"] - t0 < 1.0       # within the re-read period
+        assert box["doc"]["events"] == [line]
+        assert box["doc"]["offset"] == os.path.getsize(
+            svc.queue.events_path)
+
+    def test_job_filtered_wait_scans_only_new_bytes(self, service,
+                                                    monkeypatch):
+        from repro.serve import api
+        monkeypatch.setattr(api, "_POLL_S", 30.0)
+        svc, client = service
+        queue = svc.queue
+        real_tail = api.tail_events
+        scans = []
+        parked = threading.Event()
+
+        def recording_tail(path, offset=0):
+            scans.append(offset)
+            parked.set()
+            return real_tail(path, offset)
+
+        monkeypatch.setattr(api, "tail_events", recording_tail)
+        target = spec_for(seed=99)
+        start = queue.events_offset()
+        thread, box = self._park(client, offset=start,
+                                 job=target.job_key(), wait_s=20)
+        assert parked.wait(5)
+        for seed in range(60, 70):
+            client.submit("alice", spec_for(seed=seed).to_dict())
+        with open(queue.events_path, "a") as handle:
+            handle.write("not json\n")
+        time.sleep(0.2)
+        for seed in range(70, 80):
+            client.submit("alice", spec_for(seed=seed).to_dict())
+        time.sleep(0.2)
+        client.submit("alice", target.to_dict())
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        doc = box["doc"]
+        assert [(e["kind"], e["job_key"]) for e in doc["events"]] \
+            == [("queued", target.job_key())]
+        assert doc["offset"] == os.path.getsize(queue.events_path)
+        assert doc["skipped"] == 1
+        # Each wake resumed where the last scan stopped.
+        assert scans[0] == start
+        assert scans == sorted(scans) and scans[-1] > start
+        # Same answer as one unparked read over the whole range.
+        assert client.request(
+            "GET", f"/v1/events?offset={start}&job={target.job_key()}") \
+            == doc
+
+    def test_concurrent_appends_wake_every_reader(self, tmp_path):
+        queue = make_queue(tmp_path)
+        writers, per_writer, readers = 4, 50, 4
+        start = queue.event_appends
+        total = start + writers * per_writer
+        woke = []
+
+        def read():
+            seen = queue.event_appends
+            while seen < total:
+                now = queue.wait_for_append(seen, 5.0)
+                if now == seen:
+                    break                # timed out: a lost wakeup
+                seen = now
+            woke.append(seen)
+
+        def write():
+            for _ in range(per_writer):
+                queue.drain(True)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read, daemon=True)
+                       for _ in range(readers)]
+            threads += [threading.Thread(target=write, daemon=True)
+                        for _ in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(old)
+            queue.close()
+        assert queue.event_appends == total
+        assert woke == [total] * readers
+        drains = [e for e in read_events(queue.events_path)
+                  if e["kind"] == "drain"]
+        assert len(drains) == writers * per_writer
+
+    @pytest.mark.parametrize("query", ["wait_s=nan", "wait_s=inf",
+                                       "offset=-5"])
+    def test_bad_tail_query_is_400(self, service, query):
+        _, client = service
+        with pytest.raises(ServeHTTPError) as err:
+            client.request("GET", f"/v1/events?{query}", timeout=5)
+        assert err.value.status == 400
