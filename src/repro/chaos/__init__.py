@@ -15,7 +15,9 @@ pre-drawn, content-addressed plans so every failure is replayable:
   is asserted bit-identical to no shim (:mod:`repro.chaos.parity`);
 * **crash-point exploration** — :mod:`repro.chaos.crashpoints`
   SIGKILLs a lifecycle subprocess at every journal append/fsync/rename
-  point and verifies recovery loses and duplicates nothing;
+  point and verifies recovery loses and duplicates nothing. The
+  verifier is :func:`~repro.chaos.lifecycle.audit_queue`, the one
+  zero-lost/zero-duplicate audit campaigns and the fleet drill share;
 * **campaigns & drills** — :mod:`repro.chaos.campaign` runs the whole
   service under a plan and scripts the disk-full → read-only → heal →
   recover round-trip the degraded-mode runbook documents.
@@ -27,6 +29,7 @@ from repro.chaos.campaign import run_campaign, run_drill
 from repro.chaos.crashpoints import enumerate_crash_points, sweep
 from repro.chaos.fio import FaultyIO, KillAtSite, SiteCounter
 from repro.chaos.httpshim import ChaosTransport
+from repro.chaos.lifecycle import audit_queue
 from repro.chaos.parity import empty_plan_parity
 from repro.chaos.plan import ChaosPlan, HostFault, make_chaos_plan
 
@@ -37,6 +40,7 @@ __all__ = [
     "HostFault",
     "KillAtSite",
     "SiteCounter",
+    "audit_queue",
     "empty_plan_parity",
     "enumerate_crash_points",
     "make_chaos_plan",

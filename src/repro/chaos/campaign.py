@@ -5,11 +5,12 @@
 file IO and a :class:`~repro.chaos.httpshim.ChaosTransport` under its
 client, submits a batch of deterministic jobs, and drives them to
 completion while the plan tears writes, fills the disk, drops
-connections, and loses responses. The verdict is the same pair of
-invariants the crash-point sweep checks — **zero lost acknowledged
-submissions, zero duplicated commits** — plus "everything eventually
-finished", and the manifest records every fault actually injected so
-a failure is a replayable artifact, not an anecdote.
+connections, and loses responses. The verdict is the crash-point
+sweep's audit (:func:`~repro.chaos.lifecycle.audit_queue`) on a cold
+reopen — **zero lost acknowledged submissions, zero duplicated
+commits**, everything eventually finished — and the manifest records
+every fault actually injected so a failure is a replayable artifact,
+not an anecdote.
 
 :func:`run_drill` is the scripted disk-full → degrade → heal → recover
 round-trip the degraded-mode runbook (docs/serving.md) documents, and
@@ -18,27 +19,21 @@ what CI's ``chaos-smoke`` job replays.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.chaos.fio import FaultyIO
 from repro.chaos.httpshim import ChaosTransport
-from repro.chaos.lifecycle import TENANT, fabricated_record, lifecycle_specs
+from repro.chaos.lifecycle import (TENANT, audit_queue, fabricated_record,
+                                   lifecycle_specs, spec_of_payload)
 from repro.chaos.plan import ChaosPlan
 from repro.orchestrate.jobspec import JobSpec
 from repro.serve.api import ServeService
 from repro.serve.client import ServeClient, ServeHTTPError
-from repro.serve.journal import replay_entries
-from repro.serve.model import TERMINAL_SUB_STATES, StaleLeaseError
+from repro.serve.model import StaleLeaseError
 from repro.serve.queue import JobQueue
 
 __all__ = ["run_campaign", "run_drill"]
-
-
-def _spec_of_payload(payload: Dict[str, Any]) -> JobSpec:
-    return JobSpec.from_dict({k: v for k, v in payload.items()
-                              if not k.startswith("_")})
 
 
 def run_campaign(root: str, plan: ChaosPlan, jobs: int = 8,
@@ -47,6 +42,7 @@ def run_campaign(root: str, plan: ChaosPlan, jobs: int = 8,
     """One full campaign under ``plan``; returns the manifest."""
     specs = lifecycle_specs(jobs)
     acked: Dict[str, str] = {}      # sub_id -> job_key
+    committed: List[str] = []       # job keys whose commit returned
     health_timeline: List[Dict[str, Any]] = []
     problems: List[str] = []
 
@@ -103,10 +99,11 @@ def run_campaign(root: str, plan: ChaosPlan, jobs: int = 8,
                     time.sleep(0.05 if idle_streak < 20 else 0.2)
                     continue
                 idle_streak = 0
-                spec = _spec_of_payload(lease["payload"])
+                spec = spec_of_payload(lease["payload"])
                 try:
                     client.commit(lease["job_key"], lease["token"],
                                   fabricated_record(spec))
+                    committed.append(lease["job_key"])
                 except StaleLeaseError:
                     pass    # fenced duplicate/late commit — by design
                 except (ServeHTTPError, OSError):
@@ -115,7 +112,7 @@ def run_campaign(root: str, plan: ChaosPlan, jobs: int = 8,
         service.stop()
 
     # Verdict — against a *clean* reopen of the journal.
-    verdict = _verify(root, acked, specs)
+    verdict = _verify(root, acked, specs, committed)
     problems.extend(verdict["problems"])
     manifest = {
         "schema": "chaos-campaign-v1",
@@ -152,52 +149,23 @@ def all_settled(client: ServeClient, acked: Dict[str, str]) -> bool:
         and bool(acked)
 
 
-def _verify(root: str, acked: Dict[str, str],
-            specs: List[JobSpec]) -> Dict[str, Any]:
-    """Reopen the journal cold and check the invariants."""
-    problems: List[str] = []
+def _verify(root: str, acked: Dict[str, str], specs: List[JobSpec],
+            committed: List[str]) -> Dict[str, Any]:
+    """Reopen the journal cold and audit it."""
     queue = JobQueue(root, lease_s=30.0, checkpoint_every=0)
     try:
-        for sub_id, job_key in acked.items():
-            sub = queue.subs.get(sub_id)
-            if sub is None:
-                problems.append(f"acked submission {sub_id} vanished")
-            elif sub.state not in TERMINAL_SUB_STATES:
-                problems.append(
-                    f"acked submission {sub_id} unsettled "
-                    f"({sub.state})")
-        dup_runs = [r.job_key[:12] for r in queue.runs.values()
-                    if r.commits > 1]
-        if dup_runs:
-            problems.append(f"runs committed twice in memory: "
-                            f"{dup_runs}")
-        commit_lines: Dict[str, int] = {}
-        for entry in replay_entries(root):
-            if entry.get("op") == "commit":
-                key = entry.get("job_key", "")
-                commit_lines[key] = commit_lines.get(key, 0) + 1
-        dup_lines = {k[:12]: v for k, v in commit_lines.items()
-                     if v > 1}
-        if dup_lines:
-            problems.append(
-                f"duplicate commit journal lines: {dup_lines}")
-        missing = [s.seed for s in specs if queue.cache.get(s) is None]
-        if missing:
-            problems.append(
-                f"records missing from cache for seeds {missing}")
-        checks = {
-            "acked_settled": len(acked) - sum(
-                1 for p in problems if "submission" in p),
-            "runs": len(queue.runs),
-            "commit_journal_lines": sum(commit_lines.values()),
-            "none_lost": not any("vanished" in p or "unsettled" in p
-                                 for p in problems),
-            "none_duplicated": not dup_runs and not dup_lines,
-            "all_records_present": not missing,
-        }
+        audit = audit_queue(queue, acked, committed, specs)
     finally:
         queue.close()
-    return {"problems": problems, "checks": checks}
+    return {"problems": audit["problems"], "checks": {
+        "acked_settled": len(acked) - audit["lost"],
+        "runs": audit["runs"],
+        "commit_journal_lines": audit["commit_journal_lines"],
+        "none_lost": not audit["lost"],
+        "none_duplicated": not (audit["over_committed"]
+                                or audit["duplicate_commits"]),
+        "all_records_present": not audit["missing_records"],
+    }}
 
 
 # ---------------------------------------------------------------- drill

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import fnmatch
 import io
-import os
 import shutil
 import subprocess
 import sys
@@ -28,15 +27,6 @@ from repro.chaos.fio import SiteCounter
 from repro.iohooks import CRASH_SITES
 
 __all__ = ["enumerate_crash_points", "run_crash_point", "sweep"]
-
-
-def _lifecycle_env() -> Dict[str, str]:
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return env
 
 
 def enumerate_crash_points(jobs: int = 1,
@@ -64,22 +54,24 @@ def enumerate_crash_points(jobs: int = 1,
 def run_crash_point(site: str, nth: int, jobs: int = 1) -> Dict[str, Any]:
     """One experiment: lifecycle subprocess killed at (site, nth),
     then recovery replayed and verified in this process."""
+    # Lazy: a worker with a chaos plan imports this package, and must
+    # not find repro.serve.worker (its own __main__) imported twice.
+    from repro.serve.worker import child_env
+
     root = tempfile.mkdtemp(prefix="chaos-crash-")
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "repro.chaos.lifecycle",
              "--root", root, "--jobs", str(jobs),
              "--kill", f"{site}:{nth}"],
-            env=_lifecycle_env(), capture_output=True, text=True,
+            env=child_env(), capture_output=True, text=True,
             timeout=120)
-        acked = [line[len("ACK "):]
-                 for line in proc.stdout.splitlines()
-                 if line.startswith("ACK ")]
-        committed = [line[len("COMMIT "):]
-                     for line in proc.stdout.splitlines()
+        lines = proc.stdout.splitlines()
+        acked = dict(line[len("ACK "):].split(" ", 1)
+                     for line in lines if line.startswith("ACK "))
+        committed = [line[len("COMMIT "):] for line in lines
                      if line.startswith("COMMIT ")]
-        finished = any(line == "DONE"
-                       for line in proc.stdout.splitlines())
+        finished = "DONE" in lines
         report = lifecycle.recover_and_verify(root, acked, committed,
                                               jobs=jobs)
         report.update({

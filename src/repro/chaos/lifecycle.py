@@ -18,14 +18,16 @@ from the pipe, lets the child die, then calls
 :func:`recover_and_verify`: reopen the queue (journal replay), drive
 whatever survived to completion, and check the two invariants the
 whole service plane rests on — **no acknowledged submission is lost**
-and **no run commits twice**.
+and **no run commits twice**. The check is :func:`audit_queue`, the
+one audit that chaos campaigns and the fleet partition drill run too.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.chaos.fio import KillAtSite
 from repro.orchestrate.jobspec import JobSpec
@@ -35,7 +37,8 @@ from repro.serve.model import (RUN_DONE, RUN_LEASED, RUN_QUEUED,
 from repro.serve.queue import JobQueue
 
 __all__ = ["lifecycle_spec", "lifecycle_specs", "fabricated_record",
-           "run_lifecycle", "recover_and_verify", "main"]
+           "spec_of_payload", "run_lifecycle", "audit_queue",
+           "recover_and_verify", "main"]
 
 TENANT = "alice"
 
@@ -61,6 +64,25 @@ def fabricated_record(spec: JobSpec) -> Dict[str, Any]:
             "meta": {"wall_s": 0.01}}
 
 
+def spec_of_payload(payload: Dict[str, Any]) -> JobSpec:
+    """The spec a lease hands out, minus the queue's out-of-band
+    ``_``-prefixed keys (checkpoint, telemetry, trace, deadline)."""
+    return JobSpec.from_dict({k: v for k, v in payload.items()
+                              if not k.startswith("_")})
+
+
+def _drain(queue: JobQueue, worker: str, echo: bool = False) -> None:
+    """Lease and commit a fabricated record until nothing is leasable."""
+    while True:
+        lease = queue.lease(worker)
+        if lease is None:
+            return
+        queue.commit(lease["job_key"], lease["token"],
+                     fabricated_record(spec_of_payload(lease["payload"])))
+        if echo:
+            print(f"COMMIT {lease['job_key']}", flush=True)
+
+
 def run_lifecycle(root: str, jobs: int = 2) -> None:
     """Drive the full lifecycle, echoing promises as they are made.
     When a KillAtSite handler is installed this function never
@@ -70,105 +92,83 @@ def run_lifecycle(root: str, jobs: int = 2) -> None:
         view = queue.submit(TENANT, spec.to_dict())
         print(f"ACK {view['submission_id']} {view['job_key']}",
               flush=True)
-    while True:
-        lease = queue.lease("lifecycle-worker")
-        if lease is None:
-            break
-        spec = JobSpec.from_dict({
-            k: v for k, v in lease["payload"].items()
-            if not k.startswith("_")})
-        queue.commit(lease["job_key"], lease["token"],
-                     fabricated_record(spec))
-        print(f"COMMIT {lease['job_key']}", flush=True)
+    _drain(queue, "lifecycle-worker", echo=True)
     queue.close()
     print("DONE", flush=True)
 
 
-def recover_and_verify(root: str, acked: List[str], committed: List[str],
-                       jobs: int) -> Dict[str, Any]:
-    """Reopen the crashed queue, finish what survived, and check the
-    invariants. ``acked`` holds "sub_id job_key" promise lines the
-    dead process printed; ``committed`` holds job keys."""
+def audit_queue(queue: JobQueue, acked: Mapping[str, str],
+                committed: Iterable[str] = (),
+                specs: Iterable[JobSpec] = ()) -> Dict[str, Any]:
+    """The zero-lost / zero-duplicate audit of an open queue.
+
+    ``acked`` maps each acknowledged sub_id to its job key;
+    ``committed`` holds job keys whose commit call returned; ``specs``
+    must all have a cache record. Checks, in order: every acked
+    submission exists, is terminal, and its run is done; every
+    committed run is still done; no run has ``commits > 1``; no job key
+    has more than one ``commit`` journal line; every spec's record is
+    in the cache; no run is left queued or leased.
+
+    A cold reopen replays a second ``commit`` line as a no-op
+    (``run.commits`` stays 1), so on a reopened queue the journal count
+    is the only evidence of a double commit. A live caller holds
+    ``queue._lock`` around the call.
+    """
+    lost: List[str] = []
+    for sub_id, job_key in acked.items():
+        sub_state = getattr(queue.subs.get(sub_id), "state", "missing")
+        run_state = getattr(queue.runs.get(job_key), "state", "missing")
+        if sub_state not in TERMINAL_SUB_STATES or run_state != RUN_DONE:
+            lost.append(f"submission {sub_id} {sub_state}, "
+                        f"run {job_key[:12]} {run_state}")
+    for job_key in committed:
+        run_state = getattr(queue.runs.get(job_key), "state", "missing")
+        if run_state != RUN_DONE:
+            lost.append(f"committed run {job_key[:12]} {run_state}")
+    over = {r.job_key[:12]: r.commits for r in queue.runs.values()
+            if r.commits > 1}
+    lines = Counter(entry.get("job_key", "")
+                    for entry in replay_entries(queue.root)
+                    if entry.get("op") == "commit")
+    dups = {key[:12]: n for key, n in lines.items() if n > 1}
+    missing = [spec.seed for spec in specs
+               if queue.cache.get(spec) is None]
+    unfinished = [r.job_key[:12] for r in queue.runs.values()
+                  if r.state in (RUN_QUEUED, RUN_LEASED)]
+    problems = [f"{what}: {found}" for what, found in (
+        ("acknowledged promises broken", lost),
+        ("runs committed more than once in memory", over),
+        ("duplicate commit journal lines", dups),
+        ("records missing from cache for seeds", missing),
+        ("unfinished runs", unfinished)) if found]
+    return {"problems": problems, "lost": len(lost),
+            "over_committed": len(over), "duplicate_commits": len(dups),
+            "commit_journal_lines": sum(lines.values()),
+            "missing_records": len(missing), "runs": len(queue.runs)}
+
+
+def recover_and_verify(root: str, acked: Mapping[str, str],
+                       committed: List[str], jobs: int) -> Dict[str, Any]:
+    """Reopen the crashed queue, finish what survived, and audit it.
+    ``acked`` maps the sub_ids the dead process acknowledged to their
+    job keys; ``committed`` holds the job keys it reported committed."""
     queue = JobQueue(root, lease_s=30.0, checkpoint_every=0)
-    problems: List[str] = []
-    journal_commits: Dict[str, int] = {}
     try:
         # A real client whose submit never came back retries it; the
         # content-address dedup makes that free (and a duplicate on an
         # *acked* one collapses onto the same run — which is exactly
         # the duplicated-op robustness the sweep also wants covered).
-        for spec in lifecycle_specs(jobs):
+        specs = lifecycle_specs(jobs)
+        for spec in specs:
             queue.submit(TENANT, spec.to_dict())
-
-        # Drive every leasable survivor to done.
-        while True:
-            lease = queue.lease("recovery-worker")
-            if lease is None:
-                break
-            spec = JobSpec.from_dict({
-                k: v for k, v in lease["payload"].items()
-                if not k.startswith("_")})
-            queue.commit(lease["job_key"], lease["token"],
-                         fabricated_record(spec))
-
-        # Invariant 1 — zero lost runs: every acknowledged submission
-        # exists and reached a terminal state.
-        for line in acked:
-            sub_id, _, job_key = line.partition(" ")
-            sub = queue.subs.get(sub_id)
-            if sub is None:
-                problems.append(f"acked submission {sub_id} vanished")
-                continue
-            if sub.state not in TERMINAL_SUB_STATES:
-                problems.append(
-                    f"acked submission {sub_id} not terminal "
-                    f"({sub.state})")
-            run = queue.runs.get(job_key)
-            if run is None or run.state != RUN_DONE:
-                problems.append(
-                    f"acked run {job_key[:12]} not done "
-                    f"({'missing' if run is None else run.state})")
-
-        # Invariant 2 — zero duplicated runs: nothing commits twice,
-        # in memory or on the journal.
-        for job_key in committed:
-            run = queue.runs.get(job_key)
-            if run is None:
-                problems.append(
-                    f"committed run {job_key[:12]} vanished")
-            elif run.state != RUN_DONE:
-                problems.append(
-                    f"committed run {job_key[:12]} regressed to "
-                    f"{run.state}")
-        for run in queue.runs.values():
-            if run.commits > 1:
-                problems.append(
-                    f"run {run.job_key[:12]} committed "
-                    f"{run.commits} times in memory")
-        for entry in replay_entries(root):
-            if entry.get("op") == "commit":
-                key = entry.get("job_key", "")
-                journal_commits[key] = journal_commits.get(key, 0) + 1
-        for key, count in journal_commits.items():
-            if count > 1:
-                problems.append(
-                    f"run {key[:12]} has {count} commit journal lines")
-
-        # Completeness: every spec's record must be in the cache now.
-        for spec in lifecycle_specs(jobs):
-            if queue.cache.get(spec) is None:
-                problems.append(
-                    f"record for seed {spec.seed} missing from cache")
-        leftovers = [r.job_key[:12] for r in queue.runs.values()
-                     if r.state in (RUN_QUEUED, RUN_LEASED)]
-        if leftovers:
-            problems.append(f"unfinished runs after recovery: "
-                            f"{leftovers}")
+        _drain(queue, "recovery-worker")
+        audit = audit_queue(queue, acked, committed, specs)
     finally:
         queue.close()
-    return {"ok": not problems, "problems": problems,
+    return {"ok": not audit["problems"], "problems": audit["problems"],
             "acked": len(acked), "committed": len(committed),
-            "journal_commit_lines": sum(journal_commits.values())}
+            "journal_commit_lines": audit["commit_journal_lines"]}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

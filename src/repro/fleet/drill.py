@@ -27,9 +27,11 @@ and injects three kinds of chaos at once:
   dead supervisor left it.
 
 After the storm the drill waits for the queue to drain and audits the
-service-plane invariants end to end: **every acknowledged submission
-is terminal and done**, **no job key has more than one commit journal
-line**, **the quarantine set equals the flap plan**, and **the pool is
+service-plane invariants end to end with the chaos package's
+:func:`~repro.chaos.lifecycle.audit_queue` — **every acknowledged
+submission is terminal and done**, **no job key has more than one
+commit journal line**, every flood spec's record landed — and checks
+that **the quarantine set equals the flap plan** and **the pool is
 back at its desired size** within a bounded wait. The manifest —
 plan key, counts, problems — is written to ``drill_manifest.json`` in
 the drill root (CI uploads it together with ``fleet.jsonl``).
@@ -45,21 +47,19 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import subprocess
 import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.lifecycle import lifecycle_spec
+from repro.chaos.lifecycle import audit_queue, lifecycle_spec
 from repro.chaos.plan import ChaosPlan, HostFault
 from repro.fleet.paths import (control_path, fleet_dir,
                                supervisor_state_path)
 from repro.ioutil import atomic_write_json, canonical_json, read_checked_json
 from repro.orchestrate.jobspec import JobSpec
 from repro.serve.client import ServeClient
-from repro.serve.journal import Journal, journal_path
-from repro.serve.model import RUN_DONE, TERMINAL_SUB_STATES
+from repro.serve.worker import child_env
 
 __all__ = ["run_drill", "run_parity", "drill_specs", "partition_plan",
            "main"]
@@ -112,12 +112,7 @@ def _spawn_supervisor(server_url: str, root: str, plan_path: str,
         argv += ["--flap", f"{slot}={flap_count}"]
     if verbose:
         argv.append("--verbose")
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.Popen(argv, env=env)
+    return subprocess.Popen(argv, env=child_env())
 
 
 def _read_snapshot(serve_root: str) -> Optional[Dict[str, Any]]:
@@ -231,35 +226,10 @@ def run_drill(root: str, unique_specs: int = 100,
 
         # ---- audit -------------------------------------------------
         with queue._lock:
-            not_terminal = [s.sub_id for s in queue.subs.values()
-                            if s.state not in TERMINAL_SUB_STATES]
-            not_done = [key for _sid, key in acked
-                        if queue.runs.get(key) is None
-                        or queue.runs[key].state != RUN_DONE]
-            over_committed = {run.job_key: run.commits
-                             for run in queue.runs.values()
-                             if run.commits > 1}
-        if not_terminal:
-            problems.append(
-                f"{len(not_terminal)} acked submissions not terminal "
-                f"(e.g. {not_terminal[:3]})")
-        if not_done:
-            problems.append(
-                f"{len(not_done)} acked runs not done "
-                f"(e.g. {[k[:12] for k in not_done[:3]]})")
-        if over_committed:
-            problems.append(f"runs committed twice in memory: "
-                            f"{over_committed}")
-
-        commit_lines: Dict[str, int] = {}
-        for entry in Journal.replay(journal_path(serve_root)):
-            if entry.get("op") == "commit":
-                key = str(entry.get("job_key", ""))
-                commit_lines[key] = commit_lines.get(key, 0) + 1
-        dup_commits = {k: n for k, n in commit_lines.items() if n > 1}
-        if dup_commits:
-            problems.append(
-                f"duplicate commit journal lines: {dup_commits}")
+            audit = audit_queue(
+                queue, dict(acked),
+                specs=[JobSpec.from_dict(doc) for doc in specs])
+        problems.extend(audit["problems"])
 
         quarantined = set((snap or {}).get("quarantined", {}))
         if quarantined != set(flap_slots):
@@ -279,8 +249,8 @@ def run_drill(root: str, unique_specs: int = 100,
             "seed": seed,
             "acked": len(acked),
             "unique_runs": len({key for _sid, key in acked}),
-            "commit_journal_lines": sum(commit_lines.values()),
-            "duplicate_commits": len(dup_commits),
+            "commit_journal_lines": audit["commit_journal_lines"],
+            "duplicate_commits": audit["duplicate_commits"],
             "quarantined": sorted(quarantined),
             "expected_quarantined": sorted(flap_slots),
             "supervisor_kills": supervisor_kills,

@@ -45,7 +45,7 @@ from repro.resilience.classify import classify_failure
 from repro.serve.client import ServeClient, ServeHTTPError
 from repro.serve.model import StaleLeaseError
 
-__all__ = ["Worker", "spawn_worker", "main"]
+__all__ = ["Worker", "child_env", "spawn_worker", "main"]
 
 
 class Worker:
@@ -308,6 +308,18 @@ class Worker:
         return hook
 
 
+def child_env() -> Dict[str, str]:
+    """This process's environment with this checkout's ``src`` first on
+    ``PYTHONPATH``, so a ``python -m repro...`` child imports the same
+    code as its parent."""
+    env = dict(os.environ)
+    src_root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
 def spawn_worker(server_url: str, index: int = 0,
                  kill_after_boundaries: int = 0,
                  poll_s: float = 0.2,
@@ -341,12 +353,7 @@ def spawn_worker(server_url: str, index: int = 0,
         argv.append("--fence-kill")
     if verbose:
         argv.append("--verbose")
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.Popen(argv, env=env)
+    proc = subprocess.Popen(argv, env=child_env())
     if fleet_dir:
         try:
             from repro.fleet.paths import write_worker_meta

@@ -8,10 +8,14 @@ import os
 import pytest
 
 from repro import iohooks
+from repro.chaos import campaign
 from repro.chaos.campaign import run_campaign, run_drill
 from repro.chaos.crashpoints import enumerate_crash_points, run_crash_point
 from repro.chaos.fio import FaultyIO, SiteCounter
 from repro.chaos.httpshim import ChaosTransport
+from repro.chaos.lifecycle import (TENANT, audit_queue, lifecycle_spec,
+                                   lifecycle_specs, recover_and_verify,
+                                   run_lifecycle)
 from repro.chaos.parity import empty_plan_parity
 from repro.chaos.plan import (HTTP_DROP, HTTP_DROP_RESPONSE, HTTP_ERROR,
                               HTTP_TRUNCATE, READ_EIO, TORN_WRITE,
@@ -22,8 +26,9 @@ from repro.ioutil import (CorruptArtifactError, atomic_write_json,
 from repro.orchestrate.jobspec import JobSpec
 from repro.serve.api import ServeService
 from repro.serve.client import ServeClient, ServeHTTPError
-from repro.serve.journal import Journal
-from repro.serve.model import (HEALTH_OK, HEALTH_READ_ONLY,
+from repro.serve.journal import Journal, open_journal
+from repro.serve.model import (HEALTH_OK, HEALTH_READ_ONLY, RUN_FAILED,
+                               SUB_FAILED, SUB_QUEUED,
                                BacklogExceededError,
                                ServiceUnavailableError)
 from repro.serve.queue import JobQueue
@@ -224,6 +229,112 @@ class TestCrashPoints:
         report = run_crash_point(site, nth, jobs=1)
         assert report["killed"], report
         assert report["ok"], report["problems"]
+
+
+# ---------------------------------------------------------------- audit
+
+def _lifecycle_root(tmp_path, capsys):
+    """A queue root after a clean two-job lifecycle, plus its acks."""
+    root = str(tmp_path / "q")
+    run_lifecycle(root, jobs=2)
+    acked = dict(line[len("ACK "):].split(" ", 1)
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("ACK "))
+    return root, acked
+
+
+def _unknown_sub(queue, acked):
+    acked["alice-9999999"] = next(iter(acked.values()))
+    return queue, {}
+
+
+def _acked_still_queued(queue, acked):
+    queue.subs[next(iter(acked))].state = SUB_QUEUED
+    return queue, {}
+
+
+def _acked_run_failed(queue, acked):
+    sub_id, job_key = next(iter(acked.items()))
+    queue.subs[sub_id].state = SUB_FAILED
+    queue.runs[job_key].state = RUN_FAILED
+    return queue, {}
+
+
+def _committed_not_done(queue, acked):
+    view = queue.submit(TENANT, lifecycle_spec(2).to_dict())
+    return queue, {"committed": [view["job_key"]]}
+
+
+def _second_commit_line(queue, acked):
+    queue.close()
+    open_journal(queue.root).append(
+        "commit", job_key=next(iter(acked.values())), gen=1)
+    reopened = JobQueue(queue.root, lease_s=30.0, checkpoint_every=0)
+    # The cold replay treats the second line as a no-op: the journal
+    # is the only place the double commit still shows.
+    assert all(run.commits <= 1 for run in reopened.runs.values())
+    return reopened, {}
+
+
+def _committed_twice_in_memory(queue, acked):
+    queue.runs[next(iter(acked.values()))].commits = 2
+    return queue, {}
+
+
+def _record_deleted(queue, acked):
+    os.remove(queue.cache.path_for(lifecycle_spec(0).job_key()))
+    return queue, {"specs": lifecycle_specs(2)}
+
+
+def _run_left_leased(queue, acked):
+    queue.submit(TENANT, lifecycle_spec(2).to_dict())
+    assert queue.lease("stuck-worker") is not None
+    return queue, {}
+
+
+class TestAudit:
+    @pytest.mark.parametrize("inject,count", [
+        (_unknown_sub, "lost"),
+        (_acked_still_queued, "lost"),
+        (_acked_run_failed, "lost"),
+        (_committed_not_done, "lost"),
+        (_second_commit_line, "duplicate_commits"),
+        (_committed_twice_in_memory, "over_committed"),
+        (_record_deleted, "missing_records"),
+        (_run_left_leased, None),
+    ], ids=lambda v: v.__name__.strip("_") if callable(v) else v)
+    def test_each_violation_is_caught(self, tmp_path, capsys, inject,
+                                      count):
+        root, acked = _lifecycle_root(tmp_path, capsys)
+        queue = JobQueue(root, lease_s=30.0, checkpoint_every=0)
+        try:
+            clean = audit_queue(queue, acked, acked.values(),
+                                lifecycle_specs(2))
+            assert clean["problems"] == [], clean
+            assert clean["commit_journal_lines"] == 2
+            queue, kwargs = inject(queue, acked)
+            audit = audit_queue(queue, acked, **kwargs)
+        finally:
+            queue.close()
+        if count is None:   # a leftover run has no count of its own
+            assert audit["problems"][0].startswith("unfinished runs")
+        else:
+            assert audit[count] == 1, audit
+        assert audit["problems"]
+
+    def test_duplicate_commit_line_fails_both_verdicts(self, tmp_path,
+                                                       capsys):
+        root, acked = _lifecycle_root(tmp_path, capsys)
+        open_journal(root).append(
+            "commit", job_key=next(iter(acked.values())), gen=1)
+        report = recover_and_verify(root, acked, list(acked.values()),
+                                    jobs=2)
+        assert report["ok"] is False
+        assert report["journal_commit_lines"] == 3
+        verdict = campaign._verify(root, acked, lifecycle_specs(2),
+                                   list(acked.values()))
+        assert verdict["checks"]["none_duplicated"] is False
+        assert verdict["checks"]["none_lost"] is True
 
 
 # ------------------------------------------------- graceful degradation
