@@ -13,16 +13,18 @@ below uses 1.5x so CI-noise never flakes it, while the printed ratio is
 what the figure-quality claim rests on (locally it sits at ~1.0x).
 """
 
+import json
 import os
+import platform
 import time
 
 import pytest
 
 from benchmarks.conftest import BENCH_CORES, BENCH_ITERS
-from repro.bench import bench_doc, load_bench, save_bench
 from repro.config import config_for
 from repro.core.machine import Machine
 from repro.harness.runner import run_workload
+from repro.ioutil import atomic_write_json
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.workloads.microbench import LockMicrobench
 
@@ -103,8 +105,9 @@ def test_results_identical_with_idle_bus():
 
 
 # ---------------------------------------------------------------------------
-# BENCH document: the overhead trajectory, in the same schema as the
-# engine trajectory (results/BENCH_obs_overhead.json is its baseline).
+# BENCH document: the overhead trajectory. Cycles and events are
+# deterministic and must match the committed baseline
+# (results/BENCH_obs_overhead.json) exactly; wall times are host-bound.
 
 OBS_BASELINE = os.path.join(os.path.dirname(__file__), os.pardir,
                             "results", "BENCH_obs_overhead.json")
@@ -119,8 +122,9 @@ _OBS_CASES = (
 
 
 def _measure_obs_case(name, telemetry_factory, rounds=RATIO_ROUNDS):
-    """Like repro.bench.cases.run_case, but with a telemetry level —
-    uses the Machine directly so ``events_executed`` is measurable."""
+    """Best-of-``rounds`` wall time of one telemetry level, plus its
+    cycles and events (asserted equal across rounds). Uses the Machine
+    directly so ``events_executed`` is measurable."""
     best = float("inf")
     cycles = events = None
     for _ in range(rounds):
@@ -153,10 +157,16 @@ def _measure_obs_case(name, telemetry_factory, rounds=RATIO_ROUNDS):
 def obs_bench():
     cases = [_measure_obs_case(name, factory)
              for name, factory in _OBS_CASES]
-    doc = bench_doc("obs_overhead", cases, iters=RATIO_ROUNDS)
+    doc = {"kind": "BENCH", "version": 1, "suite": "obs_overhead",
+           "created_unix": time.time(), "iters": RATIO_ROUNDS,
+           "env": {"python": platform.python_version(),
+                   "implementation": platform.python_implementation(),
+                   "platform": platform.platform(),
+                   "machine": platform.machine()},
+           "cases": cases}
     out = os.environ.get("REPRO_BENCH_OBS_OUT")
     if out:
-        save_bench(out, doc)
+        atomic_write_json(out, doc, durable=False, indent=2)
     return doc
 
 
@@ -175,9 +185,10 @@ def test_obs_bench_document_shape(obs_bench):
 
 
 def test_obs_bench_matches_committed_baseline(obs_bench):
-    if not os.path.exists(OBS_BASELINE):
-        pytest.skip("no committed obs-overhead baseline yet")
-    base = {c["name"]: c for c in load_bench(OBS_BASELINE)["cases"]}
+    with open(OBS_BASELINE) as handle:
+        baseline = json.load(handle)
+    assert baseline["kind"] == "BENCH"
+    base = {c["name"]: c for c in baseline["cases"]}
     for case in obs_bench["cases"]:
         assert (case["cycles"], case["events"]) == \
                (base[case["name"]]["cycles"],

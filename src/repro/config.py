@@ -137,6 +137,15 @@ class SystemConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("num_cores", "word_bytes", "line_bytes", "flit_bytes",
+                     "l1_ways", "llc_ways", "l1_size_bytes",
+                     "llc_bank_size_bytes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("l1_latency", "llc_tag_latency", "llc_data_latency",
+                     "cb_latency", "mem_latency", "switch_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         side = int(math.isqrt(self.num_cores))
         if side * side != self.num_cores:
             raise ValueError(

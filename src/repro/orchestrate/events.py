@@ -25,6 +25,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import ioutil
+
 #: Event kinds, in roughly the order a job can emit them. ``failed``,
 #: ``timeout``, and ``quarantined`` events carry a ``failure_kind``
 #: detail — the failure class from :mod:`repro.resilience.classify` —
@@ -161,8 +163,8 @@ class EventLog:
                 self._sink.flush()
                 try:
                     os.fsync(self._sink.fileno())
-                except OSError:  # pragma: no cover - exotic sinks
-                    pass
+                except OSError:
+                    ioutil.FSYNC_ERRORS.inc()
         if self.bus is not None:
             self.bus.emit(f"orchestrate.{kind}", _cycle=0, job_key=job_key,
                           label=label, **detail)

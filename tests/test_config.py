@@ -6,6 +6,8 @@ import pytest
 
 from repro.config import (PAPER_CONFIGS, CallbackMode, Protocol, SystemConfig,
                           WakePolicy, config_for)
+from repro.orchestrate.scheduler import is_retryable
+from repro.resilience.classify import classify_failure
 
 
 class TestTable2Defaults:
@@ -77,6 +79,21 @@ class TestValidation:
     def test_zero_cb_entries_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(cb_entries_per_bank=0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("num_cores", 0), ("word_bytes", 0), ("line_bytes", 0),
+        ("flit_bytes", 0), ("l1_ways", 0), ("llc_ways", 0),
+        ("l1_size_bytes", 0), ("llc_bank_size_bytes", -64),
+        ("l1_latency", -1), ("llc_tag_latency", -1),
+        ("llc_data_latency", -1), ("cb_latency", -1), ("mem_latency", -1),
+        ("switch_latency", -3),
+    ])
+    def test_bad_machine_size_is_a_spec_error(self, name, value):
+        # A served spec override like this must fail once, as a spec
+        # error, not as a retryable crash deep in validate or mid-run.
+        with pytest.raises(ValueError, match=name) as info:
+            config_for("CB-One", **{name: value})
+        assert not is_retryable(info.value, classify_failure(info.value))
 
 
 class TestBackoffDelay:

@@ -1,12 +1,17 @@
-"""Pinned full-``Stats`` digests of fence-heavy application runs.
+"""Pinned full-``Stats`` digests of application and sync runs.
 
 Each digest is ``sha256_of({"cycles": ..., "stats": stats.ckpt_state()})``
-of one 16-core, scale-0.25, seed-1 run of a Fig-21 application with CLH
-locks and TreeSR barriers. A hot-path change (fence indexes, transition
+of one run. The application points are 16-core, scale-0.25, seed-1 runs
+of Fig-21 applications with CLH locks and TreeSR barriers. A hot-path change (fence indexes, transition
 tables, tile lookup) must leave every one of them unchanged.
 
 The small-L1 points (2 KB, 8 sets) evict dirty lines, so they also pin
 the victim path of the VIPS L1 under each replacement policy.
+
+The sync points are lock, barrier, signal/wait and task-queue runs built
+through the orchestrator registry at 16 cores and seed 1. Their cycles
+sit next to the digest so a failure names the cycle drift. Engine event
+counts are not pinned: an exact shortcut may lower them.
 """
 
 import pytest
@@ -14,6 +19,7 @@ import pytest
 from repro.config import config_for
 from repro.core.machine import Machine
 from repro.ioutil import sha256_of
+from repro.orchestrate.registry import build_workload
 from repro.workloads.suite import get_workload
 
 DEFAULT_L1 = {
@@ -47,13 +53,41 @@ SMALL_L1 = {
         "e563f6b730eb4032a35a2628f638687216c57a787a511fe812efc8b838887ab6",
 }
 
+#: name -> (registry workload, params, label, cycles).
+SYNC_CASES = {
+    "lock_ttas_cb": ("lock", {"lock_name": "ttas", "iterations": 5},
+                     "CB-One", 9088),
+    "lock_ttas_inv": ("lock", {"lock_name": "ttas", "iterations": 5},
+                      "Invalidation", 37369),
+    "barrier_sr_cb": ("barrier", {"barrier_name": "sr", "episodes": 4},
+                      "CB-One", 11507),
+    "signal_wait_cb": ("signal_wait", {"rounds": 6}, "CB-One", 7775),
+    "task_queue_cb": ("task_queue", {"tasks": 24}, "CB-One", 6308),
+}
+
+SYNC = {
+    "lock_ttas_cb":
+        "94490d0522d793828b5c4b07b18063e08b4a018f730f3791c395408e33b49dd7",
+    "lock_ttas_inv":
+        "72f781ee7d505a45a7fa73427a2698a9b4d64d089aa4b0e2c443516e1af2ff60",
+    "barrier_sr_cb":
+        "76f8dcbcc5c086a43ee33bd3adcd39ef0fd834a12fbdf1ae41aa613b66919cc7",
+    "signal_wait_cb":
+        "6cdcd195ae40914119c9b058af5f89c8381a13ec74d6ca229a930077bad112a0",
+    "task_queue_cb":
+        "ca484d74d9a18a43a2c520fa92a4a10500a4964ab6c3ff73d6a3be72161eb32d",
+}
+
+
+def _digest(stats):
+    return sha256_of({"cycles": stats.cycles, "stats": stats.ckpt_state()})
+
 
 def _run(app, label, **overrides):
     machine = Machine(config_for(label, num_cores=16, seed=1, **overrides))
     get_workload(app, "clh", "treesr", 0.25).install(machine)
     stats = machine.run()
-    return stats, sha256_of({"cycles": stats.cycles,
-                             "stats": stats.ckpt_state()})
+    return stats, _digest(stats)
 
 
 @pytest.mark.parametrize("app,label", sorted(DEFAULT_L1))
@@ -68,3 +102,13 @@ def test_small_l1_digest(policy, label):
                          l1_replacement=policy)
     assert stats.writebacks > 0  # the victim path ran
     assert digest == SMALL_L1[(policy, label)]
+
+
+@pytest.mark.parametrize("name", sorted(SYNC))
+def test_sync_digest(name):
+    workload, params, label, cycles = SYNC_CASES[name]
+    machine = Machine(config_for(label, num_cores=16, seed=1))
+    build_workload(workload, params).install(machine)
+    stats = machine.run()
+    assert stats.cycles == cycles
+    assert _digest(stats) == SYNC[name]

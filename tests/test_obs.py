@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
 from repro.config import config_for
 from repro.harness.runner import run_workload
 from repro.harness.sweeps import Sweep
+from repro.ioutil import FSYNC_ERRORS
 from repro.obs import (DEFAULT_COUNTERS, HostProfiler, MetricsRegistry,
                        ProbeBus, SpanRecorder, Telemetry, TelemetryConfig,
                        TimeSeriesSampler, chrome_trace, component_label,
@@ -469,6 +471,17 @@ class TestEventLog:
         log.close()
         log.close()  # idempotent
         assert log._sink is None
+
+    def test_failed_durable_fsync_is_counted(self, tmp_path, monkeypatch):
+        def broken_fsync(fd):
+            raise OSError(5, "injected EIO")
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        log = EventLog(sink_path=str(tmp_path / "events.jsonl"))
+        before = FSYNC_ERRORS.value
+        log.record("queued", "job0")            # not durable: no fsync
+        log.record("failed", "job0", failure_kind="error")
+        log.close()
+        assert FSYNC_ERRORS.value == before + 1
 
     def test_bus_mirroring(self):
         bus = ProbeBus()

@@ -1,12 +1,10 @@
 """Fleet observability plane: /metrics, stitched traces, the flight
-recorder, trace-id propagation, and the perf-trajectory gate.
+recorder, and trace-id propagation.
 
 Queue-level tests drive :class:`~repro.serve.queue.JobQueue` directly
 with fabricated records (same idiom as ``test_serve.py``); the HTTP
 tests stand up a real service on a loopback port and scrape it like
-Prometheus would. The bench-gate tests run the real CLI on one real
-(tiny) case, because "exits non-zero on an injected slowdown" is a
-promise about the process boundary, not a library function.
+Prometheus would.
 """
 
 import json
@@ -16,8 +14,6 @@ import time
 
 import pytest
 
-from repro.bench import compare_benches, load_bench, validate_bench
-from repro.bench.cli import main as bench_main
 from repro.obs.export import validate_chrome_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.promtext import (Family, histogram_family,
@@ -426,51 +422,6 @@ class TestSharedGauges:
         (line,) = gauge_lines({"cache": {"hit": 3, "miss": 2,
                                          "quarantined": 1}})
         assert "3 hits" in line or "hit" in line
-
-
-# ------------------------------------------------------------ bench gate
-
-class TestBenchGate:
-    CASE = ["--case", "lock_ttas_cb", "--iters", "1"]
-
-    def test_run_emits_valid_doc_and_gate_passes(self, tmp_path,
-                                                 capsys):
-        out = str(tmp_path / "base.json")
-        assert bench_main(["run", "--out", out] + self.CASE) == 0
-        doc = load_bench(out)
-        assert validate_bench(doc) == []
-        assert bench_main(["run", "--compare", out,
-                           "--max-regression", "0.9"] + self.CASE) == 0
-        assert "gate passed" in capsys.readouterr().out
-
-    def test_injected_slowdown_exits_nonzero(self, tmp_path, capsys):
-        out = str(tmp_path / "base.json")
-        bench_main(["run", "--out", out] + self.CASE)
-        rc = bench_main(["run", "--compare", out, "--handicap", "50",
-                         "--max-regression", "0.5"] + self.CASE)
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_behavior_change_fails_even_when_faster(self, tmp_path):
-        out = str(tmp_path / "base.json")
-        bench_main(["run", "--out", out] + self.CASE)
-        doc = load_bench(out)
-        doc["cases"][0]["cycles"] += 1
-        doc["cases"][0]["cycles_per_s"] *= 10   # "faster", but wrong
-        ok, verdicts = compare_benches(load_bench(out), doc)
-        assert not ok
-        assert verdicts[0].status == "behavior_change"
-        cmp_path = str(tmp_path / "cand.json")
-        json.dump(doc, open(cmp_path, "w"))
-        assert bench_main(["compare", out, cmp_path]) == 1
-
-    def test_committed_baseline_is_valid(self):
-        root = os.path.join(os.path.dirname(__file__), os.pardir)
-        for name in ("BENCH_engine.json", "BENCH_obs_overhead.json"):
-            path = os.path.join(root, "results", name)
-            assert os.path.exists(path), f"missing committed {name}"
-            doc = load_bench(path)
-            assert "handicap" not in doc
 
 
 # ---------------------------------------------------- collapsed profiles
