@@ -24,8 +24,8 @@ from repro.analyze.rules import RULES
 #: Constructor names whose results must be yielded, not discarded.
 OP_NAMES = frozenset({
     "Load", "Store", "LoadThrough", "LoadCB", "StoreThrough", "StoreCB1",
-    "StoreCB0", "Atomic", "Fence", "SpinUntil", "BackoffWait", "Compute",
-    "DataBurst",
+    "StoreCB0", "Atomic", "Fence", "SpinUntil", "SpinThrough", "BackoffWait",
+    "Compute", "DataBurst",
 })
 
 #: The default lint surface: every encoding and workload module.

@@ -17,8 +17,8 @@ from typing import Any, Dict, Generator, List, Mapping
 
 from repro.protocols.ops import (Atomic, AtomicKind, BackoffWait, Fence,
                                  FenceKind, LdKind, Load, LoadCB,
-                                 LoadThrough, SpinUntil, StKind, Store,
-                                 StoreCB1, StoreThrough)
+                                 LoadThrough, SpinThrough, SpinUntil, StKind,
+                                 Store, StoreCB1, StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
 from repro.analyze.linter import (ALL_STYLES, PrimitiveSpec, _LOCK,
@@ -158,10 +158,7 @@ class BroadcastSignal(SyncPrimitive):
                     return
         if self.style is SyncStyle.VIPS:
             while True:
-                attempt = 0
-                while (yield LoadThrough(self.flag_addr)) == 0:
-                    yield BackoffWait(attempt)
-                    attempt += 1
+                yield SpinThrough(self.flag_addr, lambda v: v != 0)
                 result = yield Atomic(self.flag_addr, AtomicKind.TDEC)
                 if result.success:
                     break

@@ -151,8 +151,9 @@ def _store_kind(op: ops.Op) -> Optional[ops.StKind]:
 
 
 def _is_racy(op: ops.Op) -> bool:
-    return isinstance(op, (ops.LoadThrough, ops.LoadCB, ops.StoreThrough,
-                           ops.StoreCB1, ops.StoreCB0, ops.Atomic))
+    return isinstance(op, (ops.LoadThrough, ops.SpinThrough, ops.LoadCB,
+                           ops.StoreThrough, ops.StoreCB1, ops.StoreCB0,
+                           ops.Atomic))
 
 
 # ----------------------------------------------------------- rule engine
@@ -219,6 +220,14 @@ class _Checker:
                         and op.addr not in a202):
                     a202.add(op.addr)
                     self.emit("CB-A202", run, record)
+                probed.add(op.addr)
+            elif isinstance(op, ops.SpinThrough):
+                if self.style is SyncStyle.MESI:
+                    self.emit("CB-E103", run, record)
+                elif self.cb and not a201:
+                    a201 = True
+                    self.emit("CB-A201", run, record)
+                self.racy_addrs.add(op.addr)
                 probed.add(op.addr)
             elif isinstance(op, ops.LoadCB):
                 if not self.cb:

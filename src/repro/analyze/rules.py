@@ -63,9 +63,9 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
           "yielded under MESI or VIPS, where no callback directory "
           "exists to honour it."),
     _rule("CB-E103", Severity.ERROR, "through-op or fence under MESI",
-          "ld_through / st_through / self_invl / self_down yielded in "
-          "the MESI encoding; the figures' left-hand columns use plain "
-          "unfenced SC code."),
+          "ld_through / SpinThrough / st_through / self_invl / "
+          "self_down yielded in the MESI encoding; the figures' "
+          "left-hand columns use plain unfenced SC code."),
     _rule("CB-E104", Severity.ERROR, "plain access to a sync word",
           "A plain (DRF) load or store touches a word that the same "
           "encoding accesses racily; under self-invalidation an "
@@ -98,8 +98,9 @@ RULES: Dict[str, Rule] = {r.id: r for r in (
           "The only releasing write to a spun-on word is st_cb0, which "
           "by definition wakes nobody: parked waiters sleep forever."),
     _rule("CB-A201", Severity.ADVICE, "back-off under callbacks",
-          "BackoffWait yielded in a callback encoding; parked callbacks "
-          "make the exponential back-off probe storm pure overhead."),
+          "BackoffWait or SpinThrough yielded in a callback encoding; "
+          "parked callbacks make the exponential back-off probe storm "
+          "pure overhead."),
     _rule("CB-A202", Severity.ADVICE, "unthrottled LLC spin",
           "Consecutive ld_through probes of the same word without "
           "BackoffWait between them under VIPS; the LLC sees a probe "

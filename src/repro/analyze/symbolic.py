@@ -12,7 +12,10 @@ that fabricates results:
   rotated through nearby candidate values so every value-matched spin
   loop terminates;
 * ``SpinUntil`` predicates are evaluated directly against the
-  candidates, so the MESI paths are exact.
+  candidates, so the MESI paths are exact;
+* a ``SpinThrough`` answers with the first of the load answers above
+  that satisfies its predicate, as the ``ld_through`` probes it stands
+  for would have received.
 
 The driver records every yielded op together with the **source location
 of the yield** (followed through ``yield from`` chains via
@@ -171,6 +174,18 @@ class StubPolicy:
             return self.memory.get(op.addr, 0)
         return satisfying
 
+    def _spin_through_value(self, op: ops.SpinThrough) -> int:
+        """Probe as the back-off loop would: load answers until one
+        satisfies the predicate (every candidate is tried once)."""
+        for _ in range(self.spin_rounds + len(self._candidates(op.addr))):
+            value = self._load_value(op.addr)
+            try:
+                if op.pred(value):
+                    return value
+            except Exception:
+                continue
+        return self.memory.get(op.addr, 0)
+
     # ---------------------------------------------------------- atomics
 
     def _atomic_result(self, op: ops.Atomic) -> ops.AtomicResult:
@@ -218,6 +233,8 @@ class StubPolicy:
             return self._atomic_result(op)
         if isinstance(op, ops.SpinUntil):
             return self._spin_value(op)
+        if isinstance(op, ops.SpinThrough):
+            return self._spin_through_value(op)
         if isinstance(op, (ops.Load, ops.LoadThrough, ops.LoadCB)):
             return self._load_value(op.addr)
         if isinstance(op, (ops.Store, ops.StoreThrough, ops.StoreCB1,

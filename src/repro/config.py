@@ -159,8 +159,11 @@ class SystemConfig:
             raise ValueError("L1 geometry does not divide evenly into sets")
         if self.llc_bank_size_bytes % (self.line_bytes * self.llc_ways):
             raise ValueError("LLC geometry does not divide evenly into sets")
-        if self.backoff_limit < 0:
-            raise ValueError("backoff_limit must be >= 0")
+        for name in ("backoff_limit", "backoff_base", "rmw_compute_cycles"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.spin_iteration_cycles < 1:
+            raise ValueError("spin_iteration_cycles must be >= 1")
         if self.cb_entries_per_bank < 1:
             raise ValueError("callback directory needs at least one entry")
         if self.cb_sets_per_bank < 1:

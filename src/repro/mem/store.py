@@ -28,7 +28,7 @@ class WordStore:
         return addr // self._word_bytes
 
     def read(self, addr: int) -> int:
-        return self._values.get(self._key(addr), 0)
+        return self._values.get(addr // self._word_bytes, 0)
 
     def write(self, addr: int, value: int) -> None:
         key = self._key(addr)

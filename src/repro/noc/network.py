@@ -168,6 +168,8 @@ class Network:
                           flits=flits, hops=hops, latency=latency,
                           sync=sync)
         self.engine.schedule(latency, handler)
+        if not duplicates:
+            return latency
         for copy in range(duplicates):
             # The duplicate crosses the network (charged as traffic) but
             # the receiver discards it: a daemon no-op one cycle behind

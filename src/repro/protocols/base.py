@@ -63,19 +63,13 @@ _HANDLER_CACHE: Dict[type, Dict[type, Callable[..., Future]]] = {}
 
 
 class BankPort:
-    """Occupancy of one single-ported LLC bank."""
+    """Occupancy of one single-ported LLC bank (claimed by
+    :meth:`CoherenceProtocol.bank_service`)."""
 
     __slots__ = ("busy_until",)
 
     def __init__(self) -> None:
         self.busy_until = 0
-
-    def reserve(self, now: int, service: int) -> int:
-        """Claim the port for ``service`` cycles starting no earlier than
-        ``now``; returns the completion time."""
-        start = max(now, self.busy_until)
-        self.busy_until = start + service
-        return self.busy_until
 
 
 class CoherenceProtocol:
@@ -163,6 +157,14 @@ class CoherenceProtocol:
     def _op_data_burst(self, core: int, op: ops.DataBurst) -> Future:
         raise NotImplementedError
 
+    def prober(self, core: int, addr: int,
+               done: Callable[[int], None]) -> Callable[[], None]:
+        """One spin's ``ld_through`` sender: each call of the returned
+        ``fire()`` sends one probe of ``addr`` for ``core`` and later
+        calls ``done(value)`` with the word read at the LLC. The core
+        asks for it once per :class:`~repro.protocols.ops.SpinThrough`."""
+        raise NotImplementedError
+
     # --------------------------------------------------------------- helpers
 
     def bank_of(self, addr: int) -> int:
@@ -185,7 +187,10 @@ class CoherenceProtocol:
         any wait for the port). Books the access on the stats object.
         """
         service = self.config.llc_data_latency if data else self.config.llc_tag_latency
-        done = self.banks[bank].reserve(self.engine.now, service)
+        now = self.engine.now
+        port = self.banks[bank]
+        start = now if now > port.busy_until else port.busy_until
+        done = port.busy_until = start + service
         self.stats.llc_accesses += 1
         if data:
             self.stats.llc_data_accesses += 1
@@ -193,7 +198,7 @@ class CoherenceProtocol:
             self.stats.llc_tag_accesses += 1
         if sync:
             self.stats.llc_sync_accesses += 1
-        return done - self.engine.now
+        return done - now
 
     def llc_fill_latency(self, line: int) -> int:
         """Extra cycles if the line misses in the LLC (first touch).

@@ -126,10 +126,19 @@ class CallbackProtocol(VIPSProtocol):
 
     # ---------------------------------------------------------- ld_through
 
-    def _op_load_through(self, core: int, op: ops.LoadThrough) -> Future:
-        word = self.addr_map.word_base(op.addr)
-        self.cb_dirs[self.bank_of(op.addr)].on_read_through(word, core)
-        return super()._op_load_through(core, op)
+    def prober(self, core: int, addr: int,
+               done: Callable[[int], None]) -> Callable[[], None]:
+        """Each probe first consumes the issuer's F/E bit of an existing
+        directory entry (Table 1), then goes to the LLC as under VIPS."""
+        fire = super().prober(core, addr, done)
+        directory = self.cb_dirs[self.bank_of(addr)]
+        word = self.addr_map.word_base(addr)
+
+        def probe() -> None:
+            directory.on_read_through(word, core)
+            fire()
+
+        return probe
 
     # -------------------------------------------------------------- writes
 

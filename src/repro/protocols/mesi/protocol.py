@@ -469,6 +469,12 @@ class MESIProtocol(CoherenceProtocol):
         raise TypeError("ld_cb is not available under the MESI baseline; "
                         "MESI spin-waiting uses SpinUntil (local spinning)")
 
+    def prober(self, core: int, addr: int,
+               done: Callable[[int], None]) -> Callable[[], None]:
+        raise TypeError("SpinThrough (LLC spinning with back-off) requires "
+                        "a self-invalidation protocol; MESI spin-waiting "
+                        "uses SpinUntil (local spinning)")
+
     def _op_fence(self, core: int, op: ops.Fence) -> Future:
         future = Future()
         self.resolve_later(future, 1)

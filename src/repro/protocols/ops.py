@@ -17,6 +17,8 @@ This is the paper's Table 1 plus the ordinary (DRF) access path:
 * ``Fence`` — ``self_invl`` / ``self_down``;
 * ``SpinUntil`` — MESI local spinning on an L1 copy (modelled as blocking
   until invalidation, with the iteration count accounted analytically);
+* ``SpinThrough`` — self-invalidation spinning: ``ld_through`` probes of
+  the LLC with exponential back-off between them, run by the core;
 * ``BackoffWait`` — one exponential back-off pause between LLC probes;
 * ``Compute`` — non-memory work;
 * ``DataBurst`` — a batch of DRF data accesses described at line
@@ -160,6 +162,18 @@ class Fence(Op):
 class SpinUntil(Op):
     """MESI local spin: block until ``pred(value)`` holds for the L1 copy,
     re-fetching after each invalidation. Returns the satisfying value."""
+
+    addr: int
+    pred: Callable[[int], bool]
+
+
+@dataclass
+class SpinThrough(Op):
+    """Self-invalidation spin (the BackOff-N loop): probe the word with
+    ``ld_through`` and, while ``pred(value)`` fails, pause for
+    ``SystemConfig.backoff_delay(attempt)`` before the next probe.
+    Returns the first probed value satisfying ``pred``. The counterpart
+    of :class:`SpinUntil` under MESI."""
 
     addr: int
     pred: Callable[[int], bool]

@@ -15,9 +15,10 @@ This is the paper's directory-free baseline (Section 3.1, evaluated as
   sequentially consistent among themselves because the home bank
   serializes them.
 * There is no callback directory here: spin-waiting re-executes
-  ``ld_through`` with exponential back-off (``BackoffWait`` ops inserted
-  by the synchronization library, with delay
-  ``base * 2**min(attempt, limit)``).
+  ``ld_through`` with exponential back-off (a ``SpinThrough`` op yielded
+  by the synchronization library; the core re-fires this protocol's
+  :meth:`~VIPSProtocol.prober` after each pause of
+  ``base * 2**min(attempt, limit)`` cycles).
 
 The callback protocol subclasses this and overrides only the racy-op
 handlers, exactly mirroring how the paper adds the callback directory on
@@ -277,24 +278,39 @@ class VIPSProtocol(CoherenceProtocol):
     def _op_load_through(self, core: int, op: ops.LoadThrough) -> Future:
         """Racy load: bypass the L1, read the word at the home bank."""
         future = Future()
-        bank = self.bank_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
+        # The class's prober, not an instance-level wrapper of it: a
+        # trace recorder already logged this probe as the issued op.
+        type(self).prober(self, core, op.addr, future.resolve)()
+        return future
+
+    def prober(self, core: int, addr: int,
+               done: Callable[[int], None]) -> Callable[[], None]:
+        """``ld_through`` probes of ``addr``: request to the home bank,
+        a data access there, the word back to ``core``. The lookups and
+        closures are made once per spin, not once per probe."""
+        bank = self.bank_of(addr)
+        word = self.addr_map.word_base(addr)
+        line = self.addr_map.line_of(addr)
+        node = self.l1_of(core)
+        stats, read = self.stats, self.store.read
+        send, schedule = self.network.send, self.engine.schedule
+        bank_service, fill_latency = self.bank_service, self.llc_fill_latency
+
+        def deliver() -> None:
+            done(read(word))
+
+        def reply() -> None:
+            send(bank, node, MsgKind.DATA_WORD, deliver)
 
         def at_bank() -> None:
-            wait = self.bank_service(bank, data=True, sync=True)
-            wait += self.llc_fill_latency(self.addr_map.line_of(op.addr))
-            self.engine.schedule(
-                wait,
-                lambda: self.network.send(
-                    bank, self.l1_of(core), MsgKind.DATA_WORD,
-                    lambda: future.resolve(self.store.read(word)),
-                ),
-            )
+            schedule(bank_service(bank, True, True) + fill_latency(line),
+                     reply)
 
-        self.stats.llc_spin_probes += 1
-        self.network.send(self.l1_of(core), bank, MsgKind.LOAD_THROUGH,
-                          at_bank, sync=True)
-        return future
+        def fire() -> None:
+            stats.llc_spin_probes += 1
+            send(node, bank, MsgKind.LOAD_THROUGH, at_bank, True)
+
+        return fire
 
     def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:
         """Without a callback directory, ld_cb degenerates to ld_through

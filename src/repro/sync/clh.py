@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.protocols.ops import (Atomic, AtomicKind, BackoffWait, Fence,
-                                 FenceKind, Load, LoadCB, LoadThrough,
-                                 SpinUntil, Store, StoreThrough)
+from repro.protocols.ops import (Atomic, AtomicKind, Fence, FenceKind, Load,
+                                 LoadCB, LoadThrough, SpinThrough, SpinUntil,
+                                 Store, StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
 _SUCC_WAIT = 0  # word index within a node
@@ -77,13 +77,7 @@ class CLHLock(SyncPrimitive):
             result = yield Atomic(self.tail_addr, AtomicKind.SWAP, (node,))
             prev = result.old
             yield Store(self._prev_slot(node), prev)
-            attempt = 0
-            while True:
-                value = yield LoadThrough(self._succ_wait(prev))
-                if value == 0:
-                    break
-                yield BackoffWait(attempt)
-                attempt += 1
+            yield SpinThrough(self._succ_wait(prev), lambda v: v == 0)
             yield Fence(FenceKind.SELF_INVL)
         else:
             # Figure 13: guard ld_through, then ld_cb spin.

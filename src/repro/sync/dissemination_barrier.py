@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.protocols.ops import (BackoffWait, Fence, FenceKind, LoadCB,
-                                 LoadThrough, SpinUntil, Store, StoreThrough)
+from repro.protocols.ops import (Fence, FenceKind, LoadCB, LoadThrough,
+                                 SpinThrough, SpinUntil, Store, StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
 
@@ -91,13 +91,7 @@ class DisseminationBarrier(SyncPrimitive):
         if self.style is SyncStyle.MESI:
             yield SpinUntil(addr, lambda v, t=target: v == t)
         elif self.style is SyncStyle.VIPS:
-            attempt = 0
-            while True:
-                value = yield LoadThrough(addr)
-                if value == target:
-                    return
-                yield BackoffWait(attempt)
-                attempt += 1
+            yield SpinThrough(addr, lambda v, t=target: v == t)
         else:
             value = yield LoadThrough(addr)
             while value != target:

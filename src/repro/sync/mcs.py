@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.protocols.ops import (Atomic, AtomicKind, BackoffWait, Fence,
-                                 FenceKind, Load, LoadCB, LoadThrough,
-                                 SpinUntil, Store, StoreThrough)
+from repro.protocols.ops import (Atomic, AtomicKind, Fence, FenceKind, Load,
+                                 LoadCB, LoadThrough, SpinThrough, SpinUntil,
+                                 Store, StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
 _NEXT = 0
@@ -66,13 +66,7 @@ class MCSLock(SyncPrimitive):
         if self.style is SyncStyle.MESI:
             yield SpinUntil(addr, lambda v, t=target: v == t)
         elif self.style is SyncStyle.VIPS:
-            attempt = 0
-            while True:
-                value = yield LoadThrough(addr)
-                if value == target:
-                    return
-                yield BackoffWait(attempt)
-                attempt += 1
+            yield SpinThrough(addr, lambda v, t=target: v == t)
         else:
             value = yield LoadThrough(addr)
             while value != target:
@@ -84,13 +78,8 @@ class MCSLock(SyncPrimitive):
             value = yield SpinUntil(addr, lambda v, a=avoid: v != a)
             return value
         if self.style is SyncStyle.VIPS:
-            attempt = 0
-            while True:
-                value = yield LoadThrough(addr)
-                if value != avoid:
-                    return value
-                yield BackoffWait(attempt)
-                attempt += 1
+            value = yield SpinThrough(addr, lambda v, a=avoid: v != a)
+            return value
         value = yield LoadThrough(addr)
         while value == avoid:
             value = yield LoadCB(addr)

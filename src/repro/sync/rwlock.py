@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.protocols.ops import (Atomic, AtomicKind, BackoffWait, Fence,
-                                 FenceKind, LoadCB, LoadThrough, SpinUntil,
+from repro.protocols.ops import (Atomic, AtomicKind, Fence, FenceKind,
+                                 LoadCB, LoadThrough, SpinThrough, SpinUntil,
                                  StKind, Store, StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
@@ -60,13 +60,8 @@ class RWLock(SyncPrimitive):
             value = yield SpinUntil(addr, lambda v: not bad(v))
             return value
         if self.style is SyncStyle.VIPS:
-            attempt = 0
-            while True:
-                value = yield LoadThrough(addr)
-                if not bad(value):
-                    return value
-                yield BackoffWait(attempt)
-                attempt += 1
+            value = yield SpinThrough(addr, lambda v: not bad(v))
+            return value
         value = yield LoadThrough(addr)
         while bad(value):
             value = yield LoadCB(addr)

@@ -11,8 +11,8 @@ must not wake other waiters.
 
 from __future__ import annotations
 
-from repro.protocols.ops import (Atomic, AtomicKind, BackoffWait, Fence,
-                                 FenceKind, LdKind, LoadCB, LoadThrough,
+from repro.protocols.ops import (Atomic, AtomicKind, Fence, FenceKind,
+                                 LdKind, LoadCB, LoadThrough, SpinThrough,
                                  SpinUntil, StKind)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
@@ -65,13 +65,7 @@ class SignalWait(SyncPrimitive):
                     break
         elif self.style is SyncStyle.VIPS:
             while True:
-                attempt = 0
-                while True:
-                    value = yield LoadThrough(self.counter_addr)
-                    if value != 0:
-                        break
-                    yield BackoffWait(attempt)
-                    attempt += 1
+                yield SpinThrough(self.counter_addr, lambda v: v != 0)
                 result = yield Atomic(self.counter_addr, AtomicKind.TDEC)
                 if result.success:
                     break

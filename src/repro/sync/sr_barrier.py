@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.protocols.ops import (Atomic, AtomicKind, BackoffWait, Fence,
-                                 FenceKind, LdKind, Load, LoadCB, LoadThrough,
-                                 SpinUntil, StKind, Store, StoreThrough)
+from repro.protocols.ops import (Atomic, AtomicKind, Fence, FenceKind,
+                                 LdKind, Load, LoadCB, LoadThrough,
+                                 SpinThrough, SpinUntil, StKind, Store,
+                                 StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
 
@@ -75,13 +76,7 @@ class SRBarrier(SyncPrimitive):
         elif self.style is SyncStyle.VIPS:
             # Figure 14: the releasing thread also falls through the spin
             # (one immediate probe), matching the listed code.
-            attempt = 0
-            while True:
-                value = yield LoadThrough(self.sense_addr)
-                if value == sense:
-                    break
-                yield BackoffWait(attempt)
-                attempt += 1
+            yield SpinThrough(self.sense_addr, lambda v, s=sense: v == s)
             yield Fence(FenceKind.SELF_INVL)
         else:
             value = yield LoadThrough(self.sense_addr)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.protocols.ops import (Atomic, AtomicKind, BackoffWait, Fence,
-                                 FenceKind, Load, LoadCB, LoadThrough,
-                                 SpinUntil, StKind, Store, StoreCB1,
-                                 StoreThrough)
+from repro.protocols.ops import (Atomic, AtomicKind, Fence, FenceKind, Load,
+                                 LoadCB, LoadThrough, SpinThrough, SpinUntil,
+                                 StKind, Store, StoreCB1, StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
 
@@ -53,13 +52,8 @@ class TicketLock(SyncPrimitive):
             yield SpinUntil(self.now_serving_addr,
                             lambda v, t=ticket: v == t)
         elif self.style is SyncStyle.VIPS:
-            attempt = 0
-            while True:
-                value = yield LoadThrough(self.now_serving_addr)
-                if value == ticket:
-                    break
-                yield BackoffWait(attempt)
-                attempt += 1
+            yield SpinThrough(self.now_serving_addr,
+                              lambda v, t=ticket: v == t)
             yield Fence(FenceKind.SELF_INVL)
         else:
             value = yield LoadThrough(self.now_serving_addr)

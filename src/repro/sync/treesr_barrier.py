@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.protocols.ops import (BackoffWait, Fence, FenceKind, Load, LoadCB,
-                                 LoadThrough, SpinUntil, Store, StoreThrough)
+from repro.protocols.ops import (Fence, FenceKind, Load, LoadCB, LoadThrough,
+                                 SpinThrough, SpinUntil, Store, StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
 
 _ARITY = 2
@@ -121,13 +121,7 @@ class TreeSRBarrier(SyncPrimitive):
         if self.style is SyncStyle.MESI:
             yield SpinUntil(addr, lambda v, t=target: v == t)
         elif self.style is SyncStyle.VIPS:
-            attempt = 0
-            while True:
-                value = yield LoadThrough(addr)
-                if value == target:
-                    return
-                yield BackoffWait(attempt)
-                attempt += 1
+            yield SpinThrough(addr, lambda v, t=target: v == t)
         else:
             value = yield LoadThrough(addr)
             while value != target:

@@ -9,8 +9,8 @@ not the guard.
 
 from __future__ import annotations
 
-from repro.protocols.ops import (Atomic, AtomicKind, BackoffWait, Fence,
-                                 FenceKind, LdKind, LoadCB, LoadThrough,
+from repro.protocols.ops import (Atomic, AtomicKind, Fence, FenceKind,
+                                 LdKind, LoadCB, LoadThrough, SpinThrough,
                                  SpinUntil, StKind, Store, StoreCB1,
                                  StoreThrough)
 from repro.sync.base import SyncPrimitive, SyncStyle
@@ -52,13 +52,7 @@ class TTASLock(SyncPrimitive):
 
     def _acquire_vips(self):
         while True:
-            attempt = 0
-            while True:
-                value = yield LoadThrough(self.addr)
-                if value == 0:
-                    break
-                yield BackoffWait(attempt)
-                attempt += 1
+            yield SpinThrough(self.addr, lambda v: v == 0)
             result = yield Atomic(self.addr, AtomicKind.TAS, (0, 1))
             if result.success:
                 break

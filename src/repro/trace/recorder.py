@@ -104,33 +104,55 @@ def _atomic_halves(op: ops.Atomic) -> List[TraceEvent]:
 
 
 class TraceRecorder:
-    """Wraps a machine's protocol to log every issued operation."""
+    """Wraps a machine's protocol to log every issued operation.
+
+    The probes of a core-run spin (:class:`~repro.protocols.ops.SpinThrough`)
+    never pass through ``issue``; wrapping ``prober`` logs each one as an
+    ``ld_through`` at the cycle it is sent, as if the thread had issued it.
+    """
 
     def __init__(self, machine: Machine,
                  stream: Optional[IO[str]] = None) -> None:
         self.machine = machine
         self.events: List[TraceEvent] = []
         self._stream = stream
-        self._original_issue = machine.protocol.issue
-        machine.protocol.issue = self._issue  # type: ignore[method-assign]
+        protocol = machine.protocol
+        self._original_issue = protocol.issue
+        self._original_prober = protocol.prober
+        protocol.issue = self._issue  # type: ignore[method-assign]
+        protocol.prober = self._prober  # type: ignore[method-assign]
+
+    def _record(self, core: int, event: TraceEvent) -> None:
+        event.time = self.machine.engine.now
+        event.core = core
+        self.events.append(event)
+        if self._stream is not None:
+            self._stream.write(json.dumps(asdict(event)) + "\n")
 
     def _issue(self, core: int, op: ops.Op):
         event = _classify(op)
         if event is not None:
-            emitted = [event]
+            self._record(core, event)
             if isinstance(op, ops.Atomic):
-                emitted.extend(_atomic_halves(op))
-            for item in emitted:
-                item.time = self.machine.engine.now
-                item.core = core
-                self.events.append(item)
-                if self._stream is not None:
-                    self._stream.write(json.dumps(asdict(item)) + "\n")
+                for half in _atomic_halves(op):
+                    self._record(core, half)
         return self._original_issue(core, op)
+
+    def _prober(self, core: int, addr: int, done):
+        fire = self._original_prober(core, addr, done)
+
+        def probe() -> None:
+            self._record(core, TraceEvent(time=0, core=0, kind="ld_through",
+                                          addr=addr))
+            fire()
+
+        return probe
 
     def detach(self) -> List[TraceEvent]:
         """Stop recording; returns the trace."""
-        self.machine.protocol.issue = self._original_issue  # type: ignore
+        protocol = self.machine.protocol
+        protocol.issue = self._original_issue  # type: ignore
+        protocol.prober = self._original_prober  # type: ignore
         return self.events
 
 

@@ -14,7 +14,9 @@ from repro.analyze.fixtures import AST_EXPECTED, FIXTURES, check_fixtures
 from repro.config import config_for
 from repro.core.machine import Machine
 from repro.protocols import ops
-from repro.sync.base import SyncStyle
+from repro.analyze.linter import PrimitiveSpec
+from repro.analyze.rules import SessionKind, WakeupDiscipline
+from repro.sync.base import SyncPrimitive, SyncStyle
 from repro.trace.recorder import TraceEvent
 
 ALL_STYLES = tuple(SyncStyle)
@@ -55,6 +57,43 @@ class TestRules:
 # ---------------------------------------------------------------- linter
 
 
+class _SpinFlag(SyncPrimitive):
+    """Waits for a flag with ``op`` (SpinThrough unless told otherwise),
+    optionally re-reading it with a plain load."""
+
+    def __init__(self, style, op, plain_reread):
+        super().__init__(style)
+        self.op = op
+        self.plain_reread = plain_reread
+        self.addr = -1
+
+    def setup(self, layout, num_threads):
+        self.addr = layout.alloc_sync_word()
+        self._ready = True
+
+    def acquire(self, ctx):
+        yield self.op(self.addr, lambda v: v != 0)
+        if self.style is not SyncStyle.MESI:
+            yield ops.Fence(ops.FenceKind.SELF_INVL)
+        if self.plain_reread:
+            yield ops.Load(self.addr)
+
+    def release(self, ctx):
+        if self.style is SyncStyle.MESI:
+            yield ops.Store(self.addr, 1)
+        else:
+            yield ops.Fence(ops.FenceKind.SELF_DOWN)
+            yield ops.StoreThrough(self.addr, 1)
+
+
+def _spin_flag_spec(op=ops.SpinThrough, plain_reread=False):
+    return PrimitiveSpec(
+        "spin_flag", lambda style, n: _SpinFlag(style, op, plain_reread),
+        (("acquire", SessionKind.ENTER), ("release", SessionKind.EXIT)),
+        WakeupDiscipline.SINGLE_WAITER)
+
+
+
 class TestLinter:
     @pytest.mark.parametrize("name", sorted(PRIMITIVE_SPECS))
     @pytest.mark.parametrize("style", ALL_STYLES,
@@ -74,6 +113,30 @@ class TestLinter:
                 report = lint_workload(wl_name, params, style)
                 assert not report.errors(), (wl_name, style, "\n".join(
                     f.brief() for f in report.errors()))
+
+    @pytest.mark.parametrize("style,errors,advice", [
+        (SyncStyle.MESI, {"CB-E103"}, set()),
+        (SyncStyle.VIPS, set(), set()),
+        (SyncStyle.CB_ALL, set(), {"CB-A201"}),
+        (SyncStyle.CB_ONE, set(), {"CB-A201"}),
+    ], ids=lambda v: v.value if isinstance(v, SyncStyle) else None)
+    def test_spin_through_rules(self, style, errors, advice):
+        """SpinThrough is VIPS's spin: a through-op under MESI, a
+        back-off loop under callbacks."""
+        report = lint_primitive(_spin_flag_spec(), style)
+        assert {f.rule for f in report.errors()} == errors
+        assert {f.rule for f in report.findings
+                if f.severity is Severity.ADVICE} == advice
+
+    def test_spin_through_marks_its_word_racy(self):
+        report = lint_primitive(_spin_flag_spec(plain_reread=True),
+                                SyncStyle.VIPS)
+        assert {f.rule for f in report.errors()} == {"CB-E104"}
+
+    def test_spin_until_under_self_invalidation_is_still_e101(self):
+        report = lint_primitive(_spin_flag_spec(op=ops.SpinUntil),
+                                SyncStyle.VIPS)
+        assert "CB-E101" in {f.rule for f in report.errors()}
 
     def test_findings_round_trip_json(self):
         from repro.analyze.findings import Report

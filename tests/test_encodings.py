@@ -15,6 +15,7 @@ from repro.protocols import ops
 from repro.sync import (CLHLock, SRBarrier, SignalWait, TASLock,
                         TreeSRBarrier, TTASLock)
 from repro.sync.base import SyncStyle
+from tests.spin_loop import expand_spins
 
 
 class ScriptedRun:
@@ -204,20 +205,34 @@ class TestTTASEncodings:
 class TestCLHEncodings:
     def test_vips_sequence(self):
         """Figure 12 right: st_through succ_wait; f&s; ld_through spin
-        with back-off; self_invl."""
+        with back-off; self_invl. The spin ships as one SpinThrough;
+        expanded, it is the figure's probe / back-off loop."""
         lock = make_lock(CLHLock, SyncStyle.VIPS)
-        values = iter([1, 0])  # one busy probe, then free
 
         def responder(op, _i):
             if isinstance(op, ops.Atomic):
                 assert op.kind is ops.AtomicKind.SWAP
                 return ops.AtomicResult(0x999000, True)
-            if isinstance(op, ops.LoadThrough):
-                return next(values)
+            if isinstance(op, ops.SpinThrough):
+                assert op.pred(0) and not op.pred(1)
+                return 0
             return None
 
         run = ScriptedRun(responder)
         run.drive(lock.acquire(FakeCtx()))
+        assert run.kinds() == ["StoreThrough", "Atomic", "Store",
+                               "SpinThrough", "Fence"]
+
+        values = iter([1, 0])  # one busy probe, then free
+
+        def loop_responder(op, i):
+            if isinstance(op, ops.LoadThrough):
+                return next(values)
+            return responder(op, i)
+
+        run = ScriptedRun(loop_responder)
+        run.drive(expand_spins(make_lock(CLHLock, SyncStyle.VIPS)
+                               .acquire(FakeCtx())))
         assert run.kinds() == ["StoreThrough", "Atomic", "Store",
                                "LoadThrough", "BackoffWait", "LoadThrough",
                                "Fence"]
