@@ -143,7 +143,8 @@ class SystemConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("l1_latency", "llc_tag_latency", "llc_data_latency",
-                     "cb_latency", "mem_latency", "switch_latency"):
+                     "cb_latency", "mem_latency", "switch_latency",
+                     "header_bytes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         side = int(math.isqrt(self.num_cores))
@@ -153,6 +154,8 @@ class SystemConfig:
             )
         if self.line_bytes % self.word_bytes:
             raise ValueError("line size must be a multiple of the word size")
+        if self.page_bytes < self.line_bytes:
+            raise ValueError("page_bytes must be >= line_bytes")
         if self.page_bytes % self.line_bytes:
             raise ValueError("page size must be a multiple of the line size")
         if self.l1_size_bytes % (self.line_bytes * self.l1_ways):

@@ -7,9 +7,11 @@ from the thread generator, hands memory ops to the protocol, turns
 configuration's exponential back-off delay, and resumes the generator
 with each op's result.
 
-``SpinThrough`` (the BackOff-N spin) is run by the core itself: it
-re-probes through the protocol's prober and books each back-off pause
-without resuming the generator, which sees only the satisfying value.
+``SpinThrough`` (the BackOff-N spin) is handed to the protocol, which
+re-probes and books each back-off pause (retiring one op per failed
+probe and per pause, through :meth:`Core._backoff` when a fault hook or
+telemetry is attached) without resuming the generator, which sees only
+the satisfying value.
 
 All resumptions are mediated by the engine (ops take >= 1 cycle), so the
 trampoline never recurses.
@@ -120,7 +122,7 @@ class Core:
             self.stats.l1_hits += accesses
             self.engine.schedule(max(1, op.cycles), lambda: self._resume(None))
         elif isinstance(op, ops.SpinThrough):
-            self._spin_through(op)
+            self.protocol.spin_through(self, op)
         elif isinstance(op, ops.BackoffWait):
             delay = self._backoff(op.attempt)
             self.engine.schedule(max(1, delay), lambda: self._resume(None))
@@ -138,33 +140,3 @@ class Core:
             self.obs.emit("spin.backoff", core=self.core_id,
                           attempt=attempt, delay=delay)
         return delay
-
-    def _spin_through(self, op: ops.SpinThrough) -> None:
-        """Probe ``op.addr`` until ``op.pred`` holds, backing off between
-        probes, then resume the thread with the satisfying value.
-
-        Event for event this is the ``LoadThrough`` / ``BackoffWait``
-        loop the thread would otherwise run: each failed probe and each
-        pause retires one op, and a pause is booked exactly as a
-        ``BackoffWait``. The prober is built once per spin.
-        """
-        pred = op.pred
-        schedule = self.engine.schedule
-        attempt = 0
-
-        def reply(value) -> None:
-            nonlocal attempt
-            if pred(value):
-                self._resume(value)
-                return
-            self.ops_retired += 1
-            delay = self._backoff(attempt)
-            attempt += 1
-            schedule(max(1, delay), pause_done)
-
-        def pause_done() -> None:
-            self.ops_retired += 1
-            fire()
-
-        fire = self.protocol.prober(self.core_id, op.addr, reply)
-        fire()

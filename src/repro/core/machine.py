@@ -10,6 +10,7 @@ over the parallel section only.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Callable, Generator, List, Optional, Sequence
 
 from repro.config import SystemConfig
@@ -54,10 +55,14 @@ class Machine:
         )
         self.layout = MemoryLayout(config)
         # One Core driver per hardware thread (SMT siblings share their
-        # physical core's L1 and tile inside the protocol).
+        # physical core's L1 and tile inside the protocol). Cores report
+        # completion through a weak reference: without a machine <-> core
+        # cycle a finished machine is freed as soon as its last user
+        # drops it, not at the next cyclic collection.
+        core_done = weakref.WeakMethod(self._core_done)
         self._cores = [
             Core(i, config, self.engine, self.protocol, self.stats,
-                 self._core_done)
+                 lambda core_id: core_done()(core_id))
             for i in range(config.num_threads)
         ]
         self._remaining = 0

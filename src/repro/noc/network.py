@@ -137,6 +137,31 @@ class Network:
         Figure 20 LLC-sync-access metric upstream; the tag itself is only
         recorded in per-kind counters here). Returns the latency charged.
         """
+        latency, inflight, duplicates = self.book(src, dst, kind, sync)
+        if inflight:
+            inner = handler
+
+            def handler() -> None:
+                self.inflight_flits -= inflight
+                inner()
+
+        self.engine.schedule(latency, handler)
+        if duplicates:
+            self.send_duplicates(src, dst, kind, latency, duplicates)
+        return latency
+
+    def book(self, src: int, dst: int, kind: MsgKind,
+             sync: bool = False) -> Tuple[int, int, int]:
+        """Everything :meth:`send` does for one message except scheduling
+        its delivery: latency (link contention, the fault hook), traffic,
+        the in-flight gauge and the ``noc.send`` probe.
+
+        Returns ``(latency, inflight, duplicates)``: the caller delivers
+        after ``latency`` cycles, releases ``inflight`` flits from
+        :attr:`inflight_flits` on delivery, and right after queueing the
+        delivery hands any ``duplicates`` to :meth:`send_duplicates`.
+        The spin runner books its probes through this.
+        """
         try:
             hops = self._hops[src][dst]
         except KeyError:
@@ -155,21 +180,23 @@ class Network:
         # A local delivery (hops == 0) is still counted, for protocol-level
         # message-count assertions, but contributes no traffic.
         self.stats.record_message(value, flits, hops, size)
+        inflight = 0
         if self.track_inflight and hops > 0:
+            inflight = flits
             self.inflight_flits += flits
-            inner = handler
-
-            def handler() -> None:
-                self.inflight_flits -= flits
-                inner()
-
         if self.obs is not None:
             self.obs.emit("noc.send", src=src, dst=dst, kind=value,
                           flits=flits, hops=hops, latency=latency,
                           sync=sync)
-        self.engine.schedule(latency, handler)
-        if not duplicates:
-            return latency
+        return latency, inflight, duplicates
+
+    def send_duplicates(self, src: int, dst: int, kind: MsgKind,
+                        latency: int, duplicates: int) -> None:
+        """Charge ``duplicates`` fault-injected copies of a message
+        delivered after ``latency`` cycles."""
+        hops = self._hops[src][dst]
+        value = kind._value_
+        size, flits, _latency_by_hops = self._wire[value]
         for copy in range(duplicates):
             # The duplicate crosses the network (charged as traffic) but
             # the receiver discards it: a daemon no-op one cycle behind
@@ -178,7 +205,14 @@ class Network:
             self.stats.msgs_duplicated += 1
             self.engine.schedule(latency + 1 + copy, _drop_duplicate,
                                  daemon=True)
-        return latency
+
+    def route_facts(self, src: int, dst: int,
+                    kind: MsgKind) -> Tuple[int, int, int, int]:
+        """``(latency, flits, flit_hops, byte_hops)`` of an uncontended,
+        unhooked message — what :meth:`book` would charge for it."""
+        hops = self._hops[src][dst]
+        size, flits, latency_by_hops = self._wire[kind._value_]
+        return latency_by_hops[hops], flits, flits * hops, size * hops
 
     def ckpt_state(self) -> dict:
         """Link occupancy as canonical data (checkpoint capture).

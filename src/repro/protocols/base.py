@@ -13,6 +13,7 @@ behaviour the paper describes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.classify.pagetable import PageClassifier
@@ -99,6 +100,9 @@ class CoherenceProtocol:
         self._llc_present: set = set()
         #: Telemetry probe bus (set when a Telemetry attaches), else None.
         self.obs: Optional[Any] = None
+        #: When set, called as ``hook(core, addr)`` as each ``ld_through``
+        #: probe of a spin leaves the core (repro.trace.recorder).
+        self.probe_hook: Optional[Callable[[int, int], None]] = None
         # Op dispatch: resolved once per concrete class, not per call.
         self._handlers = self._resolve_handlers()
 
@@ -155,14 +159,34 @@ class CoherenceProtocol:
         raise NotImplementedError
 
     def _op_data_burst(self, core: int, op: ops.DataBurst) -> Future:
-        raise NotImplementedError
+        """DRF loads/stores one after another through the protocol's
+        ``_op_load`` / ``_op_store``, then ``extra_hits`` bulk L1 hits."""
+        future = Future()
+        self._burst_step(core, list(op.accesses), op.extra_hits, future)
+        return future
 
-    def prober(self, core: int, addr: int,
-               done: Callable[[int], None]) -> Callable[[], None]:
-        """One spin's ``ld_through`` sender: each call of the returned
-        ``fire()`` sends one probe of ``addr`` for ``core`` and later
-        calls ``done(value)`` with the word read at the LLC. The core
-        asks for it once per :class:`~repro.protocols.ops.SpinThrough`."""
+    def _burst_step(self, core: int, accesses: List[ops.LineAccess],
+                    extra_hits: int, future: Future,
+                    _value: object = None) -> None:
+        # A bound partial rather than a closure that names itself: no
+        # reference cycle, so a finished machine is freed at once.
+        if not accesses:
+            if extra_hits:
+                self.stats.l1_accesses += extra_hits
+                self.stats.l1_hits += extra_hits
+            self.resolve_later(future, max(1, extra_hits))
+            return
+        access = accesses.pop(0)
+        inner = (self._op_store(core, ops.Store(access.addr))
+                 if access.write else self._op_load(core,
+                                                    ops.Load(access.addr)))
+        inner.add_callback(partial(self._burst_step, core, accesses,
+                                   extra_hits, future))
+
+    def spin_through(self, core: Any, op: ops.SpinThrough) -> None:
+        """Run ``op`` for ``core`` (a :class:`~repro.core.core.Core`):
+        probe ``op.addr`` at the LLC, backing off between probes, until
+        ``op.pred`` holds; then resume the core with the value."""
         raise NotImplementedError
 
     # --------------------------------------------------------------- helpers

@@ -126,19 +126,11 @@ class CallbackProtocol(VIPSProtocol):
 
     # ---------------------------------------------------------- ld_through
 
-    def prober(self, core: int, addr: int,
-               done: Callable[[int], None]) -> Callable[[], None]:
+    def _read_through_hook(self, addr: int
+                           ) -> Optional[Callable[[int, int], None]]:
         """Each probe first consumes the issuer's F/E bit of an existing
         directory entry (Table 1), then goes to the LLC as under VIPS."""
-        fire = super().prober(core, addr, done)
-        directory = self.cb_dirs[self.bank_of(addr)]
-        word = self.addr_map.word_base(addr)
-
-        def probe() -> None:
-            directory.on_read_through(word, core)
-            fire()
-
-        return probe
+        return self.cb_dirs[self.bank_of(addr)].on_read_through
 
     # -------------------------------------------------------------- writes
 

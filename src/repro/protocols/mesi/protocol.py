@@ -469,8 +469,7 @@ class MESIProtocol(CoherenceProtocol):
         raise TypeError("ld_cb is not available under the MESI baseline; "
                         "MESI spin-waiting uses SpinUntil (local spinning)")
 
-    def prober(self, core: int, addr: int,
-               done: Callable[[int], None]) -> Callable[[], None]:
+    def spin_through(self, core: Any, op: ops.SpinThrough) -> None:
         raise TypeError("SpinThrough (LLC spinning with back-off) requires "
                         "a self-invalidation protocol; MESI spin-waiting "
                         "uses SpinUntil (local spinning)")
@@ -524,25 +523,3 @@ class MESIProtocol(CoherenceProtocol):
         """Threads blocked in a SpinUntil watch right now."""
         return sum(len(watches) for per_line in self._watches.values()
                    for watches in per_line.values())
-
-    # ------------------------------------------------------------ data side
-
-    def _op_data_burst(self, core: int, op: ops.DataBurst) -> Future:
-        future = Future()
-        accesses = list(op.accesses)
-
-        def step() -> None:
-            if not accesses:
-                if op.extra_hits:
-                    self.stats.l1_accesses += op.extra_hits
-                    self.stats.l1_hits += op.extra_hits
-                self.resolve_later(future, max(1, op.extra_hits))
-                return
-            access = accesses.pop(0)
-            inner = (self._op_store(core, ops.Store(access.addr))
-                     if access.write else self._op_load(core,
-                                                        ops.Load(access.addr)))
-            inner.add_callback(lambda _v: step())
-
-        step()
-        return future

@@ -16,9 +16,10 @@ This is the paper's directory-free baseline (Section 3.1, evaluated as
   serializes them.
 * There is no callback directory here: spin-waiting re-executes
   ``ld_through`` with exponential back-off (a ``SpinThrough`` op yielded
-  by the synchronization library; the core re-fires this protocol's
-  :meth:`~VIPSProtocol.prober` after each pause of
-  ``base * 2**min(attempt, limit)`` cycles).
+  by the synchronization library, run by :meth:`~VIPSProtocol.spin_through`
+  as a spin record that re-probes after each pause of
+  ``base * 2**min(attempt, limit)`` cycles; see
+  :mod:`repro.protocols.vips.spin`).
 
 The callback protocol subclasses this and overrides only the racy-op
 handlers, exactly mirroring how the paper adds the callback directory on
@@ -33,6 +34,7 @@ from repro.mem.cache import SetAssociativeCache
 from repro.noc.messages import MsgKind
 from repro.protocols import ops
 from repro.protocols.base import CoherenceProtocol
+from repro.protocols.vips.spin import SpinRunner
 from repro.protocols.vips.table import (
     drops_on_self_invl,
     flushes_on_fence,
@@ -55,7 +57,7 @@ class VIPSLine:
         return {"shared": self.shared, "dirty": sorted(self.dirty_words)}
 
 
-class VIPSProtocol(CoherenceProtocol):
+class VIPSProtocol(SpinRunner, CoherenceProtocol):
     """Self-invalidation + self-downgrade, LLC spinning with back-off.
 
     Fence and eviction decisions come from the predicates in
@@ -80,6 +82,8 @@ class VIPSProtocol(CoherenceProtocol):
         self._dirty_shared_lines: List[Set[int]] = [set() for _ in self.l1]
         # Per-word atomic serialization at the home bank (LLC MSHR lock).
         self._mshr_locked: Dict[int, WaitQueue] = {}
+        # ld_through probes and BackOff-N spins (the engine's spin heap).
+        self._init_spins()
 
     def ckpt_state(self) -> Dict[str, object]:
         """Base capture + L1 arrays and held MSHR locks (checkpoint
@@ -276,41 +280,25 @@ class VIPSProtocol(CoherenceProtocol):
     # ------------------------------------------------------------- racy ops
 
     def _op_load_through(self, core: int, op: ops.LoadThrough) -> Future:
-        """Racy load: bypass the L1, read the word at the home bank."""
+        """Racy load: bypass the L1, read the word at the home bank (a
+        one-shot spin; the op itself was already traced as issued)."""
         future = Future()
-        # The class's prober, not an instance-level wrapper of it: a
-        # trace recorder already logged this probe as the issued op.
-        type(self).prober(self, core, op.addr, future.resolve)()
+        self.start_spin(None, core, op.addr, None, future.resolve,
+                        self._read_through_hook(op.addr), traced=False)
         return future
 
-    def prober(self, core: int, addr: int,
-               done: Callable[[int], None]) -> Callable[[], None]:
-        """``ld_through`` probes of ``addr``: request to the home bank,
-        a data access there, the word back to ``core``. The lookups and
-        closures are made once per spin, not once per probe."""
-        bank = self.bank_of(addr)
-        word = self.addr_map.word_base(addr)
-        line = self.addr_map.line_of(addr)
-        node = self.l1_of(core)
-        stats, read = self.stats, self.store.read
-        send, schedule = self.network.send, self.engine.schedule
-        bank_service, fill_latency = self.bank_service, self.llc_fill_latency
+    def spin_through(self, core: Any, op: ops.SpinThrough) -> None:
+        """Run ``op`` for ``core`` (a :class:`~repro.core.core.Core`):
+        ``ld_through`` probes with back-off until ``op.pred`` holds, then
+        ``core._resume(value)`` (see :mod:`repro.protocols.vips.spin`)."""
+        self.start_spin(core, core.core_id, op.addr, op.pred, core._resume,
+                        self._read_through_hook(op.addr))
 
-        def deliver() -> None:
-            done(read(word))
-
-        def reply() -> None:
-            send(bank, node, MsgKind.DATA_WORD, deliver)
-
-        def at_bank() -> None:
-            schedule(bank_service(bank, True, True) + fill_latency(line),
-                     reply)
-
-        def fire() -> None:
-            stats.llc_spin_probes += 1
-            send(node, bank, MsgKind.LOAD_THROUGH, at_bank, True)
-
-        return fire
+    def _read_through_hook(self, addr: int
+                           ) -> Optional[Callable[[int, int], None]]:
+        """What each probe of ``addr`` does before leaving the core:
+        nothing here (the callback protocol consumes an F/E bit)."""
+        return None
 
     def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:
         """Without a callback directory, ld_cb degenerates to ld_through
@@ -401,23 +389,3 @@ class VIPSProtocol(CoherenceProtocol):
         raise TypeError("SpinUntil (local L1 spinning) requires the MESI "
                         "baseline; self-invalidation protocols spin on the "
                         "LLC via ld_through/ld_cb")
-
-    def _op_data_burst(self, core: int, op: ops.DataBurst) -> Future:
-        future = Future()
-        accesses = list(op.accesses)
-
-        def step() -> None:
-            if not accesses:
-                if op.extra_hits:
-                    self.stats.l1_accesses += op.extra_hits
-                    self.stats.l1_hits += op.extra_hits
-                self.resolve_later(future, max(1, op.extra_hits))
-                return
-            access = accesses.pop(0)
-            inner = (self._op_store(core, ops.Store(access.addr))
-                     if access.write else self._op_load(core,
-                                                        ops.Load(access.addr)))
-            inner.add_callback(lambda _v: step())
-
-        step()
-        return future

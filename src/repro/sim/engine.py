@@ -21,12 +21,24 @@ unless used:
 * an optional **step hook** (:attr:`profile_hook`) that, when set, is
   handed each popped callback instead of the engine calling it directly;
   the wall-clock profiler uses it to attribute host time by component.
+
+A second heap, the **spin heap**, holds ``(time, seq, phase, spin)``
+entries: the phases of BackOff-N ``ld_through`` probes, which are not
+closures but steps of a spin record run by the record's ``runner``
+(:mod:`repro.protocols.vips.spin`). Both heaps draw ``seq`` from one
+counter and :meth:`run` always executes whichever head comes first by
+``(time, seq)``, so the merged order is the order one heap would have
+given.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Any, Callable, Dict, Optional
+
+#: "No limit" for the spin runner's time and event budgets.
+NO_LIMIT = sys.maxsize
 
 
 class SimulationError(RuntimeError):
@@ -114,6 +126,14 @@ class Engine:
 
     def __init__(self) -> None:
         self._queue: list = []
+        #: The spin heap: ``(time, seq, phase, spin)``, always live. All
+        #: entries share one runner, ``spin.runner``:
+        #: ``run_spins(stop_time, stop_events, executed) -> executed``
+        #: executes entries while the spin head comes first, its time is
+        #: at most ``stop_time`` and fewer than ``stop_events`` events
+        #: have run; ``step_spin()`` executes the spin head;
+        #: ``spin_label(phase)`` names a phase for :meth:`ckpt_state`.
+        self._spins: list = []
         self._seq = 0
         self.now = 0
         self._running = False
@@ -149,13 +169,31 @@ class Engine:
         if not daemon:
             self._live += 1
 
+    def push_spin(self, delay: int, phase: int, spin: Any) -> None:
+        """Queue phase ``phase`` of ``spin`` on the spin heap ``delay``
+        cycles from now (a live event, run by ``spin.runner``)."""
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        heapq.heappush(self._spins, (self.now + delay, self._seq, phase,
+                                     spin))
+        self._seq += 1
+        self._live += 1
+
+    def _spin_first(self) -> bool:
+        """Whether the spin head runs before the general head."""
+        spins = self._spins
+        return bool(spins) and (not self._queue or spins[0] < self._queue[0])
+
     @property
     def pending(self) -> int:
-        """Number of events still queued (daemon events included)."""
-        return len(self._queue)
+        """Number of events still queued (daemon and spin events
+        included)."""
+        return len(self._queue) + len(self._spins)
 
     def next_time(self) -> Optional[int]:
         """Cycle of the earliest queued event (daemon or live), or None."""
+        if self._spin_first():
+            return self._spins[0][0]
         return self._queue[0][0] if self._queue else None
 
     def ckpt_state(self) -> Dict[str, Any]:
@@ -170,10 +208,14 @@ class Engine:
         daemon scheduling shifts them without changing the order of the
         live events themselves.
         """
-        live = [(time, _callback_name(callback))
-                for time, _seq, callback, daemon in sorted(self._queue)
+        live = [(time, seq, _callback_name(callback))
+                for time, seq, callback, daemon in self._queue
                 if not daemon]
-        return {"now": self.now, "live_pending": self._live, "queue": live}
+        live += [(time, seq, spin.runner.spin_label(phase))
+                 for time, seq, phase, spin in self._spins]
+        live.sort()
+        return {"now": self.now, "live_pending": self._live,
+                "queue": [(time, name) for time, _seq, name in live]}
 
     @property
     def live_pending(self) -> int:
@@ -182,8 +224,21 @@ class Engine:
 
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue is empty."""
+        if self._spin_first():
+            step = self._spins[0][3].runner.step_spin
+            hook = self.profile_hook
+            if hook is None:
+                step()
+            else:
+                hook(step)
+            return True
         if not self._queue:
             return False
+        self._run_queue_head()
+        return True
+
+    def _run_queue_head(self) -> None:
+        """Pop and run the general heap's head."""
         time, _seq, callback, daemon = heapq.heappop(self._queue)
         if time < self.now:
             raise SimulationError("event heap corrupted: time moved backwards")
@@ -195,7 +250,6 @@ class Engine:
             callback()
         else:
             hook(callback)
-        return True
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None,
@@ -216,14 +270,29 @@ class Engine:
         Trailing daemon events — e.g. a sampler tick beyond the last real
         event — are left unexecuted so the clock ends at the last live
         event. Returns the number of events executed.
+
+        While the spin head comes first, control passes to its runner,
+        which stops where these checks would trip and leaves them to this
+        loop (unless a :attr:`profile_hook` is set: then each spin event
+        is one :meth:`step`).
         """
         executed = 0
+        queue, spins = self._queue, self._spins
+        stop_time = min(NO_LIMIT if until is None else until,
+                        NO_LIMIT if max_cycles is None else max_cycles)
+        stop_events = NO_LIMIT if max_events is None else max_events
         self._running = True
         try:
             while self._live > 0:
-                if until is not None and self._queue[0][0] > until:
+                if spins and (not queue or spins[0] < queue[0]):
+                    head = spins[0][0]
+                    spin_head = True
+                else:
+                    head = queue[0][0]
+                    spin_head = False
+                if until is not None and head > until:
                     break
-                if max_cycles is not None and self._queue[0][0] > max_cycles:
+                if max_cycles is not None and head > max_cycles:
                     raise SimulationTimeout(
                         f"watchdog: simulated clock would pass the "
                         f"{max_cycles}-cycle deadline at cycle {self.now} "
@@ -236,8 +305,15 @@ class Engine:
                         f"{self.now}",
                         reason="max_events", cycle=self.now, events=executed,
                     )
-                self.step()
-                executed += 1
+                if not spin_head:
+                    self._run_queue_head()
+                    executed += 1
+                elif self.profile_hook is None:
+                    executed = spins[0][3].runner.run_spins(
+                        stop_time, stop_events, executed)
+                else:
+                    self.step()
+                    executed += 1
         finally:
             self._running = False
         return executed

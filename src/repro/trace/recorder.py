@@ -106,8 +106,8 @@ def _atomic_halves(op: ops.Atomic) -> List[TraceEvent]:
 class TraceRecorder:
     """Wraps a machine's protocol to log every issued operation.
 
-    The probes of a core-run spin (:class:`~repro.protocols.ops.SpinThrough`)
-    never pass through ``issue``; wrapping ``prober`` logs each one as an
+    The probes of a :class:`~repro.protocols.ops.SpinThrough` never pass
+    through ``issue``; the protocol's ``probe_hook`` logs each one as an
     ``ld_through`` at the cycle it is sent, as if the thread had issued it.
     """
 
@@ -118,9 +118,9 @@ class TraceRecorder:
         self._stream = stream
         protocol = machine.protocol
         self._original_issue = protocol.issue
-        self._original_prober = protocol.prober
+        self._original_probe_hook = protocol.probe_hook
         protocol.issue = self._issue  # type: ignore[method-assign]
-        protocol.prober = self._prober  # type: ignore[method-assign]
+        protocol.probe_hook = self._probe
 
     def _record(self, core: int, event: TraceEvent) -> None:
         event.time = self.machine.engine.now
@@ -138,21 +138,17 @@ class TraceRecorder:
                     self._record(core, half)
         return self._original_issue(core, op)
 
-    def _prober(self, core: int, addr: int, done):
-        fire = self._original_prober(core, addr, done)
-
-        def probe() -> None:
-            self._record(core, TraceEvent(time=0, core=0, kind="ld_through",
-                                          addr=addr))
-            fire()
-
-        return probe
+    def _probe(self, core: int, addr: int) -> None:
+        self._record(core, TraceEvent(time=0, core=0, kind="ld_through",
+                                      addr=addr))
+        if self._original_probe_hook is not None:
+            self._original_probe_hook(core, addr)
 
     def detach(self) -> List[TraceEvent]:
         """Stop recording; returns the trace."""
         protocol = self.machine.protocol
         protocol.issue = self._original_issue  # type: ignore
-        protocol.prober = self._original_prober  # type: ignore
+        protocol.probe_hook = self._original_probe_hook
         return self.events
 
 

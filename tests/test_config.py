@@ -88,6 +88,7 @@ class TestValidation:
         ("llc_data_latency", -1), ("cb_latency", -1), ("mem_latency", -1),
         ("switch_latency", -3), ("backoff_base", -4),
         ("spin_iteration_cycles", 0), ("rmw_compute_cycles", -5),
+        ("header_bytes", -100), ("page_bytes", 0),
     ])
     def test_bad_machine_size_is_a_spec_error(self, name, value):
         # A served spec override like this must fail once, as a spec

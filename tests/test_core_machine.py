@@ -1,11 +1,15 @@
 """Core trampoline and machine assembly/run loop."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import config_for
 from repro.core.machine import Machine, run_threads
 from repro.protocols import ops
 from repro.sim.engine import DeadlockError
+from repro.workloads.suite import get_workload
 
 
 def cfg(label="CB-One", cores=4, **overrides):
@@ -132,3 +136,21 @@ class TestMachineLifecycle:
 
         stats = run_threads(cfg(), [short, long])
         assert stats.cycles == 500
+
+    @pytest.mark.parametrize("label", ["Invalidation", "BackOff-0", "CB-One"])
+    def test_finished_machine_is_freed_without_the_collector(self, label):
+        """No reference cycle survives a run (core completion, spin
+        records, data bursts), so dropping a finished machine frees it
+        at once instead of at the next cyclic collection."""
+        machine = Machine(cfg(label, cores=16))
+        get_workload("swaptions", "clh", "treesr", 0.25).install(machine)
+        machine.run()
+        ref = weakref.ref(machine)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del machine
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,10 +1,12 @@
 """Discrete-event engine: ordering, determinism, watchdog."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import NO_LIMIT, Engine, SimulationError
 
 
 class TestScheduling:
@@ -95,6 +97,77 @@ class TestRunControls:
         for _ in range(5):
             engine.schedule(1, lambda: None)
         assert engine.run() == 5
+
+
+class _LogRunner:
+    """A minimal spin runner: each spin-heap entry logs its phase."""
+
+    def __init__(self, engine, log):
+        self.engine = engine
+        self.log = log
+        self.runner = self  # the spin record and its runner in one
+
+    @staticmethod
+    def spin_label(phase):
+        return f"spin.{phase}"
+
+    def step_spin(self):
+        self.run_spins(NO_LIMIT, 1, 0)
+
+    def run_spins(self, stop_time, stop_events, executed):
+        engine = self.engine
+        spins, queue = engine._spins, engine._queue
+        while spins and (not queue or spins[0] < queue[0]):
+            if spins[0][0] > stop_time or executed >= stop_events:
+                break
+            time, _seq, phase, _spin = heapq.heappop(spins)
+            engine.now = time
+            engine._live -= 1
+            executed += 1
+            self.log.append(phase)
+        return executed
+
+
+class TestSpinHeap:
+    def test_both_heaps_run_in_one_time_seq_order(self):
+        engine = Engine()
+        log = []
+        spin = _LogRunner(engine, log)
+        engine.schedule(5, lambda: log.append("a"))
+        engine.push_spin(5, "b", spin)
+        engine.schedule(5, lambda: log.append("c"))
+        engine.push_spin(3, "d", spin)
+        engine.schedule(9, lambda: log.append("e"), daemon=True)
+        engine.push_spin(8, "f", spin)
+        assert engine.pending == 6 and engine.live_pending == 5
+        assert engine.next_time() == 3
+        queue = engine.ckpt_state()["queue"]
+        assert [name for _time, name in queue] == [
+            "spin.d", "TestSpinHeap.test_both_heaps_run_in_one_time_seq_"
+            "order.<locals>.<lambda>", "spin.b",
+            "TestSpinHeap.test_both_heaps_run_in_one_time_seq_order."
+            "<locals>.<lambda>", "spin.f"]
+        assert engine.run(until=5) == 4
+        assert log == ["d", "a", "b", "c"]
+        assert engine.run() == 1
+        assert log[-1] == "f" and engine.now == 8
+        assert engine.pending == 1 and engine.live_pending == 0
+
+    def test_budgets_count_spin_events(self):
+        engine = Engine()
+        spin = _LogRunner(engine, [])
+        for delay in range(1, 11):
+            engine.push_spin(delay, delay, spin)
+        with pytest.raises(SimulationError, match="exceeded 4 events") as info:
+            engine.run(max_events=4)
+        assert info.value.events == 4 and info.value.cycle == 4
+        with pytest.raises(SimulationError, match="7-cycle") as info:
+            engine.run(max_cycles=7)
+        assert info.value.cycle == 7
+
+    def test_negative_spin_delay_rejected(self):
+        with pytest.raises(ValueError):
+            Engine().push_spin(-1, 0, None)
 
 
 class TestDeterminism:
