@@ -63,6 +63,17 @@ SYNC_CASES = {
                       "CB-One", 11507),
     "signal_wait_cb": ("signal_wait", {"rounds": 6}, "CB-One", 7775),
     "task_queue_cb": ("task_queue", {"tasks": 24}, "CB-One", 6308),
+    # ld_cb RMWs (the directory gate ahead of an atomic) and the st_cbA
+    # wake-all effect under CB-All.
+    "lock_tas_cb": ("lock", {"lock_name": "tas", "iterations": 5},
+                    "CB-One", 6756),
+    "lock_tas_cba": ("lock", {"lock_name": "tas", "iterations": 5},
+                     "CB-All", 7167),
+    "lock_ttas_cba": ("lock", {"lock_name": "ttas", "iterations": 5},
+                      "CB-All", 10579),
+    "signal_wait_cba": ("signal_wait", {"rounds": 6}, "CB-All", 11554),
+    "barrier_sr_cba": ("barrier", {"barrier_name": "sr", "episodes": 4},
+                       "CB-All", 12268),
 }
 
 SYNC = {
@@ -76,6 +87,16 @@ SYNC = {
         "6cdcd195ae40914119c9b058af5f89c8381a13ec74d6ca229a930077bad112a0",
     "task_queue_cb":
         "ca484d74d9a18a43a2c520fa92a4a10500a4964ab6c3ff73d6a3be72161eb32d",
+    "lock_tas_cb":
+        "ce8d93f4ff74ae7c7846820982a43469c534a70fbff60fd7ac4805bc02d70b32",
+    "lock_tas_cba":
+        "74230d0203555c4e203e5ef959799c3903a3a9ddc06befba1fe19e9e42cd7dae",
+    "lock_ttas_cba":
+        "37995c184b8a87567560e08f20731f72b17f05cfedd8bc81d30150f023450998",
+    "signal_wait_cba":
+        "4865f2314b2c1e7c45ae4ae3d3ba45d2e6b7a67dbbbdcc894dbb6db27542aac0",
+    "barrier_sr_cba":
+        "49f95ce085cd4a3aff16d62bca6167fbc62ce58f2f6c987c6c26fb22845816a8",
 }
 
 
