@@ -139,21 +139,14 @@ def op_name(op: ops.Op) -> str:
 
 def _store_kind(op: ops.Op) -> Optional[ops.StKind]:
     """The StKind of a racy write op (None for everything else)."""
-    if isinstance(op, ops.StoreThrough):
-        return ops.StKind.CBA
-    if isinstance(op, ops.StoreCB1):
-        return ops.StKind.CB1
-    if isinstance(op, ops.StoreCB0):
-        return ops.StKind.CB0
-    if isinstance(op, ops.Atomic):
+    if isinstance(op, (*ops.RACY_STORES, ops.Atomic)):
         return op.st
     return None
 
 
 def _is_racy(op: ops.Op) -> bool:
     return isinstance(op, (ops.LoadThrough, ops.SpinThrough, ops.LoadCB,
-                           ops.StoreThrough, ops.StoreCB1, ops.StoreCB0,
-                           ops.Atomic))
+                           *ops.RACY_STORES, ops.Atomic))
 
 
 # ----------------------------------------------------------- rule engine
@@ -237,12 +230,10 @@ class _Checker:
                     self.spun_cb_addrs.add(op.addr)
                     self._check_guard(run, record, op.addr, probed,
                                       unguarded)
-            elif isinstance(op, (ops.StoreThrough, ops.StoreCB1,
-                                 ops.StoreCB0)):
+            elif isinstance(op, ops.RACY_STORES):
                 if self.style is SyncStyle.MESI:
                     self.emit("CB-E103", run, record)
-                elif not self.cb and isinstance(op, (ops.StoreCB1,
-                                                     ops.StoreCB0)):
+                elif not self.cb and op.st is not ops.StKind.CBA:
                     self.emit("CB-E102", run, record)
                 self.racy_addrs.add(op.addr)
                 self.writes.setdefault(op.addr, []).append(

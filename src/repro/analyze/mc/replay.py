@@ -32,6 +32,7 @@ from repro.protocols.base import tables_for
 from repro.protocols.callback.directory import CallbackDirectory
 from repro.protocols.callback.entry import Waiter
 from repro.protocols.mesi.states import DirEntry, L1Line, MESIState
+from repro.protocols.ops import StKind
 from repro.protocols.table import Event, TransitionTable, fingerprint
 from repro.protocols.vips.protocol import VIPSLine
 from repro.sim.stats import Stats
@@ -311,7 +312,7 @@ class _Replayer:
 
     def _act_cb_write_all(self, step_index: int, action: List[Any]) -> None:
         _tag, bank, word, woken = action
-        waiters = self.banks[bank].on_write_all(word)
+        waiters = self.banks[bank].on_write(word, StKind.CBA)
         got = tuple(waiter.core for waiter in waiters)
         if got != tuple(woken):
             _fail(step_index, f"st_cbA wakeups on word {word}",
@@ -320,8 +321,7 @@ class _Replayer:
     def _act_cb_write_one(self, step_index: int, action: List[Any]) -> None:
         _tag, bank, word, policy, pick, woken = action
         entry = self._entry(step_index, bank, word)
-        waiter = entry.write_one(0, WakePolicy(policy),
-                                 lambda _bound: pick)
+        waiter = entry.write_one(WakePolicy(policy), lambda _bound: pick)
         got = () if waiter is None else (waiter.core,)
         if got != tuple(woken):
             _fail(step_index, f"st_cb1 wakeup on word {word}",
@@ -330,7 +330,7 @@ class _Replayer:
     def _act_cb_write_zero(self, step_index: int, action: List[Any]) -> None:
         _tag, bank, word = action
         entry = self._entry(step_index, bank, word)
-        entry.write_zero(0)
+        entry.write_zero()
 
     def _act_cb_write_miss(self, step_index: int, action: List[Any]) -> None:
         _tag, bank, word, _mode = action

@@ -237,8 +237,7 @@ class StubPolicy:
             return self._spin_through_value(op)
         if isinstance(op, (ops.Load, ops.LoadThrough, ops.LoadCB)):
             return self._load_value(op.addr)
-        if isinstance(op, (ops.Store, ops.StoreThrough, ops.StoreCB1,
-                           ops.StoreCB0)):
+        if isinstance(op, (ops.Store, *ops.RACY_STORES)):
             if op.value is not None:
                 self.memory[op.addr] = op.value
             return None

@@ -193,6 +193,7 @@ class Machine:
                 diagnosis=diagnosis,
             )
         self.stats.cycles = self.engine.now
+        self.engine.drop_daemons()
         if self.telemetry is not None:
             self.telemetry.finish()
         return self.stats

@@ -101,10 +101,24 @@ class ProbeBus:
             raise RuntimeError("cycle windows need a bus bound to an engine")
         if cycles <= 0:
             raise ValueError(f"cycle window must be positive: {cycles}")
-        engine = self.engine
+        window = _Window(self.engine, cycles, fn)
+        self.engine.schedule_at(max(self.engine.now, phase), window.tick,
+                                daemon=True)
 
-        def tick() -> None:
-            fn(engine.now)
-            engine.schedule(cycles, tick, daemon=True)
 
-        engine.schedule_at(max(engine.now, phase), tick, daemon=True)
+class _Window:
+    """One :meth:`ProbeBus.every` cycle window. Its tick is a bound
+    method, not a closure naming itself, so it forms no reference cycle
+    once the engine lets go of it."""
+
+    __slots__ = ("engine", "cycles", "fn")
+
+    def __init__(self, engine: Engine, cycles: int,
+                 fn: Callable[[int], None]) -> None:
+        self.engine = engine
+        self.cycles = cycles
+        self.fn = fn
+
+    def tick(self) -> None:
+        self.fn(self.engine.now)
+        self.engine.schedule(self.cycles, self.tick, daemon=True)

@@ -81,15 +81,16 @@ class Telemetry:
         self.sampler: Optional[TimeSeriesSampler] = None
         self.spans: Optional[SpanRecorder] = None
         self.profiler: Optional[HostProfiler] = None
-        self.machine: Optional["Machine"] = None
 
     # ------------------------------------------------------------- attach
 
     def attach(self, machine: "Machine") -> None:
-        """Wire every collector into ``machine`` (once, before spawn)."""
-        if self.machine is not None:
+        """Wire every collector into ``machine`` (once, before spawn).
+
+        Nothing here keeps a reference back to ``machine`` itself: the
+        machine owns its telemetry, so one would be a reference cycle."""
+        if self.bus.engine is not None:
             raise RuntimeError("telemetry already attached to a machine")
-        self.machine = machine
         self.bus.engine = machine.engine
         cfg = self.config
 
@@ -153,9 +154,12 @@ class Telemetry:
 
     def finish(self) -> None:
         """End-of-run bookkeeping (called by :meth:`Machine.run`): close
-        still-open spans and stop the profiler."""
-        if self.spans is not None and self.machine is not None:
-            self.spans.close_open(self.machine.engine.now)
+        still-open spans, stop the profiler, and stop feeding the
+        episode histogram (its registry holds the gauges, which hold the
+        protocol, which holds the bus: a cycle while subscribed)."""
+        if self.spans is not None:
+            self.spans.close_open(self.bus.engine.now)
+            self.bus.unsubscribe("sync.episode", self._episode_histogram)
         if self.profiler is not None:
             self.profiler.detach()
 

@@ -140,13 +140,7 @@ class CoherenceProtocol:
     def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:
         raise NotImplementedError
 
-    def _op_store_through(self, core: int, op: ops.StoreThrough) -> Future:
-        raise NotImplementedError
-
-    def _op_store_cb1(self, core: int, op: ops.StoreCB1) -> Future:
-        raise NotImplementedError
-
-    def _op_store_cb0(self, core: int, op: ops.StoreCB0) -> Future:
+    def _op_write_through(self, core: int, op: ops.StoreThrough) -> Future:
         raise NotImplementedError
 
     def _op_atomic(self, core: int, op: ops.Atomic) -> Future:
@@ -303,9 +297,9 @@ _DISPATCH: Dict[type, str] = {
     ops.Store: "_op_store",
     ops.LoadThrough: "_op_load_through",
     ops.LoadCB: "_op_load_cb",
-    ops.StoreThrough: "_op_store_through",
-    ops.StoreCB1: "_op_store_cb1",
-    ops.StoreCB0: "_op_store_cb0",
+    ops.StoreThrough: "_op_write_through",
+    ops.StoreCB1: "_op_write_through",
+    ops.StoreCB0: "_op_write_through",
     ops.Atomic: "_op_atomic",
     ops.Fence: "_op_fence",
     ops.SpinUntil: "_op_spin_until",

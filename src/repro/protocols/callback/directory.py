@@ -14,11 +14,12 @@ callbacks on different words of one line (Section 2.2).
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.config import SystemConfig, WakePolicy
+from repro.config import SystemConfig
 from repro.mem.cache import SetAssociativeCache
 from repro.protocols.callback.entry import CBEntry, Waiter
+from repro.protocols.ops import StKind
 from repro.protocols.table import TransitionTable
 from repro.sim.stats import Stats
 
@@ -74,9 +75,6 @@ class CallbackDirectory:
                               bank=self.bank, woken=len(evicted))
         return entry, evicted
 
-    def victim_word(self, victim_entry: CBEntry) -> int:
-        return victim_entry.word
-
     def force_evict(self, word: int) -> List[Waiter]:
         """Evict ``word``'s entry right now, as a fault injector would.
 
@@ -118,28 +116,24 @@ class CallbackDirectory:
 
     # --------------------------------------------------------------- writes
 
-    def on_write_all(self, word: int) -> List[Waiter]:
+    def on_write(self, word: int, st: StKind) -> List[Waiter]:
+        """A racy write to ``word`` (Table 1), by its store kind: st_cbA
+        wakes every waiter, st_cb1 wakes one, st_cb0 wakes none. Returns
+        the woken waiters; the caller answers them with the new value."""
         entry = self.lookup(word)
         if entry is None:
             return []
-        woken = entry.write_all(0)
+        if st is StKind.CBA:
+            woken = entry.write_all()
+        elif st is StKind.CB1:
+            waiter = entry.write_one(self.config.cb_wake_policy,
+                                     self.rng_next)
+            woken = [] if waiter is None else [waiter]
+        else:
+            entry.write_zero()
+            return []
         self.stats.cb_wakeups += len(woken)
         return woken
-
-    def on_write_one(self, word: int) -> Optional[Waiter]:
-        entry = self.lookup(word)
-        if entry is None:
-            return None
-        waiter = entry.write_one(0, self.config.cb_wake_policy, self.rng_next)
-        if waiter is not None:
-            self.stats.cb_wakeups += 1
-        return waiter
-
-    def on_write_zero(self, word: int) -> None:
-        entry = self.lookup(word)
-        if entry is None:
-            return
-        entry.write_zero(0)
 
     # ---------------------------------------------------------------- reads
 

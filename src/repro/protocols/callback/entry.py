@@ -134,12 +134,12 @@ class CBEntry:
 
     # --------------------------------------------------------------- writes
 
-    def write_all(self, value: int) -> List[Waiter]:
+    def write_all(self) -> List[Waiter]:
         """st_cbA / st_through: wake everybody; cores without a callback get
         their F/E bit set full. Resets the A/O bit to All."""
         return self._pop_woken(self._step(Event("write_all")))
 
-    def write_one(self, value: int, policy: WakePolicy,
+    def write_one(self, policy: WakePolicy,
                   rng_next: Callable[[int], int]) -> Optional[Waiter]:
         """st_cb1: One mode; wake a single waiter (F/E undisturbed), or, if
         nobody waits, make the value consumable once (all F/E full)."""
@@ -153,7 +153,7 @@ class CBEntry:
         woken = self._pop_woken(result)
         return woken[0] if woken else None
 
-    def write_zero(self, value: int) -> None:
+    def write_zero(self) -> None:
         """st_cb0: One mode; wake nobody; the value is not consumable."""
         self._step(Event("write_zero"))
 

@@ -1,7 +1,7 @@
 """VIPS-M + the callback directory (the paper's CB-All / CB-One systems).
 
-Everything race-free is inherited unchanged from :class:`VIPSProtocol` —
-the callback mechanism only touches the racy-operation handlers, exactly
+Everything else is inherited unchanged from :class:`VIPSProtocol` — the
+callback mechanism only adds a directory gate and a write hook, exactly
 as in the paper where the callback directory is bolted onto VIPS-M without
 modifying the underlying protocol.
 
@@ -85,42 +85,49 @@ class CallbackProtocol(VIPSProtocol):
 
     # --------------------------------------------------------------- ld_cb
 
+    def _cb_gate(self, core: int, bank: int, word: int,
+                 proceed: Callable[[], None],
+                 on_wake: Callable[[int], None]) -> None:
+        """The callback-directory access that precedes the LLC for an
+        ``ld_cb`` load or RMW (Figure 2): ``proceed()`` now if the issuer's
+        F/E bit permits, else park the issuer — no LLC access, no retry
+        traffic — until a write (or an eviction) calls ``on_wake(value)``.
+        """
+        directory = self.cb_dirs[bank]
+        entry, evicted = directory.get_or_install(word)
+        self._drain_evicted(bank, evicted)
+        if entry.try_consume(core):
+            self.stats.cb_immediate_reads += 1
+            proceed()
+            return
+        self.stats.cb_blocked_reads += 1
+        entry.park(Waiter(core, on_wake, self.engine.now))
+        if self.obs is not None:
+            self.obs.emit("cb.park", core=core, word=word, bank=bank)
+        directory.note_activity()
+
     def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:
         future = Future()
         bank = self.bank_of(op.addr)
         word = self.addr_map.word_base(op.addr)
 
-        def at_bank() -> None:
-            # Callback-directory access precedes the LLC (Figure 2).
-            directory = self.cb_dirs[bank]
-            entry, evicted = directory.get_or_install(word)
-            self._drain_evicted(bank, evicted)
-            if entry.try_consume(core):
-                self.stats.cb_immediate_reads += 1
-                wait = self.config.cb_latency
-                wait += self.bank_service(bank, data=True, sync=True)
-                wait += self.llc_fill_latency(self.addr_map.line_of(op.addr))
-                self.engine.schedule(
-                    wait,
-                    lambda: self.network.send(
-                        bank, self.l1_of(core), MsgKind.DATA_WORD,
-                        lambda: future.resolve(self.store.read(word)),
-                    ),
-                )
-            else:
-                self.stats.cb_blocked_reads += 1
-                entry.park(Waiter(
-                    core,
-                    lambda value: self.network.send(
-                        bank, self.l1_of(core), MsgKind.WAKEUP,
-                        lambda: future.resolve(value)),
-                    self.engine.now,
-                ))
-                if self.obs is not None:
-                    self.obs.emit("cb.park", core=core, word=word, bank=bank)
-                directory.note_activity()
+        def read() -> None:
+            wait = self.config.cb_latency
+            wait += self.bank_service(bank, data=True, sync=True)
+            wait += self.llc_fill_latency(self.addr_map.line_of(op.addr))
+            self.engine.schedule(
+                wait,
+                lambda: self.network.send(
+                    bank, self.l1_of(core), MsgKind.DATA_WORD,
+                    lambda: future.resolve(self.store.read(word))),
+            )
 
-        self.network.send(self.l1_of(core), bank, MsgKind.LOAD_CB, at_bank,
+        def woken(value: int) -> None:
+            self.network.send(bank, self.l1_of(core), MsgKind.WAKEUP,
+                              lambda: future.resolve(value))
+
+        self.network.send(self.l1_of(core), bank, MsgKind.LOAD_CB,
+                          lambda: self._cb_gate(core, bank, word, read, woken),
                           sync=True)
         return future
 
@@ -134,103 +141,31 @@ class CallbackProtocol(VIPSProtocol):
 
     # -------------------------------------------------------------- writes
 
-    def _op_store_through(self, core: int, op: ops.StoreThrough) -> Future:
-        return self._write_through(
-            core, op.addr, op.value,
-            after=lambda bank: self._dir_write_all(bank, op.addr))
-
-    def _op_store_cb1(self, core: int, op: ops.StoreCB1) -> Future:
-        return self._write_through(
-            core, op.addr, op.value,
-            after=lambda bank: self._dir_write_one(bank, op.addr))
-
-    def _op_store_cb0(self, core: int, op: ops.StoreCB0) -> Future:
-        return self._write_through(
-            core, op.addr, op.value,
-            after=lambda bank: self._dir_write_zero(bank, op.addr))
-
-    def _dir_write_all(self, bank: int, addr: int) -> None:
-        word = self.addr_map.word_base(addr)
-        for waiter in self.cb_dirs[bank].on_write_all(word):
+    def _on_llc_write(self, bank: int, word: int, st: ops.StKind) -> None:
+        """The directory is accessed in parallel with the LLC write (no
+        added latency) and wakes the waiters ``st`` calls for."""
+        for waiter in self.cb_dirs[bank].on_write(word, st):
             self._wake_with_value(bank, waiter, word)
-
-    def _dir_write_one(self, bank: int, addr: int) -> None:
-        word = self.addr_map.word_base(addr)
-        waiter = self.cb_dirs[bank].on_write_one(word)
-        if waiter is not None:
-            self._wake_with_value(bank, waiter, word)
-
-    def _dir_write_zero(self, bank: int, addr: int) -> None:
-        self.cb_dirs[bank].on_write_zero(self.addr_map.word_base(addr))
 
     # ------------------------------------------------------------- atomics
 
     def _op_atomic(self, core: int, op: ops.Atomic) -> Future:
+        """An ld_cb RMW passes the directory gate first, so the whole RMW
+        can be held off there (Figures 5/6, Section 2.6); once through,
+        it executes at the LLC as under VIPS. Plain-load RMWs go straight
+        to the LLC."""
         if op.ld is not ops.LdKind.CB:
-            # Plain-load atomics go straight to the LLC; the store half's
-            # callback effect is applied when (and only when) the RMW
-            # writes.
-            future = Future()
-            bank = self.bank_of(op.addr)
-            word = self.addr_map.word_base(op.addr)
-            self.network.send(
-                self.l1_of(core), bank, MsgKind.ATOMIC,
-                lambda: self._mshr_acquire(
-                    word, lambda: self._exec_cb_atomic(core, bank, word, op,
-                                                       future)),
-                sync=True,
-            )
-            return future
-
-        # ld_cb atomic: consult the callback directory first; the whole RMW
-        # can be held off there (Figures 5/6, Section 2.6).
+            return super()._op_atomic(core, op)
         future = Future()
         bank = self.bank_of(op.addr)
         word = self.addr_map.word_base(op.addr)
 
-        def at_bank() -> None:
-            directory = self.cb_dirs[bank]
-            entry, evicted = directory.get_or_install(word)
-            self._drain_evicted(bank, evicted)
-            if entry.try_consume(core):
-                self.stats.cb_immediate_reads += 1
-                self._mshr_acquire(word, lambda: self._exec_cb_atomic(
-                    core, bank, word, op, future))
-            else:
-                self.stats.cb_blocked_reads += 1
-                entry.park(Waiter(
-                    core,
-                    lambda _value: self._mshr_acquire(
-                        word, lambda: self._exec_cb_atomic(core, bank, word,
-                                                           op, future)),
-                    self.engine.now,
-                ))
-                if self.obs is not None:
-                    self.obs.emit("cb.park", core=core, word=word, bank=bank)
-                directory.note_activity()
+        def execute(_value: object = None) -> None:
+            self._mshr_acquire(word, lambda: self._exec_atomic(
+                core, bank, word, op, future))
 
-        self.network.send(self.l1_of(core), bank, MsgKind.LOAD_CB, at_bank,
+        self.network.send(self.l1_of(core), bank, MsgKind.LOAD_CB,
+                          lambda: self._cb_gate(core, bank, word, execute,
+                                                execute),
                           sync=True)
         return future
-
-    def _exec_cb_atomic(self, core: int, bank: int, word: int,
-                        op: ops.Atomic, future: Future) -> None:
-        """Execute the RMW at the LLC and apply the store half's callback
-        effect if it wrote."""
-        wait = self.bank_service(bank, data=True, sync=True)
-        wait += self.config.rmw_compute_cycles
-        result = self.apply_rmw(op)
-        if result.success:
-            if op.st is ops.StKind.CBA:
-                self._dir_write_all(bank, word)
-            elif op.st is ops.StKind.CB1:
-                self._dir_write_one(bank, word)
-            elif op.st is ops.StKind.CB0:
-                self._dir_write_zero(bank, word)
-
-        def respond() -> None:
-            self._mshr_release(word)
-            self.network.send(bank, self.l1_of(core), MsgKind.DATA_WORD,
-                              lambda: future.resolve(result))
-
-        self.engine.schedule(wait, respond)

@@ -456,13 +456,7 @@ class MESIProtocol(CoherenceProtocol):
     def _op_load_through(self, core: int, op: ops.LoadThrough) -> Future:
         return self._op_load(core, ops.Load(op.addr))
 
-    def _op_store_through(self, core: int, op: ops.StoreThrough) -> Future:
-        return self._op_store(core, ops.Store(op.addr, op.value))
-
-    def _op_store_cb1(self, core: int, op: ops.StoreCB1) -> Future:
-        return self._op_store(core, ops.Store(op.addr, op.value))
-
-    def _op_store_cb0(self, core: int, op: ops.StoreCB0) -> Future:
+    def _op_write_through(self, core: int, op: ops.StoreThrough) -> Future:
         return self._op_store(core, ops.Store(op.addr, op.value))
 
     def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:

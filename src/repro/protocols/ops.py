@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, ClassVar, List, Optional, Tuple
 
 
 class LdKind(enum.Enum):
@@ -117,6 +117,8 @@ class LoadCB(Op):
 class StoreThrough(Op):
     """Racy write-through (st_cbA): wakes all callbacks."""
 
+    st: ClassVar[StKind] = StKind.CBA
+
     addr: int
     value: int
 
@@ -124,6 +126,8 @@ class StoreThrough(Op):
 @dataclass
 class StoreCB1(Op):
     """Write-through waking exactly one callback (lock release)."""
+
+    st: ClassVar[StKind] = StKind.CB1
 
     addr: int
     value: int
@@ -133,8 +137,14 @@ class StoreCB1(Op):
 class StoreCB0(Op):
     """Write-through waking no callbacks (successful lock-acquiring RMW)."""
 
+    st: ClassVar[StKind] = StKind.CB0
+
     addr: int
     value: int
+
+
+#: The three racy write-throughs (st_cbA / st_cb1 / st_cb0).
+RACY_STORES = (StoreThrough, StoreCB1, StoreCB0)
 
 
 @dataclass

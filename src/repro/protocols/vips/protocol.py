@@ -21,9 +21,10 @@ This is the paper's directory-free baseline (Section 3.1, evaluated as
   ``base * 2**min(attempt, limit)`` cycles; see
   :mod:`repro.protocols.vips.spin`).
 
-The callback protocol subclasses this and overrides only the racy-op
-handlers, exactly mirroring how the paper adds the callback directory on
-top of an unchanged VIPS-M.
+The callback protocol subclasses this and overrides only the ``ld_cb``
+gate, the ``_read_through_hook`` and the ``_on_llc_write`` hook, exactly
+mirroring how the paper adds the callback directory on top of an
+unchanged VIPS-M.
 """
 
 from __future__ import annotations
@@ -305,19 +306,17 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
         (the synchronization library only emits it with back-off)."""
         return self._op_load_through(core, ops.LoadThrough(op.addr))
 
-    def _write_through(self, core: int, addr: int, value: int,
-                       after: Optional[Callable[[int], None]] = None
-                       ) -> Future:
-        """Common path of st_through / st_cb0 / st_cb1 / st_cbA."""
+    def _op_write_through(self, core: int, op: ops.StoreThrough) -> Future:
+        """st_through / st_cbA, st_cb1 and st_cb0: write the word through
+        at its home bank, then apply the write's ``op.st`` effect."""
         future = Future()
-        bank = self.bank_of(addr)
-        word = self.addr_map.word_base(addr)
+        bank = self.bank_of(op.addr)
+        word = self.addr_map.word_base(op.addr)
 
         def at_bank() -> None:
             wait = self.bank_service(bank, data=True, sync=True)
-            self.store.write(word, value)
-            if after is not None:
-                after(bank)
+            self.store.write(word, op.value)
+            self._on_llc_write(bank, word, op.st)
             self.engine.schedule(
                 wait,
                 lambda: self.network.send(bank, self.l1_of(core), MsgKind.ACK,
@@ -328,14 +327,10 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
                           at_bank, sync=True)
         return future
 
-    def _op_store_through(self, core: int, op: ops.StoreThrough) -> Future:
-        return self._write_through(core, op.addr, op.value)
-
-    def _op_store_cb1(self, core: int, op: ops.StoreCB1) -> Future:
-        return self._write_through(core, op.addr, op.value)
-
-    def _op_store_cb0(self, core: int, op: ops.StoreCB0) -> Future:
-        return self._write_through(core, op.addr, op.value)
+    def _on_llc_write(self, bank: int, word: int, st: ops.StKind) -> None:
+        """A racy write (a write-through, or an RMW that wrote) has just
+        updated ``word`` at its home bank: nothing here (the callback
+        protocol wakes the waiters ``st`` calls for)."""
 
     # -------------------------------------------------------------- atomics
 
@@ -358,6 +353,8 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
         wait = self.bank_service(bank, data=True, sync=True)
         wait += self.config.rmw_compute_cycles
         result = self.apply_rmw(op)
+        if result.success:
+            self._on_llc_write(bank, word, op.st)
 
         def respond() -> None:
             self._mshr_release(word)

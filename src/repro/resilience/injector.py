@@ -26,6 +26,7 @@ engine clock, so no per-window events are needed at all.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.noc.messages import MsgKind
@@ -40,7 +41,9 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.machine: Optional["Machine"] = None
+        # The attached machine, held weakly: the machine owns its
+        # resilience layer, so a strong reference would be a cycle.
+        self._machine: Optional["weakref.ref[Machine]"] = None
         #: One record per fault after it fires: the fault's dict plus
         #: ``applied`` and a human ``detail`` of what it hit.
         self.injected: List[Dict[str, Any]] = []
@@ -50,10 +53,14 @@ class FaultInjector:
 
     # -------------------------------------------------------------- attach
 
+    @property
+    def machine(self) -> Optional["Machine"]:
+        return self._machine() if self._machine is not None else None
+
     def attach(self, machine: "Machine") -> None:
-        if self.machine is not None:
+        if self._machine is not None:
             raise RuntimeError("injector already attached to a machine")
-        self.machine = machine
+        self._machine = weakref.ref(machine)
         engine = machine.engine
         kinds = {fault.kind for fault in self.plan.faults}
 

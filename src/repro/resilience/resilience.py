@@ -26,6 +26,7 @@ Components, each independently optional:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -69,17 +70,23 @@ class Resilience:
         elif kwargs:
             raise TypeError("pass a ResilienceConfig or kwargs, not both")
         self.config = config
-        self.machine: Optional["Machine"] = None
+        # The attached machine, held weakly: the machine owns this
+        # layer, so a strong reference would be a cycle.
+        self._machine: Optional["weakref.ref[Machine]"] = None
         self.injector: Optional[FaultInjector] = None
         self.watchdog: Optional[LivenessWatchdog] = None
         self.audits_run = 0
         self.audit_checks: List[str] = []
 
+    @property
+    def machine(self) -> Optional["Machine"]:
+        return self._machine() if self._machine is not None else None
+
     def attach(self, machine: "Machine") -> None:
         """Called by :class:`~repro.core.machine.Machine.__init__`."""
-        if self.machine is not None:
+        if self._machine is not None:
             raise RuntimeError("resilience layer already attached")
-        self.machine = machine
+        self._machine = weakref.ref(machine)
         if self.config.plan is not None and len(self.config.plan):
             self.injector = FaultInjector(self.config.plan)
             self.injector.attach(machine)
@@ -89,26 +96,24 @@ class Resilience:
                 check_every=self.config.watchdog_check_every)
             self.watchdog.attach(machine)
         if self.config.audit_every:
-            self._schedule_audit(machine)
+            machine.engine.schedule(self.config.audit_every, self._audit,
+                                    daemon=True)
 
-    def _schedule_audit(self, machine: "Machine") -> None:
+    def _audit(self) -> None:
+        """One periodic audit (a daemon tick that re-arms itself)."""
         from repro.validation.checker import InvariantViolation, audit_machine
+        machine = self.machine
         engine = machine.engine
-        period = self.config.audit_every
-
-        def tick() -> None:
-            self.audits_run += 1
-            try:
-                self.audit_checks = audit_machine(machine)
-            except InvariantViolation as exc:
-                raise InvariantViolation(
-                    f"periodic audit at cycle {engine.now}: {exc}") from exc
-            if machine.obs is not None:
-                machine.obs.emit("audit.pass", cycle=engine.now,
-                                 checks=len(self.audit_checks))
-            engine.schedule(period, tick, daemon=True)
-
-        engine.schedule(period, tick, daemon=True)
+        self.audits_run += 1
+        try:
+            self.audit_checks = audit_machine(machine)
+        except InvariantViolation as exc:
+            raise InvariantViolation(
+                f"periodic audit at cycle {engine.now}: {exc}") from exc
+        if machine.obs is not None:
+            machine.obs.emit("audit.pass", cycle=engine.now,
+                             checks=len(self.audit_checks))
+        engine.schedule(self.config.audit_every, self._audit, daemon=True)
 
     def summary(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"audits_run": self.audits_run,

@@ -32,6 +32,7 @@ the diagnosis cycle on its core's track).
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
@@ -182,23 +183,28 @@ class LivenessWatchdog:
             raise ValueError("stall_cycles must be >= 1")
         self.stall_cycles = stall_cycles
         self.check_every = check_every or max(1, stall_cycles // 4)
-        self.machine: Optional["Machine"] = None
+        # The attached machine, held weakly: the machine owns its
+        # resilience layer, so a strong reference would be a cycle.
+        self._machine: Optional["weakref.ref[Machine]"] = None
         self.checks = 0
         self.last_diagnosis: Optional[Diagnosis] = None
         self._last_vector: Optional[tuple] = None
         self._stalled_since: Optional[int] = None
 
+    @property
+    def machine(self) -> Optional["Machine"]:
+        return self._machine() if self._machine is not None else None
+
     def attach(self, machine: "Machine") -> None:
-        if self.machine is not None:
+        if self._machine is not None:
             raise RuntimeError("watchdog already attached to a machine")
-        self.machine = machine
-        engine = machine.engine
+        self._machine = weakref.ref(machine)
+        machine.engine.schedule(self.check_every, self._tick, daemon=True)
 
-        def tick() -> None:
-            self._check(engine.now)
-            engine.schedule(self.check_every, tick, daemon=True)
-
-        engine.schedule(self.check_every, tick, daemon=True)
+    def _tick(self) -> None:
+        engine = self.machine.engine
+        self._check(engine.now)
+        engine.schedule(self.check_every, self._tick, daemon=True)
 
     def _vector(self) -> tuple:
         return tuple((core.done, core.useful_ops)

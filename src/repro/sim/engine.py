@@ -222,6 +222,15 @@ class Engine:
         """Number of non-daemon events still queued."""
         return self._live
 
+    def drop_daemons(self) -> None:
+        """Forget the daemon events queued past the end of a finished
+        run: no live event is left to carry the clock to them. A queued
+        sampler tick holds gauges that hold this engine, a reference
+        cycle that only the collector would otherwise free."""
+        if self._live:
+            raise SimulationError("drop_daemons() with live events queued")
+        self._queue.clear()
+
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue is empty."""
         if self._spin_first():

@@ -78,8 +78,7 @@ def _classify(op: ops.Op) -> Optional[TraceEvent]:
     if isinstance(op, ops.Atomic):
         detail = [op.kind.name, op.ld.name, op.st.name,
                   list(op.operands)]
-    elif isinstance(op, (ops.Store, ops.StoreThrough, ops.StoreCB1,
-                         ops.StoreCB0)):
+    elif isinstance(op, (ops.Store, *ops.RACY_STORES)):
         detail = [op.value]
     elif isinstance(op, ops.Fence):
         detail = [op.kind.name]

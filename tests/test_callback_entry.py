@@ -56,7 +56,7 @@ class TestAllMode:
             e.try_consume(c)
         e.park(waiter(0))
         e.park(waiter(2))
-        woken = e.write_all(7)
+        woken = e.write_all()
         assert sorted(w.core for w in woken) == [0, 2]
         assert e.cb == 0
         # cores 1,3 (no callback) full; cores 0,2 consumed (empty)
@@ -69,7 +69,7 @@ class TestAllMode:
         for c in range(N):
             e.try_consume(c)
         e.park(waiter(0))
-        e.write_all(7)
+        e.write_all()
         assert e.try_consume(1) is True
         assert e.try_consume(0) is False  # already consumed via callback
 
@@ -77,7 +77,7 @@ class TestAllMode:
 class TestOneMode:
     def _one_mode_entry(self):
         e = entry()
-        e.write_one(0, WakePolicy.ROUND_ROBIN, lambda n: 0)  # no waiters
+        e.write_one(WakePolicy.ROUND_ROBIN, lambda n: 0)  # no waiters
         return e
 
     def test_write_one_without_waiters_fills_all(self):
@@ -102,7 +102,7 @@ class TestOneMode:
         e.try_consume(2)
         for core in (0, 1, 3):
             e.park(waiter(core))
-        woken = e.write_one(0, WakePolicy.ROUND_ROBIN, lambda n: 0)
+        woken = e.write_one(WakePolicy.ROUND_ROBIN, lambda n: 0)
         assert woken is not None
         assert bin(e.cb).count("1") == 2
         # Figure 4 step 9: F/E left undisturbed (empty).
@@ -116,7 +116,7 @@ class TestOneMode:
             e.park(waiter(core))
         order = []
         for _ in range(4):
-            order.append(e.write_one(0, WakePolicy.ROUND_ROBIN,
+            order.append(e.write_one(WakePolicy.ROUND_ROBIN,
                                      lambda n: 0).core)
         assert order == [0, 1, 2, 3]
 
@@ -125,14 +125,14 @@ class TestOneMode:
         e.try_consume(0)
         for core in (3, 1, 2):
             e.park(waiter(core))
-        assert e.write_one(0, WakePolicy.FIFO, lambda n: 0).core == 3
-        assert e.write_one(0, WakePolicy.FIFO, lambda n: 0).core == 1
+        assert e.write_one(WakePolicy.FIFO, lambda n: 0).core == 3
+        assert e.write_one(WakePolicy.FIFO, lambda n: 0).core == 1
 
     def test_write_zero_wakes_nobody_and_empties(self):
         """Section 2.5: st_cb0 must not wake premature waiters."""
         e = entry()
         e.park(waiter(1))
-        e.write_zero(1)
+        e.write_zero()
         assert e.mode_all is False
         assert e.fe == 0
         assert e.cb == (1 << 1)  # waiter still parked
@@ -177,11 +177,11 @@ class TestStateMachineProperty:
                 if not (e.cb & (1 << core)):
                     e.park(waiter(core))
             elif op == "write_all":
-                e.write_all(1)
+                e.write_all()
             elif op == "write_one":
-                woke = e.write_one(1, WakePolicy.ROUND_ROBIN, lambda n: 0)
+                woke = e.write_one(WakePolicy.ROUND_ROBIN, lambda n: 0)
             elif op == "write_zero":
-                e.write_zero(1)
+                e.write_zero()
             elif op == "evict":
                 e.evict()
             # CB bits exactly mirror the waiter table.

@@ -7,7 +7,9 @@ import pytest
 
 from repro.config import config_for
 from repro.core.machine import Machine, run_threads
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.protocols import ops
+from repro.resilience.resilience import Resilience, ResilienceConfig
 from repro.sim.engine import DeadlockError
 from repro.workloads.suite import get_workload
 
@@ -137,20 +139,42 @@ class TestMachineLifecycle:
         stats = run_threads(cfg(), [short, long])
         assert stats.cycles == 500
 
-    @pytest.mark.parametrize("label", ["Invalidation", "BackOff-0", "CB-One"])
-    def test_finished_machine_is_freed_without_the_collector(self, label):
+    @pytest.mark.parametrize("label,observer", [
+        pytest.param("Invalidation", None, id="Invalidation"),
+        pytest.param("BackOff-0", None, id="BackOff-0"),
+        pytest.param("CB-One", None, id="CB-One"),
+        pytest.param("CB-One", "telemetry", id="CB-One-telemetry"),
+        pytest.param("CB-One", "watchdog", id="CB-One-watchdog"),
+        pytest.param("CB-One", "audit_every", id="CB-One-audit_every"),
+        pytest.param("BackOff-0", "telemetry", id="BackOff-0-telemetry"),
+    ])
+    def test_finished_machine_is_freed_without_the_collector(self, label,
+                                                            observer):
         """No reference cycle survives a run (core completion, spin
-        records, data bursts), so dropping a finished machine frees it
-        at once instead of at the next cyclic collection."""
-        machine = Machine(cfg(label, cores=16))
+        records, data bursts, and the daemon ticks and bus subscribers
+        of telemetry, the liveness watchdog and periodic audits), so
+        dropping a finished machine frees it and its memory system at
+        once instead of at the next cyclic collection."""
+        observers = {
+            None: {},
+            "telemetry": {"telemetry": Telemetry(
+                TelemetryConfig(sample_every=500, spans=True))},
+            "watchdog": {"resilience": Resilience(ResilienceConfig(
+                watchdog_stall=10**6, watchdog_check_every=5000))},
+            "audit_every": {"resilience": Resilience(
+                ResilienceConfig(audit_every=5000))},
+        }[observer]
+        machine = Machine(cfg(label, cores=16), **observers)
         get_workload("swaptions", "clh", "treesr", 0.25).install(machine)
         machine.run()
-        ref = weakref.ref(machine)
+        refs = [weakref.ref(machine), weakref.ref(machine.protocol),
+                weakref.ref(machine.engine)]
+        del observers
         enabled = gc.isenabled()
         gc.disable()
         try:
             del machine
-            assert ref() is None
+            assert [ref() for ref in refs] == [None, None, None]
         finally:
             if enabled:
                 gc.enable()
