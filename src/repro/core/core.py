@@ -62,6 +62,10 @@ class Core:
         #: distinguishable from a healthy run.
         self.useful_ops = 0
         self._in_spin_op = False
+        #: Cycle the ``Compute`` in flight ends at (-1 before the first):
+        #: a computing core is making progress, which the watchdog must
+        #: see although it retires no op until the compute ends.
+        self.computing_until = -1
         #: Fault-injection hook on back-off timers: when set, called as
         #: ``hook(core_id, attempt, delay) -> delay`` (repro.resilience).
         self.fault_hook: Optional[Callable[[int, int, int], int]] = None
@@ -120,7 +124,9 @@ class Core:
             accesses = op.cycles // self.COMPUTE_CYCLES_PER_L1_ACCESS
             self.stats.l1_accesses += accesses
             self.stats.l1_hits += accesses
-            self.engine.schedule(max(1, op.cycles), lambda: self._resume(None))
+            delay = max(1, op.cycles)
+            self.computing_until = self.engine.now + delay
+            self.engine.schedule(delay, lambda: self._resume(None))
         elif isinstance(op, ops.SpinThrough):
             self.protocol.spin_through(self, op)
         elif isinstance(op, ops.BackoffWait):

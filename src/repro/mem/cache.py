@@ -30,6 +30,12 @@ class CacheLine:
 #: Supported replacement policies.
 POLICIES = ("lru", "fifo", "random")
 
+#: The set every untouched set starts as: one shared empty dict that is
+#: never mutated (every mutating path finds no line in it). ``insert``
+#: gives a set its own dict on its first fill, so a cache costs one list
+#: slot per set until it is used.
+_NO_LINES: "OrderedDict[int, CacheLine]" = OrderedDict()
+
 
 class SetAssociativeCache:
     """Tag array: ``sets`` sets of ``ways`` lines each.
@@ -61,10 +67,9 @@ class SetAssociativeCache:
         else:
             self._rng = None
         # Each set is an OrderedDict line -> CacheLine; order = recency
-        # (LRU) or fill (FIFO) order, oldest first.
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(sets)
-        ]
+        # (LRU) or fill (FIFO) order, oldest first. Untouched sets share
+        # _NO_LINES.
+        self._sets: List["OrderedDict[int, CacheLine]"] = [_NO_LINES] * sets
 
     def _set_for(self, line: int) -> "OrderedDict[int, CacheLine]":
         return self._sets[line % self.sets]
@@ -90,13 +95,16 @@ class SetAssociativeCache:
         :class:`CacheLine` or None. Inserting an already-resident line
         replaces its payload and refreshes LRU (no eviction).
         """
-        bucket = self._set_for(line)
+        index = line % self.sets
+        bucket = self._sets[index]
         existing = bucket.get(line)
         if existing is not None:
             existing.payload = payload
             if self.policy == "lru":
                 bucket.move_to_end(line)
             return existing, None
+        if bucket is _NO_LINES:
+            bucket = self._sets[index] = OrderedDict()
         victim = None
         if len(bucket) >= self.ways:
             victim_line = self._victim_line(bucket)

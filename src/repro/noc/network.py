@@ -18,6 +18,7 @@ from a per-kind table each ``Network`` builds from ``message_bytes`` and
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappush
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import SystemConfig
@@ -123,6 +124,15 @@ class Network:
             raise
         return self._wire[kind._value_][2][hops]
 
+    def plain(self) -> bool:
+        """Whether nothing observes or perturbs messages: no fault hook,
+        no link contention, no telemetry (``noc.send`` probe, in-flight
+        gauge). A plain message costs its route's fixed facts
+        (:meth:`route_facts`), so :meth:`send` and the spin runner book
+        it inline; otherwise :meth:`book` accounts every message."""
+        return not (self.fault_hook is not None or self.obs is not None
+                    or self.track_inflight or self._contention)
+
     def send(
         self,
         src: int,
@@ -137,17 +147,39 @@ class Network:
         Figure 20 LLC-sync-access metric upstream; the tag itself is only
         recorded in per-kind counters here). Returns the latency charged.
         """
-        latency, inflight, duplicates = self.book(src, dst, kind, sync)
-        if inflight:
-            inner = handler
+        if not self.plain():
+            latency, inflight, duplicates = self.book(src, dst, kind, sync)
+            if inflight:
+                inner = handler
 
-            def handler() -> None:
-                self.inflight_flits -= inflight
-                inner()
+                def handler() -> None:
+                    self.inflight_flits -= inflight
+                    inner()
 
-        self.engine.schedule(latency, handler)
-        if duplicates:
-            self.send_duplicates(src, dst, kind, latency, duplicates)
+            self.engine.schedule(latency, handler)
+            if duplicates:
+                self.send_duplicates(src, dst, kind, latency, duplicates)
+            return latency
+        # Plain: what book() + Engine.schedule() do for this message.
+        try:
+            hops = self._hops[src][dst]
+        except KeyError:
+            self.mesh.hops(src, dst)  # raises the range error for the bad id
+            raise
+        value = kind._value_
+        size, flits, latency_by_hops = self._wire[value]
+        latency = latency_by_hops[hops]
+        stats = self.stats
+        stats.messages += 1
+        stats.flits += flits
+        stats.flit_hops += flits * hops
+        stats.byte_hops += size * hops
+        stats.msg_kinds[value] += 1
+        engine = self.engine
+        seq = engine._seq
+        engine._seq = seq + 1
+        heappush(engine._queue, (engine.now + latency, seq, handler, False))
+        engine._live += 1
         return latency
 
     def book(self, src: int, dst: int, kind: MsgKind,

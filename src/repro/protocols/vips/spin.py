@@ -23,7 +23,11 @@ per phase — while the spin head comes before the engine's general head
 by ``(time, seq)``. Each phase is still one engine event, queued with
 the next ``seq`` at the point the op-by-op ``LoadThrough`` /
 ``BackoffWait`` loop would queue it, so results, stats and event counts
-are that loop's (``tests/spin_loop.py`` keeps it as the reference).
+are that loop's (``tests/spin_loop.py`` keeps it as the reference). A
+phase that queues its own spin's next phase swaps its heap entry for it
+in one sift (``heapreplace``), and the counters of inline phases are
+tallied in locals and booked onto ``Stats`` before the runner calls out
+of itself or returns.
 
 When anything observes or perturbs messages (a NoC fault hook, link
 contention, telemetry's ``noc.send`` probe and in-flight gauge), the
@@ -38,7 +42,7 @@ hook each phase runs as one :meth:`SpinRunner.step_spin` handed to it.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Optional
 
 from repro.noc.messages import MsgKind
@@ -132,12 +136,13 @@ class SpinRunner:
                     pred, done, read_through,
                     network.route_facts(node, bank, MsgKind.LOAD_THROUGH),
                     network.route_facts(bank, node, MsgKind.DATA_WORD))
-        self._fire_probe(spin, False, traced)
+        self._fire_probe(spin, network.plain(), traced)
 
     def _fire_probe(self, spin: Spin, fast: bool,
                     traced: bool = True) -> None:
         """Send one probe of ``spin``: the trace hook, the F/E-bit hook,
-        the probe count, then the request to the home bank."""
+        the probe count, then the request to the home bank (booked
+        inline when ``fast``: the network is plain)."""
         if traced and self.probe_hook is not None:
             self.probe_hook(spin.core_id, spin.addr)
         if spin.read_through is not None:
@@ -183,10 +188,21 @@ class SpinRunner:
         time is at most ``stop_time`` and ``executed < stop_events``;
         returns ``executed`` plus the events run. Where a budget stops
         it, ``Engine.run`` finds the same head and applies its checks.
-        Delays pushed inline are never negative: they come from the
-        validated configuration (latencies, header size, back-off) or
-        are clamped to >= 1; a hooked latency goes through
-        ``Engine.push_spin``, which rejects a negative one."""
+
+        A phase that queues its own spin's next phase and calls nothing
+        outside the runner replaces its heap entry (``heapreplace``: one
+        sift, ``_live`` unchanged). A phase that calls out (``spin.done``,
+        a hooked send, probe or pause) pops its entry first, so the
+        callee sees the heaps the op-by-op loop would show it. Delays
+        queued inline are never negative: they come from the validated
+        configuration (latencies, header size, back-off) or are clamped
+        to >= 1; a hooked latency goes through ``Engine.push_spin``,
+        which rejects a negative one.
+
+        Counters the inline phases bump are tallied in locals and booked
+        onto ``stats`` by ``book()`` before every call out of the runner
+        and when it returns or raises, so no one outside the runner ever
+        sees a partial count."""
         engine = self.engine
         network = self.network
         spins, queue = engine._spins, engine._queue
@@ -199,81 +215,133 @@ class SpinRunner:
         last = len(backoff) - 1
         # One "anything attached?" check per call: observers and hooks
         # are attached before a run, never by a spin phase.
-        fast = not (network.fault_hook is not None or network.obs is not None
-                    or network.track_inflight or network._contention)
+        fast = network.plain()
+        # A pause sends the next probe itself unless a trace hook or
+        # (per spin) an F/E-bit hook must see it.
+        fire_inline = fast and self.probe_hook is None
+        # Tallies: LLC data accesses, requests and replies sent inline
+        # (each request is one probe), their flits, flit-hops and
+        # byte-hops, and back-off cycles.
+        accesses = requests = replies = 0
+        flits = flit_hops = byte_hops = backed_off = 0
+
+        def book() -> None:
+            nonlocal accesses, requests, replies, flits, flit_hops
+            nonlocal byte_hops, backed_off
+            if accesses:
+                stats.llc_accesses += accesses
+                stats.llc_data_accesses += accesses
+                stats.llc_sync_accesses += accesses
+                accesses = 0
+            if requests or replies:
+                stats.messages += requests + replies
+                stats.flits += flits
+                stats.flit_hops += flit_hops
+                stats.byte_hops += byte_hops
+                flits = flit_hops = byte_hops = 0
+                if requests:
+                    stats.llc_spin_probes += requests
+                    kinds[_LOAD_THROUGH] += requests
+                    requests = 0
+                if replies:
+                    kinds[_DATA_WORD] += replies
+                    replies = 0
+            if backed_off:
+                stats.backoff_cycles += backed_off
+                backed_off = 0
+
         now = engine.now
-        while spins:
-            entry = spins[0]
-            if queue and queue[0] < entry:
-                break
-            time = entry[0]
-            if time > stop_time or executed >= stop_events:
-                break
-            heappop(spins)
-            if time < now:
-                raise SimulationError(
-                    "event heap corrupted: time moved backwards")
-            engine.now = now = time
-            engine._live -= 1
-            executed += 1
-            phase = entry[2]
-            spin = entry[3]
-            if spin.inflight:
-                network.inflight_flits -= spin.inflight
-                spin.inflight = 0
-            if phase == AT_BANK:
-                # bank_service(bank, data=True, sync=True) + the line's
-                # first-touch fill, then the reply leaves the bank.
-                port = spin.port
-                busy = port.busy_until
-                ready = (now if now > busy else busy) + data_latency
-                port.busy_until = ready
-                stats.llc_accesses += 1
-                stats.llc_data_accesses += 1
-                stats.llc_sync_accesses += 1
-                wait = ready - now
-                if spin.line not in present:
-                    wait += self.llc_fill_latency(spin.line)
-                seq = engine._seq
-                engine._seq = seq + 1
-                heappush(spins, (now + wait, seq, REPLY, spin))
-                engine._live += 1
-            elif phase == REPLY:
-                if fast:
-                    stats.messages += 1
-                    stats.flits += spin.resp_flits
-                    stats.flit_hops += spin.resp_flit_hops
-                    stats.byte_hops += spin.resp_byte_hops
-                    kinds[_DATA_WORD] += 1
+        try:
+            while spins:
+                entry = spins[0]
+                if queue and queue[0] < entry:
+                    break
+                time, _seq, phase, spin = entry
+                if time > stop_time or executed >= stop_events:
+                    break
+                if time < now:
+                    raise SimulationError(
+                        "event heap corrupted: time moved backwards")
+                engine.now = now = time
+                executed += 1
+                if spin.inflight:
+                    network.inflight_flits -= spin.inflight
+                    spin.inflight = 0
+                if phase == AT_BANK:
+                    # bank_service(bank, data=True, sync=True) + the
+                    # line's first-touch fill, then the reply leaves the
+                    # bank.
+                    port = spin.port
+                    busy = port.busy_until
+                    ready = (now if now > busy else busy) + data_latency
+                    port.busy_until = ready
+                    accesses += 1
+                    wait = ready - now
+                    if spin.line not in present:
+                        book()
+                        wait += self.llc_fill_latency(spin.line)
                     seq = engine._seq
                     engine._seq = seq + 1
-                    heappush(spins, (now + spin.resp_latency, seq, DELIVER,
-                                     spin))
-                    engine._live += 1
+                    heapreplace(spins, (now + wait, seq, REPLY, spin))
+                elif phase == REPLY:
+                    if fast:
+                        replies += 1
+                        flits += spin.resp_flits
+                        flit_hops += spin.resp_flit_hops
+                        byte_hops += spin.resp_byte_hops
+                        seq = engine._seq
+                        engine._seq = seq + 1
+                        heapreplace(spins, (now + spin.resp_latency, seq,
+                                            DELIVER, spin))
+                    else:
+                        heappop(spins)
+                        engine._live -= 1
+                        book()
+                        self._book_probe(spin, spin.bank, spin.node,
+                                         MsgKind.DATA_WORD, False, DELIVER)
+                elif phase == DELIVER:
+                    value = values.get(spin.key, 0)
+                    pred = spin.pred
+                    if pred is None or pred(value):
+                        heappop(spins)
+                        engine._live -= 1
+                        book()
+                        spin.done(value)
+                        continue
+                    core = spin.core
+                    core.ops_retired += 1
+                    attempt = spin.attempt
+                    spin.attempt = attempt + 1
+                    if core.fault_hook is None and core.obs is None:
+                        delay = backoff[attempt if attempt < last else last]
+                        backed_off += delay
+                        seq = engine._seq
+                        engine._seq = seq + 1
+                        heapreplace(spins, (now + (delay if delay > 1 else 1),
+                                            seq, PAUSE, spin))
+                    else:
+                        heappop(spins)
+                        engine._live -= 1
+                        book()
+                        delay = core._backoff(attempt)
+                        engine.push_spin(delay if delay > 1 else 1, PAUSE,
+                                         spin)
                 else:
-                    self._book_probe(spin, spin.bank, spin.node,
-                                     MsgKind.DATA_WORD, False, DELIVER)
-            elif phase == DELIVER:
-                value = values.get(spin.key, 0)
-                pred = spin.pred
-                if pred is None or pred(value):
-                    spin.done(value)
-                    continue
-                core = spin.core
-                core.ops_retired += 1
-                attempt = spin.attempt
-                spin.attempt = attempt + 1
-                if core.fault_hook is None and core.obs is None:
-                    delay = backoff[attempt if attempt < last else last]
-                    stats.backoff_cycles += delay
-                else:
-                    delay = core._backoff(attempt)
-                seq = engine._seq
-                engine._seq = seq + 1
-                heappush(spins, (now + (delay if delay > 1 else 1), seq,
-                                 PAUSE, spin))
-                engine._live += 1
-            else:
-                spin.core.ops_retired += 1
-                self._fire_probe(spin, fast)
+                    spin.core.ops_retired += 1
+                    if fire_inline and spin.read_through is None:
+                        requests += 1
+                        flits += spin.req_flits
+                        flit_hops += spin.req_flit_hops
+                        byte_hops += spin.req_byte_hops
+                        seq = engine._seq
+                        engine._seq = seq + 1
+                        heapreplace(spins, (now + spin.req_latency, seq,
+                                            AT_BANK, spin))
+                    else:
+                        heappop(spins)
+                        engine._live -= 1
+                        book()
+                        self._fire_probe(spin, fast)
+        finally:
+            book()
         return executed

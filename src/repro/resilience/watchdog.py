@@ -15,7 +15,8 @@ progress. Two shapes exist and the watchdog distinguishes them:
   run without keeping it alive or perturbing results) that tracks
   per-core useful-op retirement and raises
   :class:`~repro.sim.engine.LivenessError` when a window passes with no
-  change.
+  change and no core computing (a long ``Compute`` retires nothing until
+  it ends, but it is progress).
 
 "Useful" retirement excludes spin-class ops (``ld_through``/``ld_cb``
 re-reads, back-off waits, fences, MESI spin watches): a spinning core
@@ -171,8 +172,8 @@ class LivenessWatchdog:
 
     Every ``check_every`` cycles it snapshots per-core (done, useful-op)
     vectors; if ``stall_cycles`` pass with no change while threads remain
-    unfinished, it raises :class:`~repro.sim.engine.LivenessError` at
-    that cycle with a ``livelock`` :class:`Diagnosis` attached. The tick
+    unfinished and none of them is inside a ``Compute``, it raises
+    :class:`~repro.sim.engine.LivenessError` at that cycle with a ``livelock`` :class:`Diagnosis` attached. The tick
     is a daemon event: it cannot keep the simulation alive, move the
     final clock, or change any result of a healthy run.
     """
@@ -216,7 +217,11 @@ class LivenessWatchdog:
         if machine._remaining == 0:
             return
         vector = self._vector()
-        if vector != self._last_vector:
+        # A core inside a Compute retires no op until it ends, however
+        # long it runs, yet it is making progress.
+        if vector != self._last_vector or any(
+                not core.done and core.computing_until >= cycle
+                for core in machine._cores):
             self._last_vector = vector
             self._stalled_since = None
             return

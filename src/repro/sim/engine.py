@@ -33,8 +33,8 @@ given.
 
 from __future__ import annotations
 
-import heapq
 import sys
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Optional
 
 #: "No limit" for the spin runner's time and event budgets.
@@ -153,8 +153,8 @@ class Engine:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        heapq.heappush(self._queue, (self.now + delay, self._seq, callback,
-                                     daemon))
+        heappush(self._queue, (self.now + delay, self._seq, callback,
+                               daemon))
         self._seq += 1
         if not daemon:
             self._live += 1
@@ -164,7 +164,7 @@ class Engine:
         """Run ``callback`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        heapq.heappush(self._queue, (time, self._seq, callback, daemon))
+        heappush(self._queue, (time, self._seq, callback, daemon))
         self._seq += 1
         if not daemon:
             self._live += 1
@@ -174,8 +174,7 @@ class Engine:
         cycles from now (a live event, run by ``spin.runner``)."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        heapq.heappush(self._spins, (self.now + delay, self._seq, phase,
-                                     spin))
+        heappush(self._spins, (self.now + delay, self._seq, phase, spin))
         self._seq += 1
         self._live += 1
 
@@ -233,9 +232,9 @@ class Engine:
 
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue is empty."""
+        hook = self.profile_hook
         if self._spin_first():
             step = self._spins[0][3].runner.step_spin
-            hook = self.profile_hook
             if hook is None:
                 step()
             else:
@@ -243,22 +242,17 @@ class Engine:
             return True
         if not self._queue:
             return False
-        self._run_queue_head()
-        return True
-
-    def _run_queue_head(self) -> None:
-        """Pop and run the general heap's head."""
-        time, _seq, callback, daemon = heapq.heappop(self._queue)
+        time, _seq, callback, daemon = heappop(self._queue)
         if time < self.now:
             raise SimulationError("event heap corrupted: time moved backwards")
         self.now = time
         if not daemon:
             self._live -= 1
-        hook = self.profile_hook
         if hook is None:
             callback()
         else:
             hook(callback)
+        return True
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None,
@@ -299,25 +293,38 @@ class Engine:
                 else:
                     head = queue[0][0]
                     spin_head = False
-                if until is not None and head > until:
-                    break
-                if max_cycles is not None and head > max_cycles:
-                    raise SimulationTimeout(
-                        f"watchdog: simulated clock would pass the "
-                        f"{max_cycles}-cycle deadline at cycle {self.now} "
-                        f"({executed} events executed)",
-                        reason="max_cycles", cycle=self.now, events=executed,
-                    )
-                if max_events is not None and executed >= max_events:
+                if head > stop_time or executed >= stop_events:
+                    if until is not None and head > until:
+                        break
+                    if max_cycles is not None and head > max_cycles:
+                        raise SimulationTimeout(
+                            f"watchdog: simulated clock would pass the "
+                            f"{max_cycles}-cycle deadline at cycle "
+                            f"{self.now} ({executed} events executed)",
+                            reason="max_cycles", cycle=self.now,
+                            events=executed,
+                        )
                     raise SimulationTimeout(
                         f"watchdog: exceeded {max_events} events at cycle "
                         f"{self.now}",
                         reason="max_events", cycle=self.now, events=executed,
                     )
+                hook = self.profile_hook
                 if not spin_head:
-                    self._run_queue_head()
+                    # step()'s general-heap half, inline.
+                    time, _seq, callback, daemon = heappop(queue)
+                    if time < self.now:
+                        raise SimulationError(
+                            "event heap corrupted: time moved backwards")
+                    self.now = time
+                    if not daemon:
+                        self._live -= 1
+                    if hook is None:
+                        callback()
+                    else:
+                        hook(callback)
                     executed += 1
-                elif self.profile_hook is None:
+                elif hook is None:
                     executed = spins[0][3].runner.run_spins(
                         stop_time, stop_events, executed)
                 else:

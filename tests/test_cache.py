@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import config_for
+from repro.core.machine import Machine
+from repro.mem import cache as cache_module
 from repro.mem.cache import SetAssociativeCache
+from repro.workloads.suite import get_workload
 
 
 class TestBasics:
@@ -89,6 +93,37 @@ class TestBasics:
             SetAssociativeCache(sets=0, ways=1)
         with pytest.raises(ValueError):
             SetAssociativeCache(sets=1, ways=0)
+
+
+class TestLazySets:
+    def test_a_set_gets_its_own_dict_on_its_first_fill(self):
+        cache = SetAssociativeCache(sets=4, ways=2)
+        shared = cache_module._NO_LINES
+        assert all(bucket is shared for bucket in cache._sets)
+        assert cache.ckpt_state(str) == [[[], [], [], []]]
+        # Misses, removals and scans of untouched sets mutate nothing.
+        assert cache.lookup(6) is None and cache.remove(6) is None
+        assert cache.choose_victim(6) is None
+        assert cache.evict_matching(lambda entry: True) == []
+        cache.insert(5, "a")
+        assert cache._sets[1] is not shared
+        assert [bucket is shared for bucket in cache._sets] == [
+            True, False, True, True]
+        assert cache.ckpt_state(str) == [[[], [[5, "a"]], [], []]]
+        assert list(cache.entries_in_sets_of([6, 5, 4])) == [
+            cache.lookup(5)]
+        assert not shared
+
+    @pytest.mark.parametrize("label", ["Invalidation", "CB-One"])
+    def test_the_shared_empty_set_is_still_empty_after_a_run(self, label):
+        machine = Machine(config_for(label, num_cores=16, seed=1))
+        get_workload("barnes", "clh", "treesr", 0.05).install(machine)
+        machine.run()
+        shared = cache_module._NO_LINES
+        assert not shared
+        sets = [bucket for l1 in machine.protocol.l1 for bucket in l1._sets]
+        assert any(bucket is shared for bucket in sets)
+        assert any(bucket is not shared for bucket in sets)
 
 
 class TestLRUProperty:

@@ -23,6 +23,7 @@ from repro.sync import make_lock, style_for
 from repro.sync.ticket import TicketLock
 from repro.validation import InvariantViolation
 from repro.workloads.microbench import LockMicrobench
+from repro.workloads.suite import get_workload
 
 WORKLOAD = {"lock_name": "ttas", "iterations": 2}
 OVERRIDES = {"num_cores": 4}
@@ -352,6 +353,15 @@ class TestWatchdog:
             "CB-One",
             resilience=Resilience(ResilienceConfig(watchdog_stall=100_000)))
         machine.run()   # completes without LivenessError
+
+    def test_a_long_compute_is_progress(self):
+        """swaptions computes for longer than the stall window between
+        retired ops; every core is computing, not livelocked."""
+        machine = Machine(
+            config_for("CB-One", num_cores=16, seed=1),
+            resilience=Resilience(ResilienceConfig(watchdog_stall=50_000)))
+        get_workload("swaptions", "clh", "treesr", 0.25).install(machine)
+        assert machine.run().cycles == 353_826
 
 
 # ------------------------------------------------- deadlock post-mortems

@@ -22,6 +22,7 @@ from repro.core.core import Core
 from repro.core.machine import Machine
 from repro.ioutil import sha256_of
 from repro.noc.messages import MsgKind
+from repro.noc.network import Network
 from repro.obs.profiler import HostProfiler
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.protocols import ops
@@ -42,6 +43,8 @@ CONSTRUCTS = {
 }
 LABELS = ("BackOff-0", "BackOff-10")
 SEEDS = (1, 7)
+#: Cycles between a bare sampler's looks at ``Stats``.
+SAMPLE_EVERY = 13
 #: The queued event a ``BackoffWait`` pause is in the thread-side loop;
 #: the spin runner queues the same pause as its ``spin.pause`` phase.
 LOOP_PAUSE = "Core._dispatch.<locals>.<lambda>"
@@ -95,7 +98,7 @@ def _as_loop(capture, expand):
 
 def _run(construct, label, seed, expand, monkeypatch, observe=False,
          plan=None, noc_hook=None, profile=False, checkpoint_every=0,
-         **overrides):
+         sample=False, **overrides):
     resilience = (Resilience(ResilienceConfig(plan=plan))
                   if plan is not None else None)
     telemetry = Telemetry(TelemetryConfig()) if observe else None
@@ -116,6 +119,15 @@ def _run(construct, label, seed, expand, monkeypatch, observe=False,
     if profile:
         profiler = HostProfiler()
         profiler.attach(machine.engine)
+    samples = []
+    if sample:
+        engine = machine.engine
+
+        def tick():
+            samples.append((engine.now, machine.stats.ckpt_state()))
+            engine.schedule(SAMPLE_EVERY, tick, daemon=True)
+
+        engine.schedule(SAMPLE_EVERY, tick, daemon=True)
     with monkeypatch.context() as patch:
         if expand:
             start = Core.start
@@ -154,6 +166,7 @@ def _run(construct, label, seed, expand, monkeypatch, observe=False,
         "labels": ({name for name, _calls, _s in profiler.by_component()}
                    if profiler is not None else None),
         "captures": captures,
+        "samples": samples,
         "timeout": timeout,
     }
 
@@ -201,6 +214,36 @@ def test_backoff_fault_plan_matches(construct, label, seed, monkeypatch):
     _same_results(shipped, looped)
     assert shipped["digest"] != _run(construct, label, seed, False,
                                      monkeypatch)["digest"]
+
+
+@pytest.mark.parametrize("construct,label,seed", POINTS)
+def test_mid_run_stats_match(construct, label, seed, monkeypatch):
+    """A bare daemon sampler leaves the runner on its fast path, where it
+    tallies counters in locals; every 13 cycles ``Stats`` must read what
+    the loop shows there."""
+    shipped = _run(construct, label, seed, False, monkeypatch, sample=True)
+    looped = _run(construct, label, seed, True, monkeypatch, sample=True)
+    _same_results(shipped, looped)
+    assert len(shipped["samples"]) > 10
+    assert shipped["samples"] == looped["samples"]
+
+
+def test_a_plain_run_never_books_through_the_network(monkeypatch):
+    """With nothing attached, every message (probes and protocol sends
+    alike) is booked inline; telemetry sends them through
+    ``Network.book``."""
+    booked = []
+    book = Network.book
+
+    def counting_book(network, *args, **kwargs):
+        booked.append(args)
+        return book(network, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "book", counting_book)
+    plain = _run("ttas", "BackOff-0", 1, False, monkeypatch)
+    assert plain["messages"] > 0 and booked == []
+    observed = _run("ttas", "BackOff-0", 1, False, monkeypatch, observe=True)
+    assert len(booked) == observed["messages"] == plain["messages"]
 
 
 #: The rows below run a smaller grid: both back-off caps on one lock and
