@@ -58,12 +58,16 @@ def _full_run():
         telemetry=Telemetry(TelemetryConfig(sample_every=200, spans=True)))
 
 
-def _best_of(fn, rounds=RATIO_ROUNDS):
-    best = float("inf")
+def _best_interleaved(fns, rounds=RATIO_ROUNDS):
+    """Best wall time of each of ``fns``, timed round by round (one run
+    of each per round), so a slow stretch of the host hits every
+    function alike instead of only the one timed during it."""
+    best = [float("inf")] * len(fns)
     for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -88,8 +92,7 @@ def test_full_collection(benchmark):
 
 def test_idle_bus_overhead_bounded():
     """Idle-bus runtime stays within 1.5x of bare (target: <=1.05x)."""
-    bare = _best_of(_bare_run)
-    idle = _best_of(_idle_bus_run)
+    bare, idle = _best_interleaved((_bare_run, _idle_bus_run))
     ratio = idle / bare
     print(f"\nbare {bare * 1e3:.1f} ms, idle bus {idle * 1e3:.1f} ms, "
           f"ratio {ratio:.3f}x")

@@ -2,7 +2,8 @@
 
 The core has one outstanding memory operation at a time (blocking loads
 and stores, as in the paper's 64 in-order cores). It pulls the next op
-from the thread generator, hands memory ops to the protocol, turns
+from the thread generator, hands memory ops to the protocol with
+:meth:`Core._resume` as their continuation (no future per op), turns
 ``Compute`` into a scheduled delay and ``BackoffWait`` into the
 configuration's exponential back-off delay, and resumes the generator
 with each op's result.
@@ -62,6 +63,8 @@ class Core:
         #: distinguishable from a healthy run.
         self.useful_ops = 0
         self._in_spin_op = False
+        # An op (or the start) is outstanding; resuming without one raises.
+        self._outstanding = False
         #: Cycle the ``Compute`` in flight ends at (-1 before the first):
         #: a computing core is making progress, which the watchdog must
         #: see although it retires no op until the compute ends.
@@ -76,6 +79,7 @@ class Core:
             raise RuntimeError(f"core {self.core_id} already has a thread")
         self._gen = gen
         self.start_cycle = self.engine.now
+        self._outstanding = True
         self.engine.schedule(0, lambda: self._resume(None))
 
     #: Op classes whose retirement is not evidence of forward progress:
@@ -85,6 +89,10 @@ class Core:
                 ops.SpinThrough, ops.Fence)
 
     def _resume(self, value) -> None:
+        if not self._outstanding:
+            raise RuntimeError(
+                f"core {self.core_id} resumed with no op outstanding")
+        self._outstanding = False
         self.ops_retired += 1
         if not self._in_spin_op:
             self.useful_ops += 1
@@ -119,6 +127,7 @@ class Core:
     COMPUTE_CYCLES_PER_L1_ACCESS = 7
 
     def _dispatch(self, op: ops.Op) -> None:
+        self._outstanding = True
         self._in_spin_op = isinstance(op, self.SPIN_OPS)
         if isinstance(op, ops.Compute):
             accesses = op.cycles // self.COMPUTE_CYCLES_PER_L1_ACCESS
@@ -133,7 +142,7 @@ class Core:
             delay = self._backoff(op.attempt)
             self.engine.schedule(max(1, delay), lambda: self._resume(None))
         else:
-            self.protocol.issue(self.core_id, op).add_callback(self._resume)
+            self.protocol.issue(self.core_id, op, self._resume)
 
     def _backoff(self, attempt: int) -> int:
         """Book one back-off pause before retry ``attempt``; returns its

@@ -2,8 +2,10 @@
 
 A protocol object owns the whole memory system below the cores: L1 models,
 LLC banks, (for MESI) the directory, (for callback) the callback
-directory. Cores call :meth:`CoherenceProtocol.issue` with an op and get a
-:class:`~repro.sim.future.Future` resolved when the op completes.
+directory. Cores call :meth:`CoherenceProtocol.issue` with an op and a
+continuation ``done``, called once with the op's result when it
+completes; without ``done``, ``issue`` returns a
+:class:`~repro.sim.future.Future` resolved then.
 
 LLC banks are single-ported: each bank tracks ``busy_until`` and a request
 arriving while the bank is busy waits until the port frees. This
@@ -14,7 +16,7 @@ behaviour the paper describes.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.classify.pagetable import PageClassifier
 from repro.config import SystemConfig
@@ -55,12 +57,15 @@ def registered_tables() -> Dict[str, Dict[str, TransitionTable]]:
     return {protocol: dict(tables) for protocol, tables in _TABLES.items()}
 
 
+#: An op's continuation: called once with the op's result.
+Done = Callable[[Any], None]
+
 # Per-class resolved handler maps for CoherenceProtocol.issue():
 # ``{protocol class: {op type: unbound handler}}``. Resolving once per
 # class (instead of a getattr per call) keeps subclass overrides intact
 # while removing ~40% of dispatch overhead on the issue() hot path —
-# see benchmarks/bench_dispatch.py and ROADMAP item 1.
-_HANDLER_CACHE: Dict[type, Dict[type, Callable[..., Future]]] = {}
+# see benchmarks/bench_dispatch.py.
+_HANDLER_CACHE: Dict[type, Dict[type, Callable[..., None]]] = {}
 
 
 class BankPort:
@@ -109,7 +114,7 @@ class CoherenceProtocol:
     # ------------------------------------------------------------------ API
 
     @classmethod
-    def _resolve_handlers(cls) -> Dict[type, Callable[..., Future]]:
+    def _resolve_handlers(cls) -> Dict[type, Callable[..., None]]:
         """The op-type -> handler map for this class, resolved through the
         MRO exactly once (so subclass overrides apply, without paying a
         ``getattr`` on every :meth:`issue` call)."""
@@ -120,62 +125,41 @@ class CoherenceProtocol:
             _HANDLER_CACHE[cls] = handlers
         return handlers
 
-    def issue(self, core: int, op: ops.Op) -> Future:
-        """Start one memory operation for ``core``; resolve when done."""
+    def issue(self, core: int, op: ops.Op,
+              done: Optional[Done] = None) -> Optional[Future]:
+        """Start ``op`` for ``core`` and call ``done(value)`` when it
+        completes (without ``done``, return a future resolved then)."""
         handler = self._handlers.get(type(op))
         if handler is None:
             raise TypeError(f"{type(self).__name__} cannot execute {op!r}")
-        return handler(self, core, op)
-
-    # Subclasses override these; the table maps op types to method names.
-    def _op_load(self, core: int, op: ops.Load) -> Future:
-        raise NotImplementedError
-
-    def _op_store(self, core: int, op: ops.Store) -> Future:
-        raise NotImplementedError
-
-    def _op_load_through(self, core: int, op: ops.LoadThrough) -> Future:
-        raise NotImplementedError
-
-    def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:
-        raise NotImplementedError
-
-    def _op_write_through(self, core: int, op: ops.StoreThrough) -> Future:
-        raise NotImplementedError
-
-    def _op_atomic(self, core: int, op: ops.Atomic) -> Future:
-        raise NotImplementedError
-
-    def _op_fence(self, core: int, op: ops.Fence) -> Future:
-        raise NotImplementedError
-
-    def _op_spin_until(self, core: int, op: ops.SpinUntil) -> Future:
-        raise NotImplementedError
-
-    def _op_data_burst(self, core: int, op: ops.DataBurst) -> Future:
-        """DRF loads/stores one after another through the protocol's
-        ``_op_load`` / ``_op_store``, then ``extra_hits`` bulk L1 hits."""
+        if done is not None:
+            handler(self, core, op, done)
+            return None
         future = Future()
-        self._burst_step(core, list(op.accesses), op.extra_hits, future)
+        handler(self, core, op, future.resolve)
         return future
 
-    def _burst_step(self, core: int, accesses: List[ops.LineAccess],
-                    extra_hits: int, future: Future,
-                    _value: object = None) -> None:
-        # A bound partial rather than a closure that names itself: no
-        # reference cycle, so a finished machine is freed at once.
-        if not accesses:
-            if extra_hits:
-                self.stats.l1_accesses += extra_hits
-                self.stats.l1_hits += extra_hits
-            self.resolve_later(future, max(1, extra_hits))
-            return
-        access = accesses.pop(0)
-        inner = (self._op_store(core, ops.Store(access.addr))
-                 if access.write else self._op_load(core,
-                                                    ops.Load(access.addr)))
-        inner.add_callback(partial(self._burst_step, core, accesses,
-                                   extra_hits, future))
+    # ``_DISPATCH`` maps op types to ``(self, core, op, done)`` handlers,
+    # which call ``done(value)`` once, where the op completes. ``Load``,
+    # ``Store`` and ``DataBurst`` share one DRF ``_load``/``_store`` path.
+    def _load(self, core: int, addr: int, done: Done) -> None:
+        raise NotImplementedError
+
+    def _store(self, core: int, addr: int, value: Optional[int],
+               done: Done) -> None:
+        raise NotImplementedError
+
+    def _op_load(self, core: int, op: ops.Load, done: Done) -> None:
+        self._load(core, op.addr, done)
+
+    def _op_store(self, core: int, op: ops.Store, done: Done) -> None:
+        self._store(core, op.addr, op.value, done)
+
+    def _op_data_burst(self, core: int, op: ops.DataBurst,
+                       done: Done) -> None:
+        """DRF loads/stores one after another through ``_load`` /
+        ``_store``, then ``extra_hits`` bulk L1 hits."""
+        _Burst(self, core, op, done).step()
 
     def spin_through(self, core: Any, op: ops.SpinThrough) -> None:
         """Run ``op`` for ``core`` (a :class:`~repro.core.core.Core`):
@@ -187,11 +171,6 @@ class CoherenceProtocol:
 
     def bank_of(self, addr: int) -> int:
         return self.addr_map.bank_of(addr)
-
-    def node_of(self, tid: int) -> int:
-        """The mesh tile of a hardware thread (its core's tile). With
-        SMT off (threads_per_core == 1) this is the identity map."""
-        return self._tile_of[tid]
 
     def l1_of(self, tid: int) -> int:
         """The L1 a hardware thread uses (one per core, shared by its
@@ -283,11 +262,46 @@ class CoherenceProtocol:
             "classifier": self.classifier.ckpt_state(),
         }
 
-    def resolve_later(self, future: Future, delay: int,
+    def resolve_later(self, done: Done, delay: int,
                       value: object = None) -> None:
-        """Resolve ``future`` after ``delay`` cycles (always via the engine,
-        so completions never recurse into the core synchronously)."""
-        self.engine.schedule(max(1, delay), lambda: future.resolve(value))
+        """Call ``done(value)`` after ``delay`` cycles (always via the
+        engine, so completions never recurse into the core synchronously)."""
+        self.engine.schedule(max(1, delay), partial(done, value))
+
+
+class _Burst:
+    """One ``DataBurst`` in flight: its bound :meth:`step` is the
+    continuation of every access, so no op, future or partial is built
+    per access."""
+
+    __slots__ = ("protocol", "core", "op", "next", "done")
+
+    def __init__(self, protocol: CoherenceProtocol, core: int,
+                 op: ops.DataBurst, done: Done) -> None:
+        self.protocol = protocol
+        self.core = core
+        self.op = op
+        self.next = 0
+        self.done = done
+
+    def step(self, _value: object = None) -> None:
+        """Start the next access, or finish with the bulk hits."""
+        index = self.next
+        protocol = self.protocol
+        accesses = self.op.accesses
+        if index == len(accesses):
+            extra_hits = self.op.extra_hits
+            if extra_hits:
+                protocol.stats.l1_accesses += extra_hits
+                protocol.stats.l1_hits += extra_hits
+            protocol.resolve_later(self.done, max(1, extra_hits))
+            return
+        self.next = index + 1
+        access = accesses[index]
+        if access.write:
+            protocol._store(self.core, access.addr, None, self.step)
+        else:
+            protocol._load(self.core, access.addr, self.step)
 
 
 # Dispatch table shared by all subclasses: op type -> method name, the

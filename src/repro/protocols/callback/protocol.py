@@ -28,10 +28,10 @@ from typing import Any, Callable, List, Optional
 
 from repro.noc.messages import MsgKind
 from repro.protocols import ops
+from repro.protocols.base import Done
 from repro.protocols.callback.directory import CallbackDirectory
 from repro.protocols.callback.entry import Waiter
 from repro.protocols.vips.protocol import VIPSProtocol
-from repro.sim.future import Future
 
 
 class CallbackProtocol(VIPSProtocol):
@@ -106,8 +106,7 @@ class CallbackProtocol(VIPSProtocol):
             self.obs.emit("cb.park", core=core, word=word, bank=bank)
         directory.note_activity()
 
-    def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:
-        future = Future()
+    def _op_load_cb(self, core: int, op: ops.LoadCB, done: Done) -> None:
         bank = self.bank_of(op.addr)
         word = self.addr_map.word_base(op.addr)
 
@@ -119,17 +118,16 @@ class CallbackProtocol(VIPSProtocol):
                 wait,
                 lambda: self.network.send(
                     bank, self.l1_of(core), MsgKind.DATA_WORD,
-                    lambda: future.resolve(self.store.read(word))),
+                    lambda: done(self.store.read(word))),
             )
 
         def woken(value: int) -> None:
             self.network.send(bank, self.l1_of(core), MsgKind.WAKEUP,
-                              lambda: future.resolve(value))
+                              lambda: done(value))
 
         self.network.send(self.l1_of(core), bank, MsgKind.LOAD_CB,
                           lambda: self._cb_gate(core, bank, word, read, woken),
                           sync=True)
-        return future
 
     # ---------------------------------------------------------- ld_through
 
@@ -149,23 +147,22 @@ class CallbackProtocol(VIPSProtocol):
 
     # ------------------------------------------------------------- atomics
 
-    def _op_atomic(self, core: int, op: ops.Atomic) -> Future:
+    def _op_atomic(self, core: int, op: ops.Atomic, done: Done) -> None:
         """An ld_cb RMW passes the directory gate first, so the whole RMW
         can be held off there (Figures 5/6, Section 2.6); once through,
         it executes at the LLC as under VIPS. Plain-load RMWs go straight
         to the LLC."""
         if op.ld is not ops.LdKind.CB:
-            return super()._op_atomic(core, op)
-        future = Future()
+            super()._op_atomic(core, op, done)
+            return
         bank = self.bank_of(op.addr)
         word = self.addr_map.word_base(op.addr)
 
         def execute(_value: object = None) -> None:
             self._mshr_acquire(word, lambda: self._exec_atomic(
-                core, bank, word, op, future))
+                core, bank, word, op, done))
 
         self.network.send(self.l1_of(core), bank, MsgKind.LOAD_CB,
                           lambda: self._cb_gate(core, bank, word, execute,
                                                 execute),
                           sync=True)
-        return future

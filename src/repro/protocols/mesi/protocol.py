@@ -30,22 +30,21 @@ from typing import Any, Callable, Dict, Optional
 from repro.mem.cache import SetAssociativeCache
 from repro.noc.messages import MsgKind
 from repro.protocols import ops
-from repro.protocols.base import CoherenceProtocol
+from repro.protocols.base import CoherenceProtocol, Done
 from repro.protocols.mesi.states import DirEntry, L1Line, MESIState
 from repro.protocols.mesi.table import MESI_DIR_TABLE, MESI_L1_TABLE
 from repro.protocols.table import Event as TableEvent
-from repro.sim.future import Future
 
 
 class _Watch:
     """A thread blocked in SpinUntil, waiting for the L1 copy to die."""
 
-    __slots__ = ("pred", "future", "start", "word_addr", "tid")
+    __slots__ = ("pred", "done", "start", "word_addr", "tid")
 
-    def __init__(self, pred: Callable[[int], bool], future: Future,
+    def __init__(self, pred: Callable[[int], bool], done: Done,
                  start: int, word_addr: int) -> None:
         self.pred = pred
-        self.future = future
+        self.done = done
         self.start = start
         self.word_addr = word_addr
         self.tid = -1
@@ -158,7 +157,7 @@ class MESIProtocol(CoherenceProtocol):
             # The spin loop reloads immediately (invalidate-and-refetch).
             self.engine.schedule(
                 1, lambda w=watch: self._spin_attempt(w.tid, w.word_addr,
-                                                      w.pred, w.future)
+                                                      w.pred, w.done)
             )
 
     def _check_local_watches(self, core: int, line: int) -> None:
@@ -181,7 +180,7 @@ class MESIProtocol(CoherenceProtocol):
                 if self.obs is not None:
                     self.obs.emit("spin.wake", core=watch.tid,
                                   word=watch.word_addr, iters=iters)
-                self.resolve_later(watch.future, self.config.l1_latency,
+                self.resolve_later(watch.done, self.config.l1_latency,
                                    value)
             else:
                 still_parked.append(watch)
@@ -383,34 +382,32 @@ class MESIProtocol(CoherenceProtocol):
 
     # ------------------------------------------------------------------ ops
 
-    def _op_load(self, core: int, op: ops.Load) -> Future:
-        future = Future()
+    def _load(self, core: int, addr: int, done: Done) -> None:
         self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
+        line = self.addr_map.line_of(addr)
+        word = self.addr_map.word_base(addr)
         cached = self._l1_lookup(core, line)
         if cached is not None:
             self.stats.l1_hits += 1
-            self.resolve_later(future, self.config.l1_latency,
+            self.resolve_later(done, self.config.l1_latency,
                                cached.read_word(word))
         else:
             self._get_s(core, line,
-                        lambda payload: future.resolve(payload.read_word(word)),
+                        lambda payload: done(payload.read_word(word)),
                         sync=False)
-        return future
 
-    def _op_store(self, core: int, op: ops.Store) -> Future:
-        future = Future()
+    def _store(self, core: int, addr: int, value: Optional[int],
+               done: Done) -> None:
         self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
+        line = self.addr_map.line_of(addr)
+        word = self.addr_map.word_base(addr)
 
         def commit(payload: L1Line) -> None:
-            if op.value is not None:
-                self.store.write(word, op.value)
-                payload.write_word(word, op.value)
+            if value is not None:
+                self.store.write(word, value)
+                payload.write_word(word, value)
                 self._check_local_watches(self.l1_of(core), line)
-            self.resolve_later(future, self.config.l1_latency)
+            self.resolve_later(done, self.config.l1_latency)
 
         cached = self._l1_lookup(core, line)
         if cached is not None and cached.state in (MESIState.MODIFIED,
@@ -419,12 +416,10 @@ class MESIProtocol(CoherenceProtocol):
             cached.transition("store")
             commit(cached)
         else:
-            self._get_x(core, line, commit, sync=op.value is not None)
-        return future
+            self._get_x(core, line, commit, sync=value is not None)
 
-    def _op_atomic(self, core: int, op: ops.Atomic) -> Future:
+    def _op_atomic(self, core: int, op: ops.Atomic, done: Done) -> None:
         """RMWs acquire M state and execute locally (ll/sc-free model)."""
-        future = Future()
         self.stats.l1_accesses += 1
         line = self.addr_map.line_of(op.addr)
         word = self.addr_map.word_base(op.addr)
@@ -433,7 +428,7 @@ class MESIProtocol(CoherenceProtocol):
             result = self.apply_rmw(op)
             payload.write_word(word, self.store.read(word))
             self._check_local_watches(self.l1_of(core), line)
-            self.resolve_later(future,
+            self.resolve_later(done,
                                self.config.l1_latency +
                                self.config.rmw_compute_cycles,
                                result)
@@ -448,18 +443,19 @@ class MESIProtocol(CoherenceProtocol):
             owned(cached)
         else:
             self._get_x(core, line, owned, sync=True)
-        return future
 
     # MESI racy ops fall back to their plain equivalents: the baseline has
     # no notion of through/callback accesses (synchronization code for MESI
     # uses plain loads/stores/atomics, Figures 8-18 left-hand sides).
-    def _op_load_through(self, core: int, op: ops.LoadThrough) -> Future:
-        return self._op_load(core, ops.Load(op.addr))
+    def _op_load_through(self, core: int, op: ops.LoadThrough,
+                         done: Done) -> None:
+        self._load(core, op.addr, done)
 
-    def _op_write_through(self, core: int, op: ops.StoreThrough) -> Future:
-        return self._op_store(core, ops.Store(op.addr, op.value))
+    def _op_write_through(self, core: int, op: ops.StoreThrough,
+                          done: Done) -> None:
+        self._store(core, op.addr, op.value, done)
 
-    def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:
+    def _op_load_cb(self, core: int, op: ops.LoadCB, done: Done) -> None:
         raise TypeError("ld_cb is not available under the MESI baseline; "
                         "MESI spin-waiting uses SpinUntil (local spinning)")
 
@@ -468,21 +464,18 @@ class MESIProtocol(CoherenceProtocol):
                         "a self-invalidation protocol; MESI spin-waiting "
                         "uses SpinUntil (local spinning)")
 
-    def _op_fence(self, core: int, op: ops.Fence) -> Future:
-        future = Future()
-        self.resolve_later(future, 1)
-        return future
+    def _op_fence(self, core: int, op: ops.Fence, done: Done) -> None:
+        self.resolve_later(done, 1)
 
     # ------------------------------------------------------------- spinning
 
-    def _op_spin_until(self, core: int, op: ops.SpinUntil) -> Future:
-        future = Future()
+    def _op_spin_until(self, core: int, op: ops.SpinUntil,
+                       done: Done) -> None:
         self._spin_attempt(core, self.addr_map.word_base(op.addr), op.pred,
-                           future)
-        return future
+                           done)
 
     def _spin_attempt(self, core: int, word_addr: int,
-                      pred: Callable[[int], bool], future: Future) -> None:
+                      pred: Callable[[int], bool], done: Done) -> None:
         line = self.addr_map.line_of(word_addr)
         self.stats.l1_accesses += 1
         cached = self._l1_lookup(core, line)
@@ -490,23 +483,23 @@ class MESIProtocol(CoherenceProtocol):
             self.stats.l1_hits += 1
             value = cached.read_word(word_addr)
             if pred(value):
-                self.resolve_later(future, self.config.l1_latency, value)
+                self.resolve_later(done, self.config.l1_latency, value)
             else:
-                self._park_watch(core, line, word_addr, pred, future)
+                self._park_watch(core, line, word_addr, pred, done)
             return
 
         def filled(payload: L1Line) -> None:
             value = payload.read_word(word_addr)
             if pred(value):
-                future.resolve(value)
+                done(value)
             else:
-                self._park_watch(core, line, word_addr, pred, future)
+                self._park_watch(core, line, word_addr, pred, done)
 
         self._get_s(core, line, filled, sync=True)
 
     def _park_watch(self, tid: int, line: int, word_addr: int,
-                    pred: Callable[[int], bool], future: Future) -> None:
-        watch = _Watch(pred, future, self.engine.now, word_addr)
+                    pred: Callable[[int], bool], done: Done) -> None:
+        watch = _Watch(pred, done, self.engine.now, word_addr)
         watch.tid = tid
         bucket = self._watches.setdefault(self.l1_of(tid), {})
         bucket.setdefault(line, []).append(watch)

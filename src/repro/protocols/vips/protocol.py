@@ -34,14 +34,14 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.mem.cache import SetAssociativeCache
 from repro.noc.messages import MsgKind
 from repro.protocols import ops
-from repro.protocols.base import CoherenceProtocol
+from repro.protocols.base import CoherenceProtocol, Done
 from repro.protocols.vips.spin import SpinRunner
 from repro.protocols.vips.table import (
     drops_on_self_invl,
     flushes_on_fence,
     writes_back_on_evict,
 )
-from repro.sim.future import Future, WaitQueue
+from repro.sim.future import WaitQueue
 
 
 class VIPSLine:
@@ -100,27 +100,25 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
 
     # --------------------------------------------------------- DRF data ops
 
-    def _op_load(self, core: int, op: ops.Load) -> Future:
-        future = Future()
+    def _load(self, core: int, addr: int, done: Done) -> None:
         self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(op.addr)
+        line = self.addr_map.line_of(addr)
         cached = self.l1[self.l1_of(core)].lookup(line)
         if cached is not None:
             self.stats.l1_hits += 1
-            self.resolve_later(future, self.config.l1_latency,
-                               self.store.read(self.addr_map.word_base(op.addr)))
+            self.resolve_later(done, self.config.l1_latency,
+                               self.store.read(self.addr_map.word_base(addr)))
         else:
-            self._fetch_line(core, op.addr, lambda: future.resolve(
-                self.store.read(self.addr_map.word_base(op.addr))))
-        return future
+            self._fetch_line(core, addr, lambda: done(
+                self.store.read(self.addr_map.word_base(addr))))
 
-    def _op_store(self, core: int, op: ops.Store) -> Future:
+    def _store(self, core: int, addr: int, value: Optional[int],
+               done: Done) -> None:
         """DRF store: write-allocate in the L1, mark the word dirty; shared
         dirty words are flushed by ``self_down`` (delayed write-through)."""
-        future = Future()
         self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
+        line = self.addr_map.line_of(addr)
+        word = self.addr_map.word_base(addr)
 
         def commit() -> None:
             node = self.l1_of(core)
@@ -130,17 +128,16 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
                 payload.dirty_words.add(word)
                 if flushes_on_fence(payload.shared, payload.dirty_words):
                     self._dirty_shared_lines[node].add(line)
-            if op.value is not None:
-                self.store.write(word, op.value)
-            self.resolve_later(future, self.config.l1_latency)
+            if value is not None:
+                self.store.write(word, value)
+            self.resolve_later(done, self.config.l1_latency)
 
         cached = self.l1[self.l1_of(core)].lookup(line)
         if cached is not None:
             self.stats.l1_hits += 1
             commit()
         else:
-            self._fetch_line(core, op.addr, commit)
-        return future
+            self._fetch_line(core, addr, commit)
 
     def _fetch_line(self, core: int, addr: int, done: Callable[[], None]
                     ) -> None:
@@ -217,8 +214,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
 
     # --------------------------------------------------------------- fences
 
-    def _op_fence(self, core: int, op: ops.Fence) -> Future:
-        future = Future()
+    def _op_fence(self, core: int, op: ops.Fence, done: Done) -> None:
         if op.kind is ops.FenceKind.SELF_INVL:
             # Footnote 7: self_invl also downgrades transient dirty shared
             # words so that the invalidation cannot lose data.
@@ -236,14 +232,13 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
             if self.obs is not None:
                 self.obs.emit("vips.self_invl", core=core,
                               lines=len(removed))
-            self.resolve_later(future, 1 + flush_delay)
+            self.resolve_later(done, 1 + flush_delay)
         elif op.kind is ops.FenceKind.SELF_DOWN:
             flush_delay = self._flush_dirty_shared(core)
             self.stats.self_downgrades += 1
-            self.resolve_later(future, 1 + flush_delay)
+            self.resolve_later(done, 1 + flush_delay)
         else:
             raise ValueError(f"unknown fence: {op.kind}")
-        return future
 
     def _flush_dirty_shared(self, core: int) -> int:
         """Write all dirty shared words through to their home banks.
@@ -280,13 +275,12 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
 
     # ------------------------------------------------------------- racy ops
 
-    def _op_load_through(self, core: int, op: ops.LoadThrough) -> Future:
+    def _op_load_through(self, core: int, op: ops.LoadThrough,
+                         done: Done) -> None:
         """Racy load: bypass the L1, read the word at the home bank (a
         one-shot spin; the op itself was already traced as issued)."""
-        future = Future()
-        self.start_spin(None, core, op.addr, None, future.resolve,
+        self.start_spin(None, core, op.addr, None, done,
                         self._read_through_hook(op.addr), traced=False)
-        return future
 
     def spin_through(self, core: Any, op: ops.SpinThrough) -> None:
         """Run ``op`` for ``core`` (a :class:`~repro.core.core.Core`):
@@ -301,15 +295,15 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
         nothing here (the callback protocol consumes an F/E bit)."""
         return None
 
-    def _op_load_cb(self, core: int, op: ops.LoadCB) -> Future:
+    def _op_load_cb(self, core: int, op: ops.LoadCB, done: Done) -> None:
         """Without a callback directory, ld_cb degenerates to ld_through
         (the synchronization library only emits it with back-off)."""
-        return self._op_load_through(core, ops.LoadThrough(op.addr))
+        self._op_load_through(core, ops.LoadThrough(op.addr), done)
 
-    def _op_write_through(self, core: int, op: ops.StoreThrough) -> Future:
+    def _op_write_through(self, core: int, op: ops.StoreThrough,
+                          done: Done) -> None:
         """st_through / st_cbA, st_cb1 and st_cb0: write the word through
         at its home bank, then apply the write's ``op.st`` effect."""
-        future = Future()
         bank = self.bank_of(op.addr)
         word = self.addr_map.word_base(op.addr)
 
@@ -320,12 +314,11 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
             self.engine.schedule(
                 wait,
                 lambda: self.network.send(bank, self.l1_of(core), MsgKind.ACK,
-                                          lambda: future.resolve(None)),
+                                          lambda: done(None)),
             )
 
         self.network.send(self.l1_of(core), bank, MsgKind.STORE_THROUGH,
                           at_bank, sync=True)
-        return future
 
     def _on_llc_write(self, bank: int, word: int, st: ops.StKind) -> None:
         """A racy write (a write-through, or an RMW that wrote) has just
@@ -334,22 +327,20 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
 
     # -------------------------------------------------------------- atomics
 
-    def _op_atomic(self, core: int, op: ops.Atomic) -> Future:
+    def _op_atomic(self, core: int, op: ops.Atomic, done: Done) -> None:
         """RMW at the home bank under the word's MSHR lock (Section 2.6)."""
-        future = Future()
         bank = self.bank_of(op.addr)
         word = self.addr_map.word_base(op.addr)
 
         def at_bank() -> None:
             self._mshr_acquire(word, lambda: self._exec_atomic(
-                core, bank, word, op, future))
+                core, bank, word, op, done))
 
         self.network.send(self.l1_of(core), bank, MsgKind.ATOMIC, at_bank,
                           sync=True)
-        return future
 
     def _exec_atomic(self, core: int, bank: int, word: int, op: ops.Atomic,
-                     future: Future) -> None:
+                     done: Done) -> None:
         wait = self.bank_service(bank, data=True, sync=True)
         wait += self.config.rmw_compute_cycles
         result = self.apply_rmw(op)
@@ -359,7 +350,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
         def respond() -> None:
             self._mshr_release(word)
             self.network.send(bank, self.l1_of(core), MsgKind.DATA_WORD,
-                              lambda: future.resolve(result))
+                              lambda: done(result))
 
         self.engine.schedule(wait, respond)
 
@@ -382,7 +373,8 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
 
     # ------------------------------------------------------- spinning & data
 
-    def _op_spin_until(self, core: int, op: ops.SpinUntil) -> Future:
+    def _op_spin_until(self, core: int, op: ops.SpinUntil,
+                       done: Done) -> None:
         raise TypeError("SpinUntil (local L1 spinning) requires the MESI "
                         "baseline; self-invalidation protocols spin on the "
                         "LLC via ld_through/ld_cb")

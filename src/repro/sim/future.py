@@ -1,15 +1,13 @@
-"""Futures: completion tokens for split-transaction requests.
+"""Futures: single-assignment result slots, and a FIFO of them.
 
-A memory operation issued by a core travels through the network and one or
-more controllers before completing. Each hop that needs to hand a result
-back does so by resolving a :class:`Future`. Cores block (stop issuing) on
-the future of their single outstanding operation, which models an in-order,
-blocking-memory-op pipeline.
+Memory ops complete through a continuation (``CoherenceProtocol.issue``'s
+``done``); a :class:`Future` is the result slot ``issue`` returns when
+called without one, as tests do.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 
 class Future:
@@ -85,6 +83,3 @@ class WaitQueue:
         for f in items:
             f.resolve(value)
         return len(items)
-
-    def peek_waiters(self) -> Optional[Future]:
-        return self._items[0] if self._items else None

@@ -128,14 +128,14 @@ class TraceRecorder:
         if self._stream is not None:
             self._stream.write(json.dumps(asdict(event)) + "\n")
 
-    def _issue(self, core: int, op: ops.Op):
+    def _issue(self, core: int, op: ops.Op, done=None):
         event = _classify(op)
         if event is not None:
             self._record(core, event)
             if isinstance(op, ops.Atomic):
                 for half in _atomic_halves(op):
                     self._record(core, half)
-        return self._original_issue(core, op)
+        return self._original_issue(core, op, done)
 
     def _probe(self, core: int, addr: int) -> None:
         self._record(core, TraceEvent(time=0, core=0, kind="ld_through",

@@ -75,6 +75,58 @@ class TestThreadExecution:
         assert a[0] != a[1]  # different streams per thread
 
 
+def _complete_twice(protocol, core, op, done):
+    """A buggy handler: completes its op twice."""
+    protocol.resolve_later(done, 1, 7)
+    protocol.resolve_later(done, 2, 7)
+
+
+class TestCompletionCheck:
+    """Ops complete through the core's continuation, not a future; a
+    completion with no op outstanding is still a protocol bug."""
+
+    def _machine(self):
+        machine = Machine(cfg())
+        protocol = machine.protocol
+        protocol._handlers = {**protocol._handlers,
+                              ops.Load: _complete_twice}
+        return machine
+
+    def test_an_op_completed_twice_raises(self):
+        machine = self._machine()
+
+        def body(ctx):
+            yield ops.Load(0x4000)
+
+        machine.spawn([body])
+        with pytest.raises(RuntimeError, match="no op outstanding"):
+            machine.run()
+
+    def test_an_issued_future_completed_twice_raises(self):
+        machine = self._machine()
+        machine.protocol.issue(0, ops.Load(0x4000))
+        with pytest.raises(RuntimeError, match="resolved twice"):
+            machine.engine.run()
+
+    def test_a_finished_core_resumed_raises(self):
+        machine = Machine(cfg())
+
+        def body(ctx):
+            yield ops.Load(0x4000)
+
+        machine.spawn([body])
+        machine.run()
+        core = machine._cores[0]
+        assert core.done
+        with pytest.raises(RuntimeError, match="no op outstanding"):
+            core._resume(None)
+
+    def test_an_idle_core_resumed_raises(self):
+        core = Machine(cfg())._cores[1]
+        with pytest.raises(RuntimeError, match="no op outstanding"):
+            core._resume(None)
+
+
 class TestMachineLifecycle:
     def test_spawn_twice_rejected(self):
         machine = Machine(cfg())
