@@ -3,9 +3,9 @@
 PR 3's :mod:`repro.resilience` proved the paper's synchronization
 machinery correct under faults *inside* the simulated machine; this
 package holds the host plane — the journaled queue, the atomic-write
-protocol, the HTTP fleet — to the same standard before it gets sharded
-across hosts (ROADMAP item 2). Three instruments, all driven by
-pre-drawn, content-addressed plans so every failure is replayable:
+protocol, the HTTP fleet — to the same standard. Three instruments, all
+driven by pre-drawn, content-addressed plans so every failure is
+replayable:
 
 * **fault shims** — :class:`~repro.chaos.fio.FaultyIO` injects
   ENOSPC/torn-write/EIO/slow-fsync faults at the named

@@ -109,6 +109,7 @@ def run_campaign(root: str, plan: ChaosPlan, jobs: int = 8,
                 except (ServeHTTPError, OSError):
                     pass    # lease will expire and requeue
     finally:
+        client.close()
         service.stop()
 
     # Verdict — against a *clean* reopen of the journal.
@@ -270,6 +271,7 @@ def run_drill(root: str, probe_interval_s: float = 0.2,
             step("post-recovery submit accepted and completed",
                  committed)
     finally:
+        client.close()
         service.stop()
     return {
         "schema": "chaos-drill-v1",

@@ -28,7 +28,7 @@ from urllib.parse import urlparse
 from repro.chaos.plan import (HTTP_DELAY, HTTP_DROP, HTTP_DROP_RESPONSE,
                               HTTP_ERROR, HTTP_TRUNCATE, ChaosPlan,
                               FaultMatcher)
-from repro.serve.client import Transport, urllib_transport
+from repro.serve.client import KeepAliveTransport, Transport
 
 __all__ = ["ChaosTransport"]
 
@@ -39,10 +39,16 @@ class ChaosTransport:
     def __init__(self, plan: Optional[ChaosPlan] = None,
                  inner: Optional[Transport] = None) -> None:
         self.plan = plan or ChaosPlan()
-        self.inner: Transport = inner or urllib_transport
+        self.inner: Transport = inner or KeepAliveTransport()
         self._matcher = FaultMatcher(self.plan.http_faults())
         self.requests = 0
         self.injected: List[Dict[str, Any]] = []
+
+    def close(self) -> None:
+        """Close the inner wire's pooled connections, if it has any."""
+        close = getattr(self.inner, "close", None)
+        if close is not None:
+            close()
 
     def _note(self, kind: str, key: str) -> None:
         self.injected.append({"kind": kind, "site": key})

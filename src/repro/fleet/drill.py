@@ -271,6 +271,7 @@ def run_drill(root: str, unique_specs: int = 100,
             except subprocess.TimeoutExpired:
                 supervisor.kill()
                 supervisor.wait(timeout=10)
+        client.close()
         service.stop()
 
 
@@ -340,6 +341,7 @@ def run_parity(root: str, unique_specs: int = 30, seed: int = 7,
         if supervisor.poll() is None:
             supervisor.kill()
             supervisor.wait(timeout=10)
+        client_a.close()
         service_a.stop()
 
     # Arm B: the same flood with hand-spawned workers, no supervisor.
@@ -361,6 +363,7 @@ def run_parity(root: str, unique_specs: int = 30, seed: int = 7,
     finally:
         for proc in procs:
             proc.terminate()
+        client_b.close()
         service_b.stop()
 
     identical = records_a == records_b

@@ -544,6 +544,7 @@ class Supervisor:
             self._reap()
         self._publish()
         self._journal.close()
+        self.client.close()
 
 
 def _parse_flap(pairs: List[str]) -> Dict[str, int]:

@@ -44,6 +44,13 @@ orchestration event log (``events.jsonl``) with the torn-tail-tolerant
 reader, returns a byte offset to resume from, and optionally long-polls
 (``wait_s``): a parked request is woken by the queue's next append, so a
 client follows the log live without busy-waiting.
+
+Connections are persistent HTTP/1.1 with ``TCP_NODELAY``: one handler
+thread serves one client connection for as long as it stays open, and
+closes it after :data:`_IDLE_TIMEOUT_S` without a request.
+:meth:`ServeService.stop` shuts every open connection and joins its
+handler thread.
+
 Errors map :class:`~repro.serve.model.ServeError` subclasses to their
 HTTP statuses (404 unknown, 409 stale lease, 429 quota/backlog, 503
 read-only); errors carrying ``retry_after`` get a ``Retry-After``
@@ -56,12 +63,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.obs.promtext import Family, render_prometheus
 from repro.orchestrate.events import tail_events
 
 from repro.serve.model import ServeError
@@ -74,6 +83,12 @@ _MAX_WAIT_S = 30.0
 #: How often a parked long-poll re-reads the log for lines appended by
 #: other writers; the queue's own appends wake it at once.
 _POLL_S = 0.05
+#: Seconds a keep-alive connection may sit between requests before its
+#: handler closes it; a client reconnects on its next request.
+_IDLE_TIMEOUT_S = 60.0
+#: How long :meth:`ServeService.stop` waits for handler threads after
+#: shutting their connections.
+_STOP_JOIN_S = 2.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -81,6 +96,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    timeout = _IDLE_TIMEOUT_S
+    # Headers and body go out as two writes; with Nagle on, the second
+    # waits for the client's delayed ACK of the first.
+    disable_nagle_algorithm = True
 
     # Routing ------------------------------------------------------------
 
@@ -94,10 +113,25 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
     def _dispatch(self, method: str) -> None:
-        queue: JobQueue = self.server.queue  # type: ignore[attr-defined]
+        server: _Server = self.server  # type: ignore[assignment]
+        server.count_request()
+        queue = server.queue
         url = urlparse(self.path)
         parts = [p for p in url.path.split("/") if p]
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown: answer, then hang up.
+            self._send_json({"error": "bad Content-Length",
+                             "type": "ValueError"}, status=400,
+                            headers={"Connection": "close"})
+            return
+        # Read the whole body whatever the route, so the next request
+        # on this connection starts at a request line.
+        self._body = self.rfile.read(length)
         try:
             handled = self._route(method, parts, query, queue)
         except ServeError as exc:
@@ -125,7 +159,9 @@ class _Handler(BaseHTTPRequestHandler):
                queue: JobQueue) -> bool:
         if method == "GET" and parts == ["metrics"]:
             # Top-level by scraper convention, text not JSON.
-            self._send_text(queue.prometheus_text(),
+            families = (queue.prometheus_families()
+                        + self.server.http_families())  # type: ignore
+            self._send_text(render_prometheus(families),
                             ctype="text/plain; version=0.0.4; "
                                   "charset=utf-8")
             return True
@@ -283,7 +319,8 @@ class _Handler(BaseHTTPRequestHandler):
             if job is not None:
                 events = [e for e in events if e.get("job_key") == job]
             remaining = deadline - time.monotonic()
-            if events or remaining <= 0:
+            if events or remaining <= 0 \
+                    or self.server.stopping.is_set():  # type: ignore
                 return {"events": events, "offset": offset,
                         "skipped": skipped}
             # Woken by the queue's next append; _POLL_S bounds the wait
@@ -313,11 +350,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Plumbing -----------------------------------------------------------
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if not length:
+        if not self._body:
             return {}
-        raw = self.rfile.read(length)
-        body = json.loads(raw.decode("utf-8"))
+        body = json.loads(self._body.decode("utf-8"))
         if not isinstance(body, dict):
             raise ValueError("request body must be a JSON object")
         return body
@@ -347,6 +382,76 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
 
+class _Server(ThreadingHTTPServer):
+    """One handler thread per connection, tracked so that
+    :meth:`close_connections` can end them, and counted for
+    ``/metrics``."""
+
+    daemon_threads = True
+    block_on_close = False  # close_connections() joins, with a bound
+
+    def __init__(self, address: Tuple[str, int], queue: JobQueue,
+                 verbose: bool) -> None:
+        super().__init__(address, _Handler)
+        self.queue = queue
+        self.verbose = verbose
+        self.started_at = time.time()
+        #: Set by :meth:`ServeService.stop`: parked long-polls return.
+        self.stopping = threading.Event()
+        self._lock = threading.Lock()
+        #: Open connection socket -> its handler thread.
+        self._live: Dict[socket.socket, threading.Thread] = {}
+        self.connections_total = 0
+        self.requests_total = 0
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name=f"serve-conn:{self.server_address[1]}", daemon=True)
+        with self._lock:
+            self._live[request] = thread
+            self.connections_total += 1
+        thread.start()
+
+    def process_request_thread(self, request: Any,
+                               client_address: Any) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._lock:
+                self._live.pop(request, None)
+
+    def count_request(self) -> None:
+        with self._lock:
+            self.requests_total += 1
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut the read side of every open connection, then join the
+        handler threads for at most ``timeout`` seconds in all. An idle
+        handler wakes at EOF and exits; a busy one sends its response
+        first."""
+        with self._lock:
+            live = list(self._live.items())
+        for sock, _ in live:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the client already closed it
+        deadline = time.monotonic() + timeout
+        for _, thread in live:
+            thread.join(max(0.0, deadline - time.monotonic()))
+
+    def http_families(self) -> List[Family]:
+        with self._lock:
+            connections, requests = (self.connections_total,
+                                     self.requests_total)
+        return [Family("repro_serve_http_connections_total", "counter",
+                       "HTTP connections accepted.").add(connections),
+                Family("repro_serve_http_requests_total", "counter",
+                       "HTTP requests dispatched.").add(requests)]
+
+
 class ServeService:
     """The running service: HTTP server + lease-expiry housekeeping."""
 
@@ -354,11 +459,7 @@ class ServeService:
                  port: int = 0, housekeeping_s: float = 0.25,
                  verbose: bool = False) -> None:
         self.queue = queue
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True           # type: ignore[attr-defined]
-        self.httpd.queue = queue                   # type: ignore[attr-defined]
-        self.httpd.verbose = verbose               # type: ignore[attr-defined]
-        self.httpd.started_at = time.time()        # type: ignore[attr-defined]
+        self.httpd = _Server((host, port), queue, verbose)
         self.housekeeping_s = housekeeping_s
         self._threads: list = []
         self._stop = threading.Event()
@@ -393,8 +494,13 @@ class ServeService:
                 pass
 
     def stop(self) -> None:
+        """Stop accepting, end every open connection (joining handler
+        threads for at most :data:`_STOP_JOIN_S`), then close the
+        queue."""
         self._stop.set()
+        self.httpd.stopping.set()
         self.httpd.shutdown()
+        self.httpd.close_connections(_STOP_JOIN_S)
         self.httpd.server_close()
         for thread in self._threads:
             thread.join(timeout=2.0)

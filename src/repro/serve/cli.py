@@ -20,10 +20,11 @@ against a service on another machine exactly as against localhost.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.orchestrate.status import gauge_lines
 
@@ -107,8 +108,19 @@ def _load_specs(path: str) -> List[Dict[str, Any]]:
     raise SystemExit("--spec wants a JobSpec object or a list of them")
 
 
-def cmd_submit(args: argparse.Namespace) -> int:
-    client = ServeClient(args.server)
+def _with_client(fn: Callable[[argparse.Namespace, ServeClient], int]
+                 ) -> Callable[[argparse.Namespace], int]:
+    """Run a client subcommand with one ``ServeClient`` on
+    ``--server``, closed when the command returns."""
+    @functools.wraps(fn)
+    def run(args: argparse.Namespace) -> int:
+        with ServeClient(args.server) as client:
+            return fn(args, client)
+    return run
+
+
+@_with_client
+def cmd_submit(args: argparse.Namespace, client: ServeClient) -> int:
     specs = _load_specs(args.spec)
     views = client.submit_many(args.tenant, specs, priority=args.priority,
                                telemetry=args.telemetry,
@@ -139,8 +151,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_status(args: argparse.Namespace) -> int:
-    client = ServeClient(args.server)
+@_with_client
+def cmd_status(args: argparse.Namespace, client: ServeClient) -> int:
     if args.ref:
         doc = (client.submission(args.ref) if "-" in args.ref
                else client.run(args.ref))
@@ -170,8 +182,8 @@ def cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_results(args: argparse.Namespace) -> int:
-    client = ServeClient(args.server)
+@_with_client
+def cmd_results(args: argparse.Namespace, client: ServeClient) -> int:
     try:
         record = client.result(args.ref)
     except ServeHTTPError as exc:
@@ -187,8 +199,8 @@ def cmd_results(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_events(args: argparse.Namespace) -> int:
-    client = ServeClient(args.server)
+@_with_client
+def cmd_events(args: argparse.Namespace, client: ServeClient) -> int:
     try:
         if args.follow:
             for event in client.follow(job=args.job):
@@ -205,13 +217,14 @@ def cmd_events(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    print(ServeClient(args.server).metrics(), end="")
+@_with_client
+def cmd_metrics(args: argparse.Namespace, client: ServeClient) -> int:
+    print(client.metrics(), end="")
     return 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    client = ServeClient(args.server)
+@_with_client
+def cmd_trace(args: argparse.Namespace, client: ServeClient) -> int:
     try:
         doc = client.trace(args.job_key)
     except ServeHTTPError as exc:
@@ -226,8 +239,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_drain(args: argparse.Namespace) -> int:
-    client = ServeClient(args.server)
+@_with_client
+def cmd_drain(args: argparse.Namespace, client: ServeClient) -> int:
     doc = client.drain(on=not args.off)
     print(f"draining={doc['draining']} idle={doc['idle']}")
     if args.wait and not args.off:

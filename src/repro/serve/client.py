@@ -29,6 +29,17 @@ deterministically, and the whole HTTP path goes through one pluggable
 ``transport`` callable so :mod:`repro.chaos.httpshim` can sit between
 this client and the wire without monkeypatching.
 
+Connections
+-----------
+
+The default transport, :class:`KeepAliveTransport`, keeps one
+persistent HTTP/1.1 connection per calling thread and per
+``(host, port)``. A pooled connection that the server closed (idle
+timeout, restart) is replaced *before* anything is sent on it; once a
+request's bytes may have been written it is never resent by the
+transport, so the retry rules above are the only resend path. Close
+the client (``close()`` or a ``with`` block) to release its sockets.
+
 Circuit breaker
 ---------------
 
@@ -42,22 +53,24 @@ probe finds the service answering again. See :mod:`repro.serve.breaker`.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from collections import Counter
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
                     Union)
+from urllib.parse import urlsplit
 
 from repro.serve.breaker import CircuitBreaker, CircuitOpenError
 from repro.serve.model import StaleLeaseError
 
-__all__ = ["ServeClient", "ServeHTTPError", "urllib_transport"]
+__all__ = ["KeepAliveTransport", "ServeClient", "ServeHTTPError"]
 
 #: (status, body bytes, response headers). Non-HTTP failures raise
-#: OSError (urllib's URLError is one).
+#: OSError.
 TransportResult = Tuple[int, bytes, Dict[str, str]]
 Transport = Callable[[str, str, Optional[bytes], float, Dict[str, str]],
                      TransportResult]
@@ -72,26 +85,95 @@ class ServeHTTPError(Exception):
         self.doc = doc
 
 
-def urllib_transport(method: str, url: str, data: Optional[bytes],
-                     timeout: float,
-                     headers: Dict[str, str]) -> TransportResult:
-    """The default wire: one urllib round-trip, HTTP errors returned
-    as statuses (not raised) so the retry loop sees every response the
-    same way. Connection-level trouble raises OSError."""
-    req = urllib.request.Request(url, data=data, method=method,
-                                 headers=dict(headers))
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            resp_headers = {k.title(): v for k, v in resp.headers.items()}
-            return int(resp.status), resp.read(), resp_headers
-    except urllib.error.HTTPError as exc:
+def _stale(sock: Any) -> bool:
+    """True when an idle pooled socket has something to read: EOF from
+    a server that closed it, or bytes nobody asked for. Either way it
+    must not carry the next request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class KeepAliveTransport:
+    """The wire: one persistent ``http.client`` connection per calling
+    thread and per ``(host, port)``, reused across requests.
+
+    Per thread because one client is shared across threads (a worker's
+    heartbeat thread, tests) and a connection carries one request at a
+    time. ``http.client`` sets ``TCP_NODELAY`` on every connection it
+    opens, so a small request is never held back by Nagle.
+
+    * Before a pooled connection is reused it is checked with a
+      zero-timeout poll; one the server closed is replaced before any
+      byte is sent.
+    * Once a request's bytes may have been written nothing is resent
+      here: the failure surfaces as ``OSError`` and
+      :meth:`ServeClient.request` applies its idempotent-retry rules.
+    * ``http.client.HTTPException`` surfaces as ``OSError``.
+
+    HTTP error statuses are returned, not raised, so the retry loop
+    sees every response the same way.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        #: Every connection this transport opened, with its thread, so
+        #: :meth:`close` reaches all threads and a dead thread's
+        #: connection is closed when the next one is opened.
+        self._open: List[Tuple[threading.Thread,
+                               http.client.HTTPConnection]] = []
+
+    def _connection(self, host: str, port: int,
+                    timeout: float) -> http.client.HTTPConnection:
+        pool = getattr(self._local, "pool", None)
+        if pool is None:
+            pool = self._local.pool = {}
+        conn = pool.get((host, port))
+        if conn is None:
+            conn = pool[(host, port)] = http.client.HTTPConnection(
+                host, port, timeout=timeout)
+            with self._lock:
+                live = [(threading.current_thread(), conn)]
+                for thread, old in self._open:
+                    if thread.is_alive():
+                        live.append((thread, old))
+                    else:
+                        old.close()
+                self._open = live
+        elif conn.sock is not None and _stale(conn.sock):
+            conn.close()  # request() reconnects before sending
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        return conn
+
+    def __call__(self, method: str, url: str, data: Optional[bytes],
+                 timeout: float,
+                 headers: Dict[str, str]) -> TransportResult:
+        parts = urlsplit(url)
+        conn = self._connection(parts.hostname or "", parts.port or 80,
+                                timeout)
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
         try:
-            body = exc.read()
-        except OSError:
-            body = b""
-        resp_headers = {k.title(): v for k, v in exc.headers.items()} \
-            if exc.headers else {}
-        return int(exc.code), body, resp_headers
+            conn.request(method, target, body=data, headers=headers)
+            resp = conn.getresponse()
+            body = resp.read()
+        except BaseException as exc:
+            conn.close()  # half-used: never reuse it
+            if isinstance(exc, http.client.HTTPException) \
+                    and not isinstance(exc, OSError):
+                raise OSError(f"{type(exc).__name__}: {exc}") from exc
+            raise
+        return (resp.status, body,
+                {k.title(): v for k, v in resp.getheaders()})
+
+    def close(self) -> None:
+        """Close every thread's connection. The transport stays usable:
+        a later request opens a fresh one."""
+        with self._lock:
+            for _, conn in self._open:
+                conn.close()
 
 
 class ServeClient:
@@ -109,12 +191,24 @@ class ServeClient:
         self.backoff_s = backoff_s
         self.backoff_max_s = backoff_max_s
         self._rng = random.Random(retry_seed)
-        self.transport: Transport = transport or urllib_transport
+        self.transport: Transport = transport or KeepAliveTransport()
         if breaker is True:
             breaker = CircuitBreaker()
         self.breaker: Optional[CircuitBreaker] = breaker or None
         #: Retries actually performed, by reason — feeds worker metrics.
         self.retry_counts: Counter = Counter()
+
+    def close(self) -> None:
+        """Release the transport's pooled connections."""
+        close = getattr(self.transport, "close", None)
+        if close is not None:
+            close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------ plumbing
 

@@ -147,6 +147,7 @@ class Worker:
             return self._run_loop()
         finally:
             self._deregister()
+            self.client.close()
 
     def _run_loop(self) -> int:
         errors = 0

@@ -13,6 +13,7 @@ worker-process story (SIGKILL, resume, 1000-job flood) lives in
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -20,6 +21,7 @@ import time
 
 import pytest
 
+from repro.obs.promtext import parse_prometheus
 from repro.orchestrate import execute_job
 from repro.orchestrate.events import read_events
 from repro.orchestrate.jobspec import JobSpec
@@ -27,6 +29,7 @@ from repro.orchestrate.status import job_status_entry
 from repro.serve import (JobQueue, Journal, QuotaExceededError,
                          ServeClient, ServeHTTPError, ServeService,
                          StaleLeaseError, spawn_worker)
+from repro.serve import api
 from repro.serve.journal import journal_path
 from repro.serve.model import (RUN_DONE, RUN_FAILED, RUN_LEASED,
                                RUN_QUEUED, SUB_DONE, UnknownJobError)
@@ -418,7 +421,8 @@ def service(tmp_path):
                      checkpoint_every=0)
     svc = ServeService(queue, housekeeping_s=0.05).start()
     try:
-        yield svc, ServeClient(svc.url)
+        with ServeClient(svc.url) as client:
+            yield svc, client
     finally:
         svc.stop()
 
@@ -1060,3 +1064,237 @@ class TestEventLongPollCallback:
         with pytest.raises(ServeHTTPError) as err:
             client.request("GET", f"/v1/events?{query}", timeout=5)
         assert err.value.status == 400
+
+
+def http_counts(client):
+    """(connections accepted, requests dispatched) from ``/metrics``;
+    the scrape itself is one of the requests."""
+    families = parse_prometheus(client.metrics())
+    return tuple(sum(families[name]["samples"].values())
+                 for name in ("repro_serve_http_connections_total",
+                              "repro_serve_http_requests_total"))
+
+
+def pooled_sockets(client):
+    """The sockets of the client's open pooled connections."""
+    return [conn.sock for _, conn in client.transport._open
+            if conn.sock is not None]
+
+
+def conn_threads(svc):
+    """The service's live handler threads (one per open connection)."""
+    name = f"serve-conn:{svc.address[1]}"
+    return [t for t in threading.enumerate()
+            if t.name == name and t.is_alive()]
+
+
+class _HangUpServer:
+    """A raw listener that answers the first request it reads with
+    ``answer`` and, on every later one, records it and hangs up without
+    a response."""
+
+    OK = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+          b"Content-Length: 12\r\n\r\n{\"ok\": true}")
+
+    def __init__(self, answer=OK):
+        self.answer = answer
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.1)
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.request_lines = []
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            with conn, conn.makefile("rb") as rfile:
+                while True:
+                    line = rfile.readline()
+                    if not line:
+                        break
+                    self.request_lines.append(line.split()[0].decode())
+                    length = 0
+                    for header in iter(rfile.readline, b"\r\n"):
+                        name, _, value = header.partition(b":")
+                        if name.lower() == b"content-length":
+                            length = int(value)
+                    rfile.read(length)
+                    if len(self.request_lines) > 1:
+                        break               # hang up, nothing answered
+                    conn.sendall(self.answer)
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=5)
+        self.listener.close()
+
+
+class TestKeepAlive:
+    """One persistent connection per client per thread, TCP_NODELAY on
+    both ends, reconnect-before-send, and no resend of a written POST."""
+
+    def test_sequential_requests_share_one_connection(self, service):
+        _, client = service
+        for _ in range(5):
+            assert client.health()["ok"]
+        client.submit("alice", spec_for(seed=61).to_dict())
+        assert client.lease("w1") is not None
+        assert http_counts(client) == (1, 8)
+
+    def test_both_ends_disable_nagle(self, service):
+        svc, client = service
+        client.health()
+        [sock] = pooled_sockets(client)
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        [server_sock] = list(svc.httpd._live)
+        assert server_sock.getsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY)
+
+    def test_threads_sharing_a_client_get_their_own_sockets(self, service):
+        _, client = service
+        _, offset = client.events()
+        box = {}
+
+        def park():
+            box["events"], _ = client.events(offset=offset, wait_s=5.0)
+
+        thread = threading.Thread(target=park, daemon=True)
+        thread.start()
+        time.sleep(0.2)                  # let the long-poll park
+        client.submit("alice", spec_for(seed=62).to_dict())
+        thread.join(timeout=10)
+        assert [e["kind"] for e in box["events"]] == ["queued"]
+        sockets = pooled_sockets(client)
+        assert len(sockets) == 2 and sockets[0] is not sockets[1]
+        assert http_counts(client)[0] == 2
+
+    def test_many_threads_share_one_client(self, service):
+        """Stress: more threads than cores on one client, with a short
+        switch interval. Each thread keeps its own connection and the
+        server's request counter loses no update."""
+        _, client = service
+        threads, per_thread = 8, 25
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(per_thread):
+                    assert client.health()["ok"]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=hammer, daemon=True)
+                    for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        assert http_counts(client) == (threads + 1,
+                                       threads * per_thread + 1)
+
+    def test_bad_content_length_is_400_and_hangs_up(self, service):
+        svc, _ = service
+        with socket.create_connection(svc.address, timeout=5) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: -1\r\n\r\n{}")
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break                  # the server hung up
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"bad Content-Length" in reply
+
+    def test_restart_on_same_port_reconnects_before_sending(self,
+                                                            tmp_path):
+        root = str(tmp_path / "serve")
+        svc = ServeService(JobQueue(root, checkpoint_every=0)).start()
+        port = svc.address[1]
+        # retries=0: a request sent on the dead socket would fail.
+        with ServeClient(svc.url) as client:
+            try:
+                client.health()
+                for call in (client.health, lambda: client.lease("w1")):
+                    svc.stop()
+                    svc = ServeService(JobQueue(root, checkpoint_every=0),
+                                       port=port).start()
+                    call()
+                    assert http_counts(client)[0] == 1
+            finally:
+                svc.stop()
+
+    def test_idle_timeout_closes_and_client_reconnects(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(api._Handler, "timeout", 0.2)
+        svc = ServeService(make_queue(tmp_path)).start()
+        try:
+            with ServeClient(svc.url) as client:
+                client.health()
+                deadline = time.monotonic() + 5.0
+                while conn_threads(svc) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not conn_threads(svc)    # the server hung up
+                assert client.health()["ok"]
+                assert http_counts(client)[0] == 2
+        finally:
+            svc.stop()
+
+    def test_written_post_whose_response_is_lost_is_not_resent(self):
+        server = _HangUpServer()
+        try:
+            with ServeClient(server.url, retries=3,
+                             backoff_s=0.01) as client:
+                assert client.health() == {"ok": True}
+                with pytest.raises(OSError):
+                    client.lease("w1")
+            assert server.request_lines == ["GET", "POST"]
+        finally:
+            server.close()
+
+    def test_garbled_response_surfaces_as_oserror(self):
+        server = _HangUpServer(answer=b"NOT-HTTP\r\n\r\n")
+        try:
+            with ServeClient(server.url) as client:
+                with pytest.raises(OSError, match="BadStatusLine"):
+                    client.health()
+        finally:
+            server.close()
+
+    def test_stop_ends_handlers_while_a_client_holds_connections(
+            self, tmp_path):
+        svc = ServeService(make_queue(tmp_path)).start()
+        with ServeClient(svc.url) as client:
+            client.health()
+
+            def park():
+                try:
+                    client.events(wait_s=20.0)
+                except OSError:
+                    pass
+
+            thread = threading.Thread(target=park, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 5.0
+            while len(conn_threads(svc)) < 2 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert len(conn_threads(svc)) == 2
+            t0 = time.monotonic()
+            svc.stop()
+            assert time.monotonic() - t0 < api._STOP_JOIN_S
+            assert conn_threads(svc) == []
+            thread.join(timeout=5)
+            assert not thread.is_alive()
