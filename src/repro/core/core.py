@@ -3,7 +3,7 @@
 The core has one outstanding memory operation at a time (blocking loads
 and stores, as in the paper's 64 in-order cores). It pulls the next op
 from the thread generator, hands memory ops to the protocol with
-:meth:`Core._resume` as their continuation (no future per op), turns
+:meth:`Core._resume` as their continuation, turns
 ``Compute`` into a scheduled delay and ``BackoffWait`` into the
 configuration's exponential back-off delay, and resumes the generator
 with each op's result.

@@ -128,7 +128,3 @@ class MemoryLayout:
         classification sees it as private.
         """
         return self.alloc(size, align=self.config.page_bytes)
-
-    @property
-    def high_water(self) -> int:
-        return self._next

@@ -52,10 +52,6 @@ class WordStore:
     def version(self, addr: int) -> int:
         return self._versions.get(self._key(addr), 0)
 
-    def read_versioned(self, addr: int) -> Tuple[int, int]:
-        key = self._key(addr)
-        return self._values.get(key, 0), self._versions.get(key, 0)
-
     def fetch_add(self, addr: int, delta: int) -> int:
         """Atomic add; returns the *old* value (fetch&add semantics)."""
         old = self.read(addr)

@@ -35,15 +35,6 @@ class MsgKind(enum.Enum):
     FWD = "Fwd"                # directory forward to owner (MESI)
     WAKEUP = "Wakeup"          # callback satisfied: word value to a waiter
 
-    @property
-    def is_control(self) -> bool:
-        return self not in _DATA_BEARING
-
-
-_DATA_BEARING = {MsgKind.DATA, MsgKind.DATA_WORD, MsgKind.WAKEUP,
-                 MsgKind.PUTM, MsgKind.STORE_THROUGH, MsgKind.WRITE_THROUGH,
-                 MsgKind.ATOMIC}
-
 
 def message_bytes(kind: MsgKind, line_bytes: int, word_bytes: int,
                   header_bytes: int) -> int:

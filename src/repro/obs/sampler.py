@@ -57,13 +57,6 @@ class TimeSeriesSampler:
         for name in self.gauges:
             self.columns[name] = []
 
-    def add_gauge(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a live gauge; only valid before the first sample."""
-        if self.columns["cycle"]:
-            raise RuntimeError("cannot add gauges after sampling started")
-        self.gauges[name] = fn
-        self.columns[name] = []
-
     def install(self, bus: ProbeBus) -> None:
         """Start the cycle-window tick on the bus's engine."""
         bus.every(self.every, self.sample)

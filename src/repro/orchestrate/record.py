@@ -91,10 +91,6 @@ class RecordResult:
     def energy(self) -> _EnergyView:
         return _EnergyView(self._result.get("energy", {}))
 
-    def stat(self, name: str, default: Any = 0) -> Any:
-        """One headline counter from the serialized stats summary."""
-        return self._result.get("stats", {}).get(name, default)
-
     def episode_mean(self, category: str) -> float:
         episodes = self._result.get("stats", {}).get("episodes", {})
         return float(episodes.get(category, {}).get("mean", 0.0))

@@ -4,8 +4,7 @@ A protocol object owns the whole memory system below the cores: L1 models,
 LLC banks, (for MESI) the directory, (for callback) the callback
 directory. Cores call :meth:`CoherenceProtocol.issue` with an op and a
 continuation ``done``, called once with the op's result when it
-completes; without ``done``, ``issue`` returns a
-:class:`~repro.sim.future.Future` resolved then.
+completes.
 
 LLC banks are single-ported: each bank tracks ``busy_until`` and a request
 arriving while the bank is busy waits until the port frees. This
@@ -27,7 +26,6 @@ from repro.noc.network import Network
 from repro.protocols import ops
 from repro.protocols.table import TransitionTable
 from repro.sim.engine import Engine
-from repro.sim.future import Future
 from repro.sim.stats import Stats
 
 # --------------------------------------------------- transition-table registry
@@ -125,19 +123,13 @@ class CoherenceProtocol:
             _HANDLER_CACHE[cls] = handlers
         return handlers
 
-    def issue(self, core: int, op: ops.Op,
-              done: Optional[Done] = None) -> Optional[Future]:
+    def issue(self, core: int, op: ops.Op, done: Done) -> None:
         """Start ``op`` for ``core`` and call ``done(value)`` when it
-        completes (without ``done``, return a future resolved then)."""
+        completes."""
         handler = self._handlers.get(type(op))
         if handler is None:
             raise TypeError(f"{type(self).__name__} cannot execute {op!r}")
-        if done is not None:
-            handler(self, core, op, done)
-            return None
-        future = Future()
-        handler(self, core, op, future.resolve)
-        return future
+        handler(self, core, op, done)
 
     # ``_DISPATCH`` maps op types to ``(self, core, op, done)`` handlers,
     # which call ``done(value)`` once, where the op completes. ``Load``,
@@ -271,8 +263,8 @@ class CoherenceProtocol:
 
 class _Burst:
     """One ``DataBurst`` in flight: its bound :meth:`step` is the
-    continuation of every access, so no op, future or partial is built
-    per access."""
+    continuation of every access, so no op or partial is built per
+    access."""
 
     __slots__ = ("protocol", "core", "op", "next", "done")
 

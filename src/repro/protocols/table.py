@@ -134,12 +134,6 @@ class TransitionTable:
     def initial(self, *args: Any, **kwargs: Any) -> State:
         return self._initial(*args, **kwargs)
 
-    def event_kinds(self) -> List[str]:
-        return sorted(self._by_event)
-
-    def transition_names(self) -> List[str]:
-        return [transition.name for transition in self.transitions]
-
     def enabled(self, state: Mapping[str, Any], event: Event) -> List[Transition]:
         return [
             transition

@@ -29,7 +29,8 @@ unchanged VIPS-M.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.mem.cache import SetAssociativeCache
 from repro.noc.messages import MsgKind
@@ -41,7 +42,6 @@ from repro.protocols.vips.table import (
     flushes_on_fence,
     writes_back_on_evict,
 )
-from repro.sim.future import WaitQueue
 
 
 class VIPSLine:
@@ -81,8 +81,9 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
         # the L1 contents, so they stay out of ckpt_state().
         self._shared_lines: List[Set[int]] = [set() for _ in self.l1]
         self._dirty_shared_lines: List[Set[int]] = [set() for _ in self.l1]
-        # Per-word atomic serialization at the home bank (LLC MSHR lock).
-        self._mshr_locked: Dict[int, WaitQueue] = {}
+        # Per-word atomic serialization at the home bank (LLC MSHR lock):
+        # a held word maps to the FIFO of RMW thunks waiting for it.
+        self._mshr_locked: Dict[int, Deque[Callable[[], None]]] = {}
         # ld_through probes and BackOff-N spins (the engine's spin heap).
         self._init_spins()
 
@@ -357,17 +358,17 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
     def _mshr_acquire(self, word: int, thunk: Callable[[], None]) -> None:
         queue = self._mshr_locked.get(word)
         if queue is None:
-            self._mshr_locked[word] = WaitQueue()
+            self._mshr_locked[word] = deque()
             thunk()
         else:
-            queue.park().add_callback(lambda _v: thunk())
+            queue.append(thunk)
 
     def _mshr_release(self, word: int) -> None:
         queue = self._mshr_locked.get(word)
         if queue is None:
             raise RuntimeError(f"MSHR release without lock: {word:#x}")
         if queue:
-            queue.wake_one()
+            queue.popleft()()
         else:
             del self._mshr_locked[word]
 

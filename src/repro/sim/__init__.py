@@ -1,17 +1,14 @@
-"""Discrete-event simulation core: engine, futures, statistics."""
+"""Discrete-event simulation core: engine and statistics."""
 
 from repro.sim.engine import (DeadlockError, Engine, LivenessError,
                               SimulationError, SimulationTimeout)
-from repro.sim.future import Future, WaitQueue
 from repro.sim.stats import Stats
 
 __all__ = [
     "DeadlockError",
     "Engine",
     "LivenessError",
-    "Future",
     "SimulationError",
     "SimulationTimeout",
     "Stats",
-    "WaitQueue",
 ]

@@ -19,8 +19,10 @@ unless used:
   ticks, which is what keeps sampled runs bit-identical to unsampled
   ones.
 * an optional **step hook** (:attr:`profile_hook`) that, when set, is
-  handed each popped callback instead of the engine calling it directly;
-  the wall-clock profiler uses it to attribute host time by component.
+  handed each event's callable instead of the engine calling it
+  directly — a popped callback, or the spin runner's ``step_spin`` for
+  a spin event; the wall-clock profiler uses it to attribute host time
+  by component.
 
 A second heap, the **spin heap**, holds ``(time, seq, phase, spin)``
 entries: the phases of BackOff-N ``ld_through`` probes, which are not
@@ -136,9 +138,8 @@ class Engine:
         self._spins: list = []
         self._seq = 0
         self.now = 0
-        self._running = False
         self._live = 0
-        #: When set, :meth:`step` calls ``profile_hook(callback)`` instead
+        #: When set, :meth:`run` calls ``profile_hook(callback)`` instead
         #: of ``callback()`` — the hook must invoke the callback exactly
         #: once (see repro.obs.profiler).
         self.profile_hook: Optional[Callable[[Callable[[], None]], None]] = None
@@ -178,11 +179,6 @@ class Engine:
         self._seq += 1
         self._live += 1
 
-    def _spin_first(self) -> bool:
-        """Whether the spin head runs before the general head."""
-        spins = self._spins
-        return bool(spins) and (not self._queue or spins[0] < self._queue[0])
-
     @property
     def pending(self) -> int:
         """Number of events still queued (daemon and spin events
@@ -191,9 +187,10 @@ class Engine:
 
     def next_time(self) -> Optional[int]:
         """Cycle of the earliest queued event (daemon or live), or None."""
-        if self._spin_first():
-            return self._spins[0][0]
-        return self._queue[0][0] if self._queue else None
+        spins, queue = self._spins, self._queue
+        if spins and (not queue or spins[0] < queue[0]):
+            return spins[0][0]
+        return queue[0][0] if queue else None
 
     def ckpt_state(self) -> Dict[str, Any]:
         """Deterministic view of the scheduler state for checkpoint
@@ -230,30 +227,6 @@ class Engine:
             raise SimulationError("drop_daemons() with live events queued")
         self._queue.clear()
 
-    def step(self) -> bool:
-        """Run the single next event. Returns False if the queue is empty."""
-        hook = self.profile_hook
-        if self._spin_first():
-            step = self._spins[0][3].runner.step_spin
-            if hook is None:
-                step()
-            else:
-                hook(step)
-            return True
-        if not self._queue:
-            return False
-        time, _seq, callback, daemon = heappop(self._queue)
-        if time < self.now:
-            raise SimulationError("event heap corrupted: time moved backwards")
-        self.now = time
-        if not daemon:
-            self._live -= 1
-        if hook is None:
-            callback()
-        else:
-            hook(callback)
-        return True
-
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None,
             max_cycles: Optional[int] = None) -> int:
@@ -277,59 +250,54 @@ class Engine:
         While the spin head comes first, control passes to its runner,
         which stops where these checks would trip and leaves them to this
         loop (unless a :attr:`profile_hook` is set: then each spin event
-        is one :meth:`step`).
+        is one ``step_spin`` call handed to the hook).
         """
         executed = 0
         queue, spins = self._queue, self._spins
         stop_time = min(NO_LIMIT if until is None else until,
                         NO_LIMIT if max_cycles is None else max_cycles)
         stop_events = NO_LIMIT if max_events is None else max_events
-        self._running = True
-        try:
-            while self._live > 0:
-                if spins and (not queue or spins[0] < queue[0]):
-                    head = spins[0][0]
-                    spin_head = True
-                else:
-                    head = queue[0][0]
-                    spin_head = False
-                if head > stop_time or executed >= stop_events:
-                    if until is not None and head > until:
-                        break
-                    if max_cycles is not None and head > max_cycles:
-                        raise SimulationTimeout(
-                            f"watchdog: simulated clock would pass the "
-                            f"{max_cycles}-cycle deadline at cycle "
-                            f"{self.now} ({executed} events executed)",
-                            reason="max_cycles", cycle=self.now,
-                            events=executed,
-                        )
+        while self._live > 0:
+            if spins and (not queue or spins[0] < queue[0]):
+                head = spins[0][0]
+                spin_head = True
+            else:
+                head = queue[0][0]
+                spin_head = False
+            if head > stop_time or executed >= stop_events:
+                if until is not None and head > until:
+                    break
+                if max_cycles is not None and head > max_cycles:
                     raise SimulationTimeout(
-                        f"watchdog: exceeded {max_events} events at cycle "
-                        f"{self.now}",
-                        reason="max_events", cycle=self.now, events=executed,
+                        f"watchdog: simulated clock would pass the "
+                        f"{max_cycles}-cycle deadline at cycle "
+                        f"{self.now} ({executed} events executed)",
+                        reason="max_cycles", cycle=self.now,
+                        events=executed,
                     )
-                hook = self.profile_hook
-                if not spin_head:
-                    # step()'s general-heap half, inline.
-                    time, _seq, callback, daemon = heappop(queue)
-                    if time < self.now:
-                        raise SimulationError(
-                            "event heap corrupted: time moved backwards")
-                    self.now = time
-                    if not daemon:
-                        self._live -= 1
-                    if hook is None:
-                        callback()
-                    else:
-                        hook(callback)
-                    executed += 1
-                elif hook is None:
-                    executed = spins[0][3].runner.run_spins(
-                        stop_time, stop_events, executed)
+                raise SimulationTimeout(
+                    f"watchdog: exceeded {max_events} events at cycle "
+                    f"{self.now}",
+                    reason="max_events", cycle=self.now, events=executed,
+                )
+            hook = self.profile_hook
+            if not spin_head:
+                time, _seq, callback, daemon = heappop(queue)
+                if time < self.now:
+                    raise SimulationError(
+                        "event heap corrupted: time moved backwards")
+                self.now = time
+                if not daemon:
+                    self._live -= 1
+                if hook is None:
+                    callback()
                 else:
-                    self.step()
-                    executed += 1
-        finally:
-            self._running = False
+                    hook(callback)
+                executed += 1
+            elif hook is None:
+                executed = spins[0][3].runner.run_spins(
+                    stop_time, stop_events, executed)
+            else:
+                hook(spins[0][3].runner.step_spin)
+                executed += 1
         return executed

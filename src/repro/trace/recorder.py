@@ -16,6 +16,7 @@ from typing import IO, List, Optional
 
 from repro.core.machine import Machine
 from repro.protocols import ops
+from repro.protocols.base import Done
 
 #: Op-class tags recorded in the trace.
 RACY_KINDS = {"ld_through", "ld_cb", "st_through", "st_cb1", "st_cb0",
@@ -128,14 +129,14 @@ class TraceRecorder:
         if self._stream is not None:
             self._stream.write(json.dumps(asdict(event)) + "\n")
 
-    def _issue(self, core: int, op: ops.Op, done=None):
+    def _issue(self, core: int, op: ops.Op, done: Done) -> None:
         event = _classify(op)
         if event is not None:
             self._record(core, event)
             if isinstance(op, ops.Atomic):
                 for half in _atomic_halves(op):
                     self._record(core, half)
-        return self._original_issue(core, op, done)
+        self._original_issue(core, op, done)
 
     def _probe(self, core: int, addr: int) -> None:
         self._record(core, TraceEvent(time=0, core=0, kind="ld_through",

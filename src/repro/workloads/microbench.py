@@ -58,9 +58,6 @@ class LockMicrobench(Workload):
 
         return [body] * machine.config.num_threads
 
-    def expected_count(self, num_threads: int) -> int:
-        return num_threads * self.iterations
-
 
 class BarrierMicrobench(Workload):
     """Repeated barrier episodes with randomized arrival skew."""

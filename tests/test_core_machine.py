@@ -12,6 +12,7 @@ from repro.protocols import ops
 from repro.resilience.resilience import Resilience, ResilienceConfig
 from repro.sim.engine import DeadlockError
 from repro.workloads.suite import get_workload
+from tests.protocol_utils import start
 
 
 def cfg(label="CB-One", cores=4, **overrides):
@@ -82,8 +83,8 @@ def _complete_twice(protocol, core, op, done):
 
 
 class TestCompletionCheck:
-    """Ops complete through the core's continuation, not a future; a
-    completion with no op outstanding is still a protocol bug."""
+    """Ops complete through their continuation; a second completion is a
+    protocol bug, caught by the core or by a test's result slot."""
 
     def _machine(self):
         machine = Machine(cfg())
@@ -104,7 +105,7 @@ class TestCompletionCheck:
 
     def test_an_issued_future_completed_twice_raises(self):
         machine = self._machine()
-        machine.protocol.issue(0, ops.Load(0x4000))
+        start(machine, 0, ops.Load(0x4000))
         with pytest.raises(RuntimeError, match="resolved twice"):
             machine.engine.run()
 

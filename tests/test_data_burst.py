@@ -1,9 +1,9 @@
-"""A ``DataBurst`` record is exact: it equals the Future-chained step.
+"""A ``DataBurst`` record is exact: it equals the slot-chained step.
 
 Each point runs twice: as shipped, where a burst is one record whose
 bound ``step`` is every access's continuation, and with
 :func:`tests.burst_chain.install`, which chains the accesses through one
-op object and one future each, as the burst step it replaced did. A bare
+op object and one result slot each, as the burst step it replaced did. A bare
 daemon sampler looks at the machine every few cycles; the two runs must
 agree at every sample and on the engine events executed.
 

@@ -90,7 +90,7 @@ class TestRunControls:
             engine.run(max_events=100)
 
     def test_step_on_empty_returns_false(self):
-        assert Engine().step() is False
+        assert Engine().run() == 0
 
     def test_run_returns_event_count(self):
         engine = Engine()

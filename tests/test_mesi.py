@@ -7,7 +7,7 @@ from repro.core.machine import Machine
 from repro.protocols import ops
 from repro.protocols.mesi.states import MESIState
 
-from tests.protocol_utils import issue, issue_pending, msgs
+from tests.protocol_utils import issue, issue_pending, start
 
 ADDR = 0x4000  # word 0 of some line
 
@@ -100,14 +100,14 @@ class TestAtomics:
 
     def test_fetch_add_serializes(self):
         m = machine()
-        futures = [
-            m.protocol.issue(c, ops.Atomic(ADDR, ops.AtomicKind.FETCH_ADD, (1,)))
+        results = [
+            start(m, c, ops.Atomic(ADDR, ops.AtomicKind.FETCH_ADD, (1,)))
             for c in range(4)
         ]
         m.engine.run()
-        assert all(f.done for f in futures)
+        assert all(r.done for r in results)
         assert m.store.read(ADDR) == 4
-        olds = sorted(f.value.old for f in futures)
+        olds = sorted(r.value.old for r in results)
         assert olds == [0, 1, 2, 3]  # each saw a distinct value
 
 
@@ -199,7 +199,7 @@ class TestFencesAndBursts:
     def test_ld_cb_rejected(self):
         m = machine()
         with pytest.raises(TypeError, match="ld_cb"):
-            m.protocol.issue(0, ops.LoadCB(ADDR))
+            start(m, 0, ops.LoadCB(ADDR))
 
     def test_data_burst_processes_all_lines(self):
         m = machine()

@@ -7,7 +7,7 @@ from repro.config import WakePolicy, config_for
 from repro.core.machine import Machine
 from repro.protocols import ops
 
-from tests.protocol_utils import issue, issue_pending
+from tests.protocol_utils import issue, issue_pending, start
 
 ADDR = 0x4000
 
@@ -17,10 +17,10 @@ class TestMESIQueuing:
         """Simultaneous stores to one line: the directory's busy/FIFO
         queue serializes them; both commit, final value is one of them."""
         m = Machine(config_for("Invalidation", num_cores=4))
-        f0 = m.protocol.issue(0, ops.Store(ADDR, 10))
-        f1 = m.protocol.issue(1, ops.Store(ADDR, 20))
+        r0 = start(m, 0, ops.Store(ADDR, 10))
+        r1 = start(m, 1, ops.Store(ADDR, 20))
         m.engine.run()
-        assert f0.done and f1.done
+        assert r0.done and r1.done
         assert m.store.read(ADDR) in (10, 20)
 
     def test_concurrent_reads_while_owned(self):
@@ -28,44 +28,44 @@ class TestMESIQueuing:
         chain without deadlock."""
         m = Machine(config_for("Invalidation", num_cores=9))
         issue(m, 0, ops.Store(ADDR, 7))
-        futures = [m.protocol.issue(c, ops.Load(ADDR)) for c in range(1, 9)]
+        results = [start(m, c, ops.Load(ADDR)) for c in range(1, 9)]
         m.engine.run()
-        assert all(f.done and f.value == 7 for f in futures)
+        assert all(r.done and r.value == 7 for r in results)
 
     def test_read_write_interleave_values_sane(self):
         """Interleaved loads/stores never observe a value nobody wrote."""
         m = Machine(config_for("Invalidation", num_cores=4))
         written = {0}
-        futures = []
+        results = []
         for i in range(1, 6):
-            m.protocol.issue(i % 4, ops.Store(ADDR, i))
+            start(m, i % 4, ops.Store(ADDR, i))
             written.add(i)
-            futures.append(m.protocol.issue((i + 1) % 4, ops.Load(ADDR)))
+            results.append(start(m, (i + 1) % 4, ops.Load(ADDR)))
         m.engine.run()
-        for f in futures:
-            assert f.done and f.value in written
+        for r in results:
+            assert r.done and r.value in written
 
 
 class TestVIPSMSHRQueue:
     def test_deep_atomic_queue_drains_fifo(self):
+        """Sixteen RMWs from one core reach the home bank in issue order
+        while the first holds the word's MSHR lock; the lock hands the
+        word on in arrival order, so each old value is its issue rank."""
         m = Machine(config_for("BackOff-10", num_cores=16))
-        futures = [
-            m.protocol.issue(c, ops.Atomic(ADDR, ops.AtomicKind.FETCH_ADD,
-                                           (1,)))
-            for c in range(16)
+        results = [
+            start(m, 0, ops.Atomic(ADDR, ops.AtomicKind.FETCH_ADD, (1,)))
+            for _ in range(16)
         ]
         m.engine.run()
         assert m.store.read(ADDR) == 16
-        olds = sorted(f.value.old for f in futures)
-        assert olds == list(range(16))
+        assert [r.value.old for r in results] == list(range(16))
 
     def test_atomic_and_store_through_coexist(self):
         m = Machine(config_for("BackOff-10", num_cores=4))
-        fa = m.protocol.issue(0, ops.Atomic(ADDR, ops.AtomicKind.FETCH_ADD,
-                                            (5,)))
-        fs = m.protocol.issue(1, ops.StoreThrough(ADDR, 100))
+        ra = start(m, 0, ops.Atomic(ADDR, ops.AtomicKind.FETCH_ADD, (5,)))
+        rs = start(m, 1, ops.StoreThrough(ADDR, 100))
         m.engine.run()
-        assert fa.done and fs.done
+        assert ra.done and rs.done
         assert m.store.read(ADDR) in (105, 100)  # order-dependent, sane
 
 

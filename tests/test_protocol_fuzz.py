@@ -18,6 +18,7 @@ from repro.config import config_for
 from repro.core.machine import Machine
 from repro.protocols import ops
 from repro.validation import audit_machine
+from tests.protocol_utils import start
 
 LABELS = ("CB-All", "CB-One")
 
@@ -123,15 +124,14 @@ def test_mesi_random_load_store_soup_keeps_swmr(script, seed):
     words = [0x4000, 0x4040, 0x8000]
     counter = {"writes": 0}
 
-    futures = []
+    results = []
     for i, (thread, word_index) in enumerate(script):
         addr = words[word_index]
         if i % 2:
             counter["writes"] += 1
-            futures.append(machine.protocol.issue(
-                thread, ops.Store(addr, i)))
+            results.append(start(machine, thread, ops.Store(addr, i)))
         else:
-            futures.append(machine.protocol.issue(thread, ops.Load(addr)))
+            results.append(start(machine, thread, ops.Load(addr)))
     machine.engine.run()
-    assert all(f.done for f in futures)
+    assert all(r.done for r in results)
     check_mesi_swmr(machine.protocol)

@@ -490,10 +490,10 @@ class TestServeHTTP:
                          checkpoint_every=0)
         svc = ServeService(queue).start()
         try:
-            client = ServeClient(svc.url)
-            client.submit("alice", spec_for(seed=1).to_dict())
-            with pytest.raises(ServeHTTPError) as err:
-                client.submit("alice", spec_for(seed=2).to_dict())
+            with ServeClient(svc.url) as client:
+                client.submit("alice", spec_for(seed=1).to_dict())
+                with pytest.raises(ServeHTTPError) as err:
+                    client.submit("alice", spec_for(seed=2).to_dict())
             assert err.value.status == 429
         finally:
             svc.stop()
@@ -546,21 +546,21 @@ class TestServeHTTP:
                          checkpoint_every=0)
         svc = ServeService(queue, housekeeping_s=0.05).start()
         try:
-            client = ServeClient(svc.url)
-            spec = spec_for(seed=18)
-            client.submit("alice", spec.to_dict())
-            zombie = client.lease("zombie")
-            deadline = time.time() + 5.0
-            while time.time() < deadline:
-                if client.run(spec.job_key())["state"] == RUN_QUEUED:
-                    break
-                time.sleep(0.05)
-            run = client.run(spec.job_key())
-            assert run["state"] == RUN_QUEUED
-            assert run["requeues"] == 1
-            with pytest.raises(StaleLeaseError):
-                client.commit(zombie["job_key"], zombie["token"],
-                              record_for(spec))
+            with ServeClient(svc.url) as client:
+                spec = spec_for(seed=18)
+                client.submit("alice", spec.to_dict())
+                zombie = client.lease("zombie")
+                deadline = time.time() + 5.0
+                while time.time() < deadline:
+                    if client.run(spec.job_key())["state"] == RUN_QUEUED:
+                        break
+                    time.sleep(0.05)
+                run = client.run(spec.job_key())
+                assert run["state"] == RUN_QUEUED
+                assert run["requeues"] == 1
+                with pytest.raises(StaleLeaseError):
+                    client.commit(zombie["job_key"], zombie["token"],
+                                  record_for(spec))
         finally:
             svc.stop()
 

@@ -11,6 +11,7 @@ from repro.sync import make_lock, style_for
 from repro.trace import (TraceEvent, TraceRecorder, concurrent_races,
                          hottest_words, load_trace, op_mix, racy_fraction)
 from repro.workloads.suite import get_workload
+from tests.protocol_utils import start
 
 
 def record_lock_run(label="CB-One", threads=4, stream=None,
@@ -52,7 +53,7 @@ class TestRecorder:
         recorder = TraceRecorder(machine)
         recorder.detach()
         from repro.protocols import ops
-        machine.protocol.issue(0, ops.LoadThrough(0x4000))
+        start(machine, 0, ops.LoadThrough(0x4000))
         machine.engine.run()
         assert recorder.events == []
 

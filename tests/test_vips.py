@@ -9,7 +9,7 @@ from repro.core.machine import Machine
 from repro.noc.messages import MsgKind
 from repro.protocols import ops
 
-from tests.protocol_utils import issue, issue_pending
+from tests.protocol_utils import issue, start
 
 ADDR = 0x4000
 PAGE = 4096
@@ -131,7 +131,7 @@ class TestRacyOps:
     def test_spin_until_rejected(self):
         m = machine()
         with pytest.raises(TypeError, match="SpinUntil"):
-            m.protocol.issue(0, ops.SpinUntil(ADDR, lambda v: True))
+            start(m, 0, ops.SpinUntil(ADDR, lambda v: True))
 
 
 class TestAtomics:
@@ -144,14 +144,13 @@ class TestAtomics:
 
     def test_concurrent_fetch_adds_all_distinct(self):
         m = machine()
-        futures = [
-            m.protocol.issue(c, ops.Atomic(ADDR, ops.AtomicKind.FETCH_ADD,
-                                           (1,)))
+        results = [
+            start(m, c, ops.Atomic(ADDR, ops.AtomicKind.FETCH_ADD, (1,)))
             for c in range(4)
         ]
         m.engine.run()
         assert m.store.read(ADDR) == 4
-        assert sorted(f.value.old for f in futures) == [0, 1, 2, 3]
+        assert sorted(r.value.old for r in results) == [0, 1, 2, 3]
 
     def test_swap_returns_old(self):
         m = machine()
@@ -277,8 +276,8 @@ class TestFenceIndexes:
             elif kind == "refill":
                 # On a miss, two fetches of one line are in flight: the
                 # load's fill replaces the payload the store dirtied.
-                store = protocol.issue(core, ops.Store(addr, word))
-                load = protocol.issue(core, ops.Load(addr))
+                store = start(m, core, ops.Store(addr, word))
+                load = start(m, core, ops.Load(addr))
                 m.engine.run()
                 assert store.done and load.done
             elif kind == "drop":
