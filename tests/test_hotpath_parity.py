@@ -6,12 +6,16 @@ of Fig-21 applications with CLH locks and TreeSR barriers. A hot-path change (fe
 tables, tile lookup) must leave every one of them unchanged.
 
 The small-L1 points (2 KB, 8 sets) evict dirty lines, so they also pin
-the victim path of the VIPS L1 under each replacement policy.
+the victim path of the VIPS L1 and of the MESI L1 (PutM, PutE and silent
+S drops) under each replacement policy.
 
 The sync points are lock, barrier, signal/wait and task-queue runs built
 through the orchestrator registry at 16 cores and seed 1. Their cycles
 sit next to the digest so a failure names the cycle drift. Engine event
 counts are not pinned: an exact shortcut may lower them.
+
+The SMT point (4 cores x 2 threads, Invalidation) pins the re-check of
+a sibling's parked SpinUntil after a store that commits in the shared L1.
 """
 
 import pytest
@@ -51,6 +55,12 @@ SMALL_L1 = {
         "d379cebf8efd794795ec5fcc1469c93b8446351179b32a3e813aa52f350544f8",
     ("random", "CB-One"):
         "e563f6b730eb4032a35a2628f638687216c57a787a511fe812efc8b838887ab6",
+    ("lru", "Invalidation"):
+        "581637e8d85a49609fdbab01efd47fe003c513735ceeca2fcda6946185300b68",
+    ("fifo", "Invalidation"):
+        "9c8df62ab757bfdab70fe43422664d50d065ff1b7466230d67f5b08017e74240",
+    ("random", "Invalidation"):
+        "2309b94e6f269faab3c33dca68d97d5aca1340b5ad64977110fa31dba77cd9cd",
 }
 
 #: name -> (registry workload, params, label, cycles).
@@ -61,6 +71,11 @@ SYNC_CASES = {
                       "Invalidation", 37369),
     "barrier_sr_cb": ("barrier", {"barrier_name": "sr", "episodes": 4},
                       "CB-One", 11507),
+    "barrier_sr_inv": ("barrier", {"barrier_name": "sr", "episodes": 4},
+                       "Invalidation", 42186),
+    "signal_wait_inv": ("signal_wait", {"rounds": 6}, "Invalidation",
+                        13984),
+    "task_queue_inv": ("task_queue", {"tasks": 24}, "Invalidation", 41984),
     "signal_wait_cb": ("signal_wait", {"rounds": 6}, "CB-One", 7775),
     "task_queue_cb": ("task_queue", {"tasks": 24}, "CB-One", 6308),
     # ld_cb RMWs (the directory gate ahead of an atomic) and the st_cbA
@@ -97,7 +112,17 @@ SYNC = {
         "4865f2314b2c1e7c45ae4ae3d3ba45d2e6b7a67dbbbdcc894dbb6db27542aac0",
     "barrier_sr_cba":
         "49f95ce085cd4a3aff16d62bca6167fbc62ce58f2f6c987c6c26fb22845816a8",
+    "barrier_sr_inv":
+        "d53223aaa6a1c48448d8a804fd793ffe69f23391ed28933e92b351f81cb0df88",
+    "signal_wait_inv":
+        "2cbce66fec7494da0a6d5874e03173c4892deae6732ba98dceb251d0836baeca",
+    "task_queue_inv":
+        "83c364aa4fb03bf7f5bcb831d59dd9d2d03b7e88adb7ce635aae173688c8b91f",
 }
+
+#: lock:ttas under Invalidation, 4 cores x 2 threads, seed 1.
+SMT_TTAS_INV = (
+    4434, "4622ed5f1e7903e584172f6fb731bec1440a21b7f5d0a7d36785bca4ac59fed6")
 
 
 def _digest(stats):
@@ -133,3 +158,12 @@ def test_sync_digest(name):
     stats = machine.run()
     assert stats.cycles == cycles
     assert _digest(stats) == SYNC[name]
+
+
+def test_smt_invalidation_digest():
+    machine = Machine(config_for("Invalidation", num_cores=4,
+                                 threads_per_core=2, seed=1))
+    build_workload("lock", {"lock_name": "ttas",
+                            "iterations": 5}).install(machine)
+    stats = machine.run()
+    assert (stats.cycles, _digest(stats)) == SMT_TTAS_INV
