@@ -8,7 +8,8 @@ actions against the structures the live simulator uses —
 :class:`~repro.protocols.callback.directory.CallbackDirectory` and
 :class:`~repro.protocols.callback.entry.CBEntry` (with the mutant table
 injected), :class:`~repro.protocols.mesi.states.DirEntry` via its
-``view()``/``adopt()`` table glue and :class:`L1Line.transition`,
+``view()``/``adopt()`` table glue and :class:`L1Line.transition` (with a
+per-(core, word) value mirror beside it: a live L1 line keeps no values),
 :class:`~repro.protocols.vips.protocol.VIPSLine` driven by the VIPS
 table — and asserts **bit parity** after every step: the fingerprint of
 the replayed state must equal the recorded one. A divergence raises
@@ -176,9 +177,11 @@ class _Replayer:
         if cex.protocol == "mesi":
             self.dir = [DirEntry() for _ in range(cex.words)]
             self.l1: Dict[Tuple[int, int], L1Line] = {
-                (core, word): L1Line(MESIState.INVALID, {})
+                (core, word): L1Line(MESIState.INVALID)
                 for core in range(self.n) for word in range(cex.words)
             }
+            # (core, word) -> the value the abstract L1 copy holds.
+            self.l1_values: Dict[Tuple[int, int], int] = {}
         else:
             self.vips = _VipsL1Mirror(self.n, cex.words,
                                       self.tables["l1_line"])
@@ -251,7 +254,7 @@ class _Replayer:
             line.transition("inv")
         else:
             line.state = MESIState(target)
-        line.write_word(word, snap)
+        self.l1_values[(core, word)] = snap
 
     # ------------------------------------------------------------- vips l1
 
@@ -363,7 +366,7 @@ class _Replayer:
         if self.cex.protocol == "mesi":
             projected["l1"] = [
                 [[self.l1[(core, word)].state.value,
-                  self.l1[(core, word)].read_word(word)]
+                  self.l1_values.get((core, word), 0)]
                  for word in range(self.cex.words)]
                 for core in range(self.n)
             ]

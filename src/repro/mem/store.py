@@ -6,9 +6,9 @@ word store representing the content of the LLC/memory. Data-race-free
 application data is simulated for timing/traffic only and never reads this
 store.
 
-The store also keeps a per-word version counter, which protocols use to
-detect "a write happened since" cheaply (e.g. MESI value snapshots in L1
-lines are validated against it in assertions/tests).
+The store also keeps a per-word version counter, a cheap "a write
+happened since" test. MESI L1 lines hold no values: every L1 read of a
+synchronization word returns the store's current value.
 """
 
 from __future__ import annotations

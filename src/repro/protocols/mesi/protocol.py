@@ -2,7 +2,9 @@
 
 Timing/semantics summary (each step is a real engine event):
 
-* L1 hit: 1 cycle, value from the line's fill-time snapshot.
+* L1 hit: 1 cycle, value from the word store. L1 lines keep only their
+  MESI state: a write commits only after every other copy's
+  invalidation has landed, so a resident copy always equals the store.
 * L1 read miss: GetS to the home bank; the directory serializes per-line
   transactions; data comes from the LLC (2-hop) or is forwarded by the
   E/M owner (3-hop, owner also writes back). DRAM charged on LLC cold miss.
@@ -14,7 +16,8 @@ Timing/semantics summary (each step is a real engine event):
 * Spin-waiting (``SpinUntil``) spins on the local L1 copy: the core blocks
   until an invalidation hits the watched line, with L1 accesses and spin
   iterations accounted analytically (elapsed / spin_iteration_cycles), then
-  re-fetches and re-checks — the classic invalidate-and-refetch spin.
+  re-fetches and re-checks — the classic invalidate-and-refetch spin. An
+  eviction of the watched line (by an SMT sibling's fill) wakes it too.
 * Fences are no-ops (the MESI baseline is the paper's unfenced SC code).
 
 Evictions: M lines write back (PutM, data-bearing); E lines notify the
@@ -25,14 +28,14 @@ acked and otherwise ignored).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.mem.cache import SetAssociativeCache
 from repro.noc.messages import MsgKind
 from repro.protocols import ops
 from repro.protocols.base import CoherenceProtocol, Done
-from repro.protocols.mesi.states import DirEntry, L1Line, MESIState
-from repro.protocols.mesi.table import MESI_DIR_TABLE, MESI_L1_TABLE
+from repro.protocols.mesi.states import DirEntry, L1Line, MESIState, l1_step
+from repro.protocols.mesi.table import MESI_DIR_TABLE
 from repro.protocols.table import Event as TableEvent
 
 
@@ -72,8 +75,7 @@ class MESIProtocol(CoherenceProtocol):
         """Base capture + L1 arrays, directory records, and parked
         SpinUntil watches (checkpoint snapshottability contract)."""
         state = super().ckpt_state()
-        state["l1"] = [cache.ckpt_state(lambda line: line.ckpt_state())
-                       for cache in self.l1]
+        state["l1"] = [self._l1_ckpt_state(cache) for cache in self.l1]
         state["dir"] = {line: entry.ckpt_state()
                         for line, entry in sorted(self._dir.items())
                         if entry.owner is not None or entry.sharers
@@ -93,35 +95,35 @@ class MESIProtocol(CoherenceProtocol):
             self._dir[line] = entry
         return entry
 
-    def _snapshot_line(self, line: int) -> Dict[int, int]:
-        """Word values of a line as the LLC/owner would supply them now."""
-        base = line * self.config.line_bytes
-        step = self.config.word_bytes
-        return {
-            base + i * step: self.store.read(base + i * step)
-            for i in range(self.config.words_per_line)
-        }
+    def _l1_ckpt_state(self, cache: SetAssociativeCache) -> List[list]:
+        """One L1 tag array: each resident line's MESI state and its word
+        values, read from the store (a resident copy always equals it)."""
+        captured = cache.ckpt_state(lambda payload: payload.state.value)
+        line_bytes = self.config.line_bytes
+        offsets = range(0, line_bytes, self.config.word_bytes)
+        for bucket in captured[0]:
+            for resident in bucket:
+                base = resident[0] * line_bytes
+                resident[1] = {"state": resident[1], "snapshot": {
+                    base + off: self.store.read(base + off) for off in offsets}}
+        return captured
 
     def _l1_lookup(self, tid: int, line: int) -> Optional[L1Line]:
         cached = self.l1[self.l1_of(tid)].lookup(line)
         return cached.payload if cached is not None else None
 
-    def _l1_fill(self, tid: int, line: int, state: MESIState) -> L1Line:
+    def _l1_fill(self, tid: int, line: int, state: MESIState) -> None:
         """Install a line in the requester's L1, handling the victim."""
         core = self.l1_of(tid)
-        payload = L1Line(state, self._snapshot_line(line))
-        _inserted, victim = self.l1[core].insert(line, payload)
+        _inserted, victim = self.l1[core].insert(line, L1Line(state))
         if victim is not None:
             self._evict(core, victim.line, victim.payload)
-        return payload
 
     def _evict(self, core: int, line: int, payload: L1Line) -> None:
         """Handle an L1 replacement victim: the L1 table names the
         action (data-bearing PutM, control PutE, or silent S drop)."""
         bank = line % self.config.num_banks
-        step = MESI_L1_TABLE.step({"mesi": payload.state.value},
-                                  TableEvent("evict"))
-        actions = {emit.kind for emit in step.emits}
+        actions = l1_step(payload.state, "evict")[1]
         if "putm" in actions:
             self.stats.writebacks += 1
             self.network.send(
@@ -132,6 +134,9 @@ class MESIProtocol(CoherenceProtocol):
                 core, bank, MsgKind.ACK, lambda: self._dir_put(line, core)
             )
         # Otherwise: silent S eviction; the directory keeps a stale sharer.
+        # After a PutM/PutE no invalidation will ever reach this L1: wake
+        # the victim's spin-watchers as one would (the removal is a no-op).
+        self._invalidate_l1(core, line)
 
     def _dir_put(self, line: int, core: int) -> None:
         entry = self._entry(line)
@@ -139,21 +144,16 @@ class MESIProtocol(CoherenceProtocol):
         entry.adopt(step.state)
 
     def _invalidate_l1(self, core: int, line: int) -> None:
-        """An invalidation (or owner-forward) kills the L1 copy and wakes
-        every spin-watcher parked on it (``core`` is an L1/core index)."""
+        """An invalidation, owner-forward or eviction kills the L1 copy and
+        wakes every spin-watcher parked on it (``core`` is an L1/core
+        index): each books its spin iterations analytically and re-attempts
+        the spin a cycle later."""
         self.l1[core].remove(line)
         watches = self._watches.get(core, {}).pop(line, None)
         if not watches:
             return
         for watch in watches:
-            elapsed = max(0, self.engine.now - watch.start)
-            iters = max(1, elapsed // self.config.spin_iteration_cycles)
-            self.stats.spin_iterations += iters
-            self.stats.l1_accesses += iters
-            self.stats.l1_hits += iters
-            if self.obs is not None:
-                self.obs.emit("spin.wake", core=watch.tid,
-                              word=watch.word_addr, iters=iters)
+            self._book_spin(watch)
             # The spin loop reloads immediately (invalidate-and-refetch).
             self.engine.schedule(
                 1, lambda w=watch: self._spin_attempt(w.tid, w.word_addr,
@@ -167,19 +167,11 @@ class MESIProtocol(CoherenceProtocol):
         watches = self._watches.get(core, {}).get(line)
         if not watches:
             return
-        cached = self.l1[core].lookup(line)
         still_parked = []
         for watch in watches:
-            value = cached.payload.read_word(watch.word_addr) if cached else 0
+            value = self.store.read(watch.word_addr)
             if watch.pred(value):
-                elapsed = max(0, self.engine.now - watch.start)
-                iters = max(1, elapsed // self.config.spin_iteration_cycles)
-                self.stats.spin_iterations += iters
-                self.stats.l1_accesses += iters
-                self.stats.l1_hits += iters
-                if self.obs is not None:
-                    self.obs.emit("spin.wake", core=watch.tid,
-                                  word=watch.word_addr, iters=iters)
+                self._book_spin(watch)
                 self.resolve_later(watch.done, self.config.l1_latency,
                                    value)
             else:
@@ -188,6 +180,18 @@ class MESIProtocol(CoherenceProtocol):
             self._watches[core][line] = still_parked
         else:
             del self._watches[core][line]
+
+    def _book_spin(self, watch: _Watch) -> None:
+        """Account a waking watcher's local spin iterations analytically
+        (each one an L1 hit) since it parked."""
+        elapsed = max(0, self.engine.now - watch.start)
+        iters = max(1, elapsed // self.config.spin_iteration_cycles)
+        self.stats.spin_iterations += iters
+        self.stats.l1_accesses += iters
+        self.stats.l1_hits += iters
+        if self.obs is not None:
+            self.obs.emit("spin.wake", core=watch.tid,
+                          word=watch.word_addr, iters=iters)
 
     # ----------------------------------------------------- directory engine
 
@@ -216,7 +220,7 @@ class MESIProtocol(CoherenceProtocol):
 
     # ----------------------------------------------------------------- GetS
 
-    def _get_s(self, core: int, line: int, on_fill: Callable[[L1Line], None],
+    def _get_s(self, core: int, line: int, on_fill: Callable[[], None],
                sync: bool) -> None:
         """Issue a GetS from ``core``; call ``on_fill`` once the line is in
         its L1 (in S or E)."""
@@ -231,7 +235,7 @@ class MESIProtocol(CoherenceProtocol):
         )
 
     def _dir_gets(self, tid: int, line: int, bank: int,
-                  on_fill: Callable[[L1Line], None], sync: bool) -> None:
+                  on_fill: Callable[[], None], sync: bool) -> None:
         """Directory identities (owner/sharers) are L1/core indices; the
         requesting hardware thread keeps its tid for the fill. The
         decision (forward vs. fill, E vs. S) comes from the declarative
@@ -279,26 +283,19 @@ class MESIProtocol(CoherenceProtocol):
             )
 
     def _finish_gets(self, core: int, line: int, state: MESIState,
-                     on_fill: Callable[[L1Line], None]) -> None:
-        payload = self._l1_fill(core, line, state)
+                     on_fill: Callable[[], None]) -> None:
+        self._l1_fill(core, line, state)
         # Unblock the directory (free bookkeeping event, modelling the
         # piggybacked Unblock of split-transaction MESI).
         self._dir_release(line)
-        on_fill(payload)
+        on_fill()
 
     # ----------------------------------------------------------------- GetX
 
-    def _get_x(self, core: int, line: int, on_owned: Callable[[L1Line], None],
+    def _get_x(self, core: int, line: int, on_owned: Callable[[], None],
                sync: bool) -> None:
-        """Obtain M state for ``core``; call ``on_owned`` when writable."""
-        cached = self._l1_lookup(core, line)
-        if cached is not None and cached.state in (MESIState.MODIFIED,):
-            on_owned(cached)
-            return
-        if cached is not None and cached.state is MESIState.EXCLUSIVE:
-            cached.transition("store")
-            on_owned(cached)
-            return
+        """Obtain M state for ``core``, which holds the line in neither E
+        nor M (callers handle those hits); call ``on_owned`` when writable."""
         self.stats.l1_misses += 1
         bank = line % self.config.num_banks
         self.network.send(
@@ -310,7 +307,7 @@ class MESIProtocol(CoherenceProtocol):
         )
 
     def _dir_getx(self, tid: int, line: int, bank: int,
-                  on_owned: Callable[[L1Line], None], sync: bool) -> None:
+                  on_owned: Callable[[], None], sync: bool) -> None:
         node = self.l1_of(tid)
         entry = self._entry(line)
         step = MESI_DIR_TABLE.step(entry.view(), TableEvent("getx", core=node))
@@ -375,10 +372,10 @@ class MESIProtocol(CoherenceProtocol):
             wait, lambda: self.network.send(bank, node, grant_kind, arrived))
 
     def _finish_getx(self, core: int, line: int,
-                     on_owned: Callable[[L1Line], None]) -> None:
-        payload = self._l1_fill(core, line, MESIState.MODIFIED)
+                     on_owned: Callable[[], None]) -> None:
+        self._l1_fill(core, line, MESIState.MODIFIED)
         self._dir_release(line)
-        on_owned(payload)
+        on_owned()
 
     # ------------------------------------------------------------------ ops
 
@@ -390,10 +387,10 @@ class MESIProtocol(CoherenceProtocol):
         if cached is not None:
             self.stats.l1_hits += 1
             self.resolve_later(done, self.config.l1_latency,
-                               cached.read_word(word))
+                               self.store.read(word))
         else:
             self._get_s(core, line,
-                        lambda payload: done(payload.read_word(word)),
+                        lambda: done(self.store.read(word)),
                         sync=False)
 
     def _store(self, core: int, addr: int, value: Optional[int],
@@ -402,10 +399,9 @@ class MESIProtocol(CoherenceProtocol):
         line = self.addr_map.line_of(addr)
         word = self.addr_map.word_base(addr)
 
-        def commit(payload: L1Line) -> None:
+        def commit() -> None:
             if value is not None:
                 self.store.write(word, value)
-                payload.write_word(word, value)
                 self._check_local_watches(self.l1_of(core), line)
             self.resolve_later(done, self.config.l1_latency)
 
@@ -414,7 +410,7 @@ class MESIProtocol(CoherenceProtocol):
                                                    MESIState.EXCLUSIVE):
             self.stats.l1_hits += 1
             cached.transition("store")
-            commit(cached)
+            commit()
         else:
             self._get_x(core, line, commit, sync=value is not None)
 
@@ -422,11 +418,9 @@ class MESIProtocol(CoherenceProtocol):
         """RMWs acquire M state and execute locally (ll/sc-free model)."""
         self.stats.l1_accesses += 1
         line = self.addr_map.line_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
 
-        def owned(payload: L1Line) -> None:
+        def owned() -> None:
             result = self.apply_rmw(op)
-            payload.write_word(word, self.store.read(word))
             self._check_local_watches(self.l1_of(core), line)
             self.resolve_later(done,
                                self.config.l1_latency +
@@ -434,13 +428,11 @@ class MESIProtocol(CoherenceProtocol):
                                result)
 
         cached = self._l1_lookup(core, line)
-        if cached is not None and cached.state is MESIState.MODIFIED:
-            self.stats.l1_hits += 1
-            owned(cached)
-        elif cached is not None and cached.state is MESIState.EXCLUSIVE:
+        if cached is not None and cached.state in (MESIState.MODIFIED,
+                                                   MESIState.EXCLUSIVE):
             self.stats.l1_hits += 1
             cached.transition("store")
-            owned(cached)
+            owned()
         else:
             self._get_x(core, line, owned, sync=True)
 
@@ -481,15 +473,15 @@ class MESIProtocol(CoherenceProtocol):
         cached = self._l1_lookup(core, line)
         if cached is not None:
             self.stats.l1_hits += 1
-            value = cached.read_word(word_addr)
+            value = self.store.read(word_addr)
             if pred(value):
                 self.resolve_later(done, self.config.l1_latency, value)
             else:
                 self._park_watch(core, line, word_addr, pred, done)
             return
 
-        def filled(payload: L1Line) -> None:
-            value = payload.read_word(word_addr)
+        def filled() -> None:
+            value = self.store.read(word_addr)
             if pred(value):
                 done(value)
             else:

@@ -1,10 +1,10 @@
 """MESI protocol state containers.
 
 ``L1Line`` is the payload stored in the per-core L1 tag array: the MESI
-state plus a word-value snapshot taken when the line was filled (and
-updated by local writes). Spinning cores read from the snapshot, so they
-observe stale values until an invalidation arrives — exactly the local
-spin-on-cached-copy behaviour the paper contrasts with self-invalidation.
+state only. A resident copy never holds a value that differs from the
+word store, because a write commits only after every other copy's
+invalidation has landed (the model checker's ``data_value`` invariant).
+So L1 hits and spin re-checks read the store directly.
 
 ``DirEntry`` is the home-bank directory record: the owner (E/M holder),
 the sharer set, and the per-line transaction serialization (``busy`` +
@@ -15,7 +15,9 @@ serialization, as in any MESI implementation.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set
+import functools
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Set, Tuple)
 
 from repro.protocols.mesi.table import MESI_L1_TABLE
 from repro.protocols.table import Event
@@ -28,37 +30,31 @@ class MESIState(enum.Enum):
     MODIFIED = "M"
 
 
+@functools.lru_cache(maxsize=None)
+def l1_step(state: MESIState, kind: str) -> Tuple[MESIState, FrozenSet[str]]:
+    """The L1 table's edge for (``state``, ``kind``): the next state and
+    the emitted action kinds. The simulator's L1 events carry no payload,
+    so an edge depends on the pair alone, and each of the 4 x 5 pairs is
+    stepped through ``MESI_L1_TABLE`` once. A stuck step raises, and a
+    raise is never cached."""
+    result = MESI_L1_TABLE.step({"mesi": state.value}, Event(kind))
+    return (MESIState(result.state["mesi"]),
+            frozenset(emit.kind for emit in result.emits))
+
+
 class L1Line:
-    """Per-line L1 payload: MESI state + word-value snapshot."""
+    """Per-line L1 payload: the MESI state."""
 
-    __slots__ = ("state", "snapshot")
+    __slots__ = ("state",)
 
-    def __init__(self, state: MESIState, snapshot: Dict[int, int]) -> None:
+    def __init__(self, state: MESIState) -> None:
         self.state = state
-        # word address (aligned) -> value observed at fill time
-        self.snapshot = snapshot
-
-    @property
-    def dirty(self) -> bool:
-        return self.state is MESIState.MODIFIED
-
-    def read_word(self, word_addr: int) -> int:
-        return self.snapshot.get(word_addr, 0)
-
-    def write_word(self, word_addr: int, value: int) -> None:
-        self.snapshot[word_addr] = value
 
     def transition(self, kind: str) -> None:
         """Advance the line via the declarative L1 table (``store``
         upgrade, ``fwd_gets`` downgrade, ``inv``). The table is the
         single source of truth the model checker explores."""
-        result = MESI_L1_TABLE.step({"mesi": self.state.value}, Event(kind))
-        self.state = MESIState(result.state["mesi"])
-
-    def ckpt_state(self) -> Dict[str, object]:
-        """MESI state + fill-time value snapshot (checkpoint capture)."""
-        return {"state": self.state.value,
-                "snapshot": dict(sorted(self.snapshot.items()))}
+        self.state = l1_step(self.state, kind)[0]
 
 
 class DirEntry:

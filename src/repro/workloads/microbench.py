@@ -21,7 +21,7 @@ from typing import List
 
 from repro.core.machine import Machine, ThreadBody
 from repro.protocols.ops import Compute
-from repro.sync import make_lock, make_signal_wait, sync_kit, style_for
+from repro.sync import make_lock, make_signal_wait, style_for
 from repro.sync.registry import make_barrier
 from repro.workloads.base import Workload
 

@@ -1,8 +1,6 @@
 """Protocol edge cases: directory queuing, concurrent transactions,
 policy determinism, fence interactions."""
 
-import pytest
-
 from repro.config import WakePolicy, config_for
 from repro.core.machine import Machine
 from repro.protocols import ops

@@ -9,7 +9,6 @@ eventually answered no matter what the fuzz did. Invariants are audited
 afterwards, and value sanity is asserted throughout.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

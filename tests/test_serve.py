@@ -32,7 +32,7 @@ from repro.serve import (JobQueue, Journal, QuotaExceededError,
 from repro.serve import api
 from repro.serve.journal import journal_path
 from repro.serve.model import (RUN_DONE, RUN_FAILED, RUN_LEASED,
-                               RUN_QUEUED, SUB_DONE, UnknownJobError)
+                               RUN_QUEUED, SUB_DONE)
 
 
 def spec_for(seed=1, label="CB-All", iterations=2, cores=4):

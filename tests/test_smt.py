@@ -14,6 +14,7 @@ from repro.protocols.ops import Compute
 from repro.sync import make_barrier, make_lock, style_for
 from repro.workloads.microbench import BarrierMicrobench, LockMicrobench
 from repro.harness.runner import run_workload
+from repro.workloads.suite import get_workload
 
 from tests.protocol_utils import issue, issue_pending
 
@@ -139,6 +140,20 @@ class TestSMTCorrectness:
         machine.spawn([body] * 8)
         machine.run()
         assert all(ok)
+
+
+class TestSpinWatchEviction:
+    def test_evicted_watched_line_wakes_spinner(self):
+        """A sibling's fill can evict the line a SpinUntil is parked on.
+        An E victim sends PutE, which clears ownership, so no
+        invalidation ever comes: the eviction itself must wake the
+        spinner (this run used to raise DeadlockError)."""
+        machine = Machine(config_for("Invalidation", num_cores=9, seed=1,
+                                     threads_per_core=2,
+                                     l1_size_bytes=2048))
+        get_workload("barnes", "clh", "treesr", 0.1).install(machine)
+        machine.run()
+        assert machine.protocol.parked_cores() == 0
 
 
 class TestSMTWorkloads:

@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.config import config_for
 from repro.core.machine import Machine
 from repro.protocols.ops import Compute

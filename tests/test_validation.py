@@ -66,7 +66,7 @@ class TestCorruptionDetected:
         # Corrupt: force a second M copy behind the protocol's back.
         line = machine.protocol.addr_map.line_of(ADDR)
         from repro.protocols.mesi.states import L1Line
-        machine.protocol.l1[1].insert(line, L1Line(MESIState.MODIFIED, {}))
+        machine.protocol.l1[1].insert(line, L1Line(MESIState.MODIFIED))
         with pytest.raises(InvariantViolation, match="multiple cores"):
             check_mesi_swmr(machine.protocol)
 
@@ -75,7 +75,7 @@ class TestCorruptionDetected:
         issue(machine, 0, ops.Store(ADDR, 1))
         line = machine.protocol.addr_map.line_of(ADDR)
         from repro.protocols.mesi.states import L1Line
-        machine.protocol.l1[1].insert(line, L1Line(MESIState.SHARED, {}))
+        machine.protocol.l1[1].insert(line, L1Line(MESIState.SHARED))
         with pytest.raises(InvariantViolation):
             check_mesi_swmr(machine.protocol)
 
