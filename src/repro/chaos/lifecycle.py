@@ -30,8 +30,9 @@ from collections import Counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.chaos.fio import KillAtSite
+from repro.ioutil import read_events
 from repro.orchestrate.jobspec import JobSpec
-from repro.serve.journal import replay_entries
+from repro.serve.journal import journal_path
 from repro.serve.model import (RUN_DONE, RUN_LEASED, RUN_QUEUED,
                                TERMINAL_SUB_STATES)
 from repro.serve.queue import JobQueue
@@ -129,7 +130,7 @@ def audit_queue(queue: JobQueue, acked: Mapping[str, str],
     over = {r.job_key[:12]: r.commits for r in queue.runs.values()
             if r.commits > 1}
     lines = Counter(entry.get("job_key", "")
-                    for entry in replay_entries(queue.root)
+                    for entry in read_events(journal_path(queue.root))
                     if entry.get("op") == "commit")
     dups = {key[:12]: n for key, n in lines.items() if n > 1}
     missing = [spec.seed for spec in specs

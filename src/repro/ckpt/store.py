@@ -23,15 +23,14 @@ can never poison a resume.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.ckpt.checkpoint import Checkpoint
-from repro.ioutil import (CorruptArtifactError, atomic_write_json, fsync_dir,
-                          quarantine, read_checked_json, sha256_of)
-from repro.orchestrate.events import read_events
+from repro.ioutil import (AppendLog, CorruptArtifactError, atomic_write_json,
+                          fsync_dir, quarantine, read_checked_json,
+                          read_events, sha256_of)
 
 __all__ = ["CheckpointStore"]
 
@@ -65,19 +64,17 @@ class CheckpointStore:
     # ----------------------------------------------------------- journal
 
     def _journal(self, event: str, job_key: str, **fields: Any) -> None:
-        """Durable append: the line is flushed and fsynced before the
-        call returns, so the journal never trails the blobs."""
+        """Durable append (a system-of-record
+        :class:`repro.ioutil.AppendLog`, opened per append): fsynced
+        before the call returns, so the journal never trails the blobs."""
         entry = {"event": event, "job_key": job_key,
                  "at": round(time.time(), 3), **fields}
-        with open(self.manifest_path, "a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        with AppendLog(self.manifest_path) as manifest:
+            manifest.write([entry], durable=True)
 
     def manifest(self) -> List[Dict[str, Any]]:
         """Parsed journal entries, oldest first (a torn tail write and
-        damaged lines are skipped, as by
-        :func:`repro.orchestrate.events.read_events`)."""
+        damaged lines are skipped, see :func:`repro.ioutil.tail_events`)."""
         return read_events(self.manifest_path)
 
     # -------------------------------------------------------------- save

@@ -56,7 +56,7 @@ from repro.fleet.paths import (control_path, fleet_dir,
                                fleet_journal_path, pid_alive,
                                read_worker_metas, remove_worker_meta,
                                supervisor_state_path, worker_meta_path)
-from repro.ioutil import atomic_write_json, read_checked_json
+from repro.ioutil import atomic_write_json, read_checked_json, read_events
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.client import ServeClient, ServeHTTPError
 from repro.serve.journal import Journal
@@ -229,7 +229,7 @@ class Supervisor:
         regenerates the *same* backoff schedule a continuous supervisor
         would be on (the schedule is a pure function of slot, seed, and
         ordinal), so a resumed backoff wait is honored, not restarted."""
-        entries = Journal.replay(fleet_journal_path(self.fleet_root))
+        entries = read_events(fleet_journal_path(self.fleet_root))
         for entry in entries:
             op = entry.get("op")
             if op == "scale":

@@ -23,6 +23,23 @@ in :data:`FSYNC_ERRORS` (exported as ``repro_io_fsync_errors_total`` on
 the service's ``/metrics``), and an ``ENOSPC`` fsync is *always*
 re-raised — a full disk must reach the caller so the service plane can
 degrade to read-only instead of silently losing durability.
+
+Append-only JSONL logs — the queue's ``journal.jsonl``, the fleet's
+``fleet.jsonl``, the checkpoint ``manifest.jsonl``, ``events.jsonl``
+and ``hostspans.jsonl`` — all write through :class:`AppendLog` and read
+through :func:`tail_events`. A batch of entries is one ``write`` +
+``flush`` of ``json.dumps(entry, sort_keys=True) + "\n"`` lines,
+fsynced only when the caller marks it durable; a short write is a torn
+write; every failed write or fsync is counted on the log (fsyncs also
+in :data:`FSYNC_ERRORS`). The reader never consumes a torn final line
+and skips (and counts) a complete line that does not parse.
+
+**One error rule.** A *system of record* — the two journals and the
+checkpoint manifest — raises every failed append to its caller, which
+must not acknowledge what was not written. An *observability* log —
+``events.jsonl`` and ``hostspans.jsonl``, opened ``lossy`` — never
+fails the transition it records: a failed append is counted in
+``dropped`` and lost. A closed log is never reopened.
 """
 
 from __future__ import annotations
@@ -33,17 +50,23 @@ import json
 import os
 import re
 import tempfile
-from typing import Any, Dict, Optional, Tuple, Type, TypeVar
+import threading
+import time
+from typing import (IO, Any, Dict, Iterable, List, Optional, Tuple, Type,
+                    TypeVar)
 
-from repro.iohooks import (SITE_DIR_FSYNC, SITE_PUBLISHED, SITE_READ,
-                           SITE_RENAME, SITE_TMP_FSYNC, SITE_TMP_WRITE,
-                           filter_write, io_site)
-from repro.obs.metrics import Counter
+from repro.iohooks import (SITE_DIR_FSYNC, SITE_JOURNAL_FSYNC,
+                           SITE_JOURNAL_SYNCED, SITE_JOURNAL_WRITE,
+                           SITE_PUBLISHED, SITE_READ, SITE_RENAME,
+                           SITE_TMP_FSYNC, SITE_TMP_WRITE, filter_write,
+                           io_site)
+from repro.obs.metrics import Counter, Histogram
 
 __all__ = [
     "canonical_json", "sha256_of", "atomic_write_text",
     "atomic_write_json", "fsync_dir", "quarantine", "read_checked_json",
     "CorruptArtifactError", "FSYNC_ERRORS", "ContentAddressedPlan",
+    "AppendLog", "tail_events", "read_events",
 ]
 
 #: Process-wide count of fsync failures observed at this layer (file
@@ -202,6 +225,144 @@ def read_checked_json(path: str, checksum_field: Optional[str] = None) -> Any:
             path, f"checksum mismatch (stated {str(stated)[:12]}…, "
                   f"actual {actual[:12]}…)")
     return body
+
+
+class AppendLog:
+    """One append-only JSONL file (format and error rule: see the
+    module docstring).
+
+    The first write opens the file; :meth:`release` closes it until the
+    next write, :meth:`close` for good (later writes raise ``EBADF``, or
+    are dropped when ``lossy``). ``fault_sites`` announces each append
+    at the ``journal.append.*`` sites of :mod:`repro.iohooks`. Durable
+    fsyncs are timed into :attr:`fsync_us` (microseconds).
+    """
+
+    def __init__(self, path: str, lossy: bool = False,
+                 fault_sites: bool = False) -> None:
+        self.path = path
+        self.lossy = lossy
+        self.fault_sites = fault_sites
+        self.fsync_us = Histogram("fsync_us")
+        self.write_errors = 0
+        self.fsync_errors = 0
+        self.dropped = 0
+        self._lock = threading.Lock()
+        self._handle: Optional[IO[str]] = None
+        self._closed = False
+
+    def write(self, entries: Iterable[Dict[str, Any]],
+              durable: bool = False) -> None:
+        """Append ``entries`` as one batch, fsynced if ``durable``."""
+        lines = [json.dumps(entry, sort_keys=True) + "\n"
+                 for entry in entries]
+        with self._lock:
+            try:
+                self._append("".join(lines), durable)
+            except OSError:
+                if not self.lossy:
+                    raise
+                self.dropped += len(lines)
+
+    def _append(self, data: str, durable: bool) -> None:
+        if self._closed:
+            raise OSError(errno.EBADF, "append to a closed log", self.path)
+        out = data
+        if self.fault_sites:
+            io_site(SITE_JOURNAL_WRITE, self.path, size=len(data))
+            out = filter_write(SITE_JOURNAL_WRITE, self.path, data)
+        try:
+            if self._handle is None:
+                self._handle = open(self.path, "a")
+            self._handle.write(out)
+            self._handle.flush()
+        except OSError:
+            self.write_errors += 1
+            raise
+        if len(out) != len(data):
+            self.write_errors += 1
+            raise OSError(
+                errno.EIO,
+                f"torn journal append ({len(out)}/{len(data)} bytes)",
+                self.path)
+        if not durable:
+            return
+        if self.fault_sites:
+            io_site(SITE_JOURNAL_FSYNC, self.path)
+        t0 = time.perf_counter()
+        try:
+            os.fsync(self._handle.fileno())
+        except OSError:
+            self.fsync_errors += 1
+            FSYNC_ERRORS.inc()
+            raise
+        self.fsync_us.observe((time.perf_counter() - t0) * 1e6)
+        if self.fault_sites:
+            io_site(SITE_JOURNAL_SYNCED, self.path)
+
+    def release(self) -> None:
+        with self._lock:
+            handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    def close(self) -> None:
+        self._closed = True
+        self.release()
+
+    def __enter__(self) -> "AppendLog":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+def tail_events(path: str, offset: int = 0) -> Tuple[List[Dict[str, Any]],
+                                                     int, int]:
+    """Read the JSONL log at ``path`` from byte ``offset``; returns
+    ``(entries, new_offset, skipped)``. Built for *live* tailing of a
+    log another process is still appending to, so it is tolerant:
+
+    * a **torn final line** (no trailing newline) is never consumed:
+      ``new_offset`` stops at the last complete line, and the fragment
+      is re-read once (if ever) its newline lands;
+    * a *complete* line that fails to parse (a crash-torn fragment a
+      restarted writer appended after) is skipped and counted.
+
+    A missing file reads as empty. ``new_offset`` is a plain byte
+    offset, safe to persist and resume from across processes.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            data = handle.read()
+    except OSError:
+        return [], offset, 0
+    end = data.rfind(b"\n")
+    if end < 0:
+        return [], offset, 0
+    chunk = data[:end + 1]
+    entries: List[Dict[str, Any]] = []
+    skipped = 0
+    for line in chunk.splitlines():
+        if not line.strip():
+            continue
+        try:
+            parsed = json.loads(line.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            skipped += 1
+            continue
+        if isinstance(parsed, dict):
+            entries.append(parsed)
+        else:
+            skipped += 1
+    return entries, offset + len(chunk), skipped
+
+
+def read_events(path: str) -> List[Dict[str, Any]]:
+    """All complete, parseable entries of a JSONL log (torn tail and
+    damaged lines skipped — see :func:`tail_events`)."""
+    return tail_events(path)[0]
 
 
 #: A content address: the lowercase SHA-256 hex of a plan's canonical form.

@@ -30,14 +30,15 @@ by side.
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+# ``from repro import ioutil`` with attribute access at call time:
+# repro.ioutil imports repro.obs.metrics, which loads this package.
+from repro import ioutil
 from repro.obs.export import chrome_trace
 from repro.obs.spans import Span
 
@@ -141,52 +142,35 @@ class TraceContext:
 class HostSpanLog:
     """Append-only JSONL log of host spans, one file per service root.
 
-    Observability data, not a system of record: writes are flushed (so
-    live stitching sees them) but never fsynced, and a torn tail is
-    skipped on read exactly like the event log's.
+    Observability data, not a system of record: a lossy
+    :class:`repro.ioutil.AppendLog`, flushed but never fsynced. A
+    failed append is counted in ``sink.dropped``, never raised.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        self._lock = threading.Lock()
-        self._handle = open(path, "a")
+        self.sink = ioutil.AppendLog(path, lossy=True)
 
     def record(self, span: HostSpan) -> None:
         self.append_many([span])
 
     def append_many(self, spans: Iterable[HostSpan]) -> None:
-        with self._lock:
-            if self._handle is None:
-                return
-            for span in spans:
-                self._handle.write(
-                    json.dumps(span.as_dict(), sort_keys=True) + "\n")
-            self._handle.flush()
+        self.sink.write(span.as_dict() for span in spans)
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None  # type: ignore[assignment]
+        self.sink.close()
 
     @staticmethod
     def read(path: str,
              trace_id: Optional[str] = None) -> List[HostSpan]:
         """All (optionally one trace's) spans at ``path``; missing file
-        reads as empty, torn/damaged lines are skipped
-        (:func:`repro.orchestrate.events.read_events`)."""
-        # Imported here: repro.orchestrate imports repro.ioutil, which
-        # imports repro.obs (this package) at module load.
-        from repro.orchestrate.events import read_events
-        return [HostSpan.from_dict(item) for item in read_events(path)
+        reads as empty, torn/damaged lines are skipped."""
+        return [HostSpan.from_dict(item) for item in ioutil.read_events(path)
                 if "trace_id" in item
                 and (trace_id is None or item["trace_id"] == trace_id)]
 
     def for_trace(self, trace_id: str) -> List[HostSpan]:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
         return self.read(self.path, trace_id)
 
 

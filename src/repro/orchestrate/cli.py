@@ -34,9 +34,9 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.config import PAPER_CONFIGS
+from repro.ioutil import read_events
 
 from repro.orchestrate.cache import ResultCache
-from repro.orchestrate.events import read_events
 from repro.orchestrate.jobspec import JobSpec
 from repro.orchestrate.scheduler import BatchResult, Orchestrator
 from repro.orchestrate.registry import (parse_run_spec, parse_value,
@@ -83,10 +83,7 @@ def _execute(specs: List[JobSpec], args: argparse.Namespace) -> int:
                                 checkpoint_dir=args.checkpoint_dir,
                                 checkpoint_every=args.checkpoint_every,
                                 verbose=args.verbose)
-    try:
-        batch = orchestrator.run(specs)
-    finally:
-        orchestrator.events.close()
+    batch = orchestrator.run(specs)
     _print_batch(batch, quiet=args.quiet)
     if args.json:
         with open(args.json, "w") as handle:

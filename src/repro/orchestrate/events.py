@@ -18,14 +18,12 @@ orchestrator's observability surface:
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro import ioutil
+from repro.ioutil import AppendLog
 
 #: Event kinds, in roughly the order a job can emit them. ``failed``,
 #: ``timeout``, and ``quarantined`` events carry a ``failure_kind``
@@ -36,62 +34,10 @@ from repro import ioutil
 KINDS = ("queued", "cache_hit", "started", "finished", "retried",
          "timeout", "failed", "quarantined", "cache_stats")
 
-#: Failure-kind events are flushed *and fsynced* the moment they are
-#: recorded: they are exactly the lines a post-mortem needs after the
-#: process (or machine) dies, so they may never sit in a buffer.
+#: Failure-kind events are fsynced the moment they are recorded: they
+#: are exactly the lines a post-mortem needs after the process (or
+#: machine) dies.
 _DURABLE_KINDS = frozenset({"failed", "timeout", "quarantined"})
-
-
-def tail_events(path: str, offset: int = 0) -> Tuple[List[Dict[str, Any]],
-                                                     int, int]:
-    """Read the JSONL event log at ``path`` from byte ``offset``.
-
-    Returns ``(events, new_offset, skipped)``. Built for *live* tailing
-    of a log another process is still appending to (the ``repro-serve``
-    streaming endpoint polls this), so it is deliberately tolerant:
-
-    * a **torn final line** — no trailing newline, the writer crashed
-      (or is still) mid-append — is never consumed: ``new_offset``
-      stops at the last complete line, and the fragment is re-read on
-      the next call once (if ever) its newline lands;
-    * a *complete* line that fails to parse (e.g. a crash-torn fragment
-      that a restarted writer appended after) is skipped and counted in
-      ``skipped`` instead of raising.
-
-    A missing file reads as empty. ``new_offset`` is a plain byte
-    offset, safe to persist and resume from across calls and processes.
-    """
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            data = handle.read()
-    except OSError:
-        return [], offset, 0
-    end = data.rfind(b"\n")
-    if end < 0:
-        return [], offset, 0
-    chunk = data[:end + 1]
-    events: List[Dict[str, Any]] = []
-    skipped = 0
-    for line in chunk.splitlines():
-        if not line.strip():
-            continue
-        try:
-            parsed = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            skipped += 1
-            continue
-        if isinstance(parsed, dict):
-            events.append(parsed)
-        else:
-            skipped += 1
-    return events, offset + len(chunk), skipped
-
-
-def read_events(path: str) -> List[Dict[str, Any]]:
-    """All complete, parseable events in a JSONL log (torn tail and
-    damaged lines silently skipped — see :func:`tail_events`)."""
-    return tail_events(path)[0]
 
 
 @dataclass
@@ -118,10 +64,10 @@ class EventLog:
     and the last event of each kind are updated in :meth:`record`, and
     the full history lives in the sink file.
 
-    The sink file is opened once (append mode) and held for the log's
-    lifetime — one ``open()`` per *batch*, not per event. Call
-    :meth:`close` (idempotent) when the batch is done; :meth:`flush`
-    makes the file durable mid-run for live tailing.
+    The sink is a lossy :class:`repro.ioutil.AppendLog`: every event is
+    flushed as it is recorded (tailable live), and a failed append is
+    counted in ``sink.dropped``, never raised. :meth:`release` closes
+    the handle between batches, :meth:`close` for good.
 
     ``bus`` optionally mirrors every event onto a telemetry
     :class:`~repro.obs.bus.ProbeBus` as ``orchestrate.<kind>`` topics,
@@ -140,7 +86,7 @@ class EventLog:
         self.started_at = time.time()
         self.sim_cycles = 0          # simulated cycles actually executed
         self.cached_cycles = 0       # simulated cycles served from cache
-        self._sink = open(sink_path, "a") if sink_path else None
+        self.sink = AppendLog(sink_path, lossy=True) if sink_path else None
 
     def record(self, kind: str, job_key: str, label: str = "",
                **detail: Any) -> Event:
@@ -154,17 +100,9 @@ class EventLog:
             self.sim_cycles += int(detail.get("cycles", 0))
         elif kind == "cache_hit":
             self.cached_cycles += int(detail.get("cycles", 0))
-        if self._sink is not None:
-            self._sink.write(json.dumps(event.as_dict(),
-                                        sort_keys=True) + "\n")
-            if kind in _DURABLE_KINDS:
-                # Failure evidence must survive the crash it documents:
-                # push it through the OS to the disk before moving on.
-                self._sink.flush()
-                try:
-                    os.fsync(self._sink.fileno())
-                except OSError:
-                    ioutil.FSYNC_ERRORS.inc()
+        if self.sink is not None:
+            self.sink.write([event.as_dict()],
+                            durable=kind in _DURABLE_KINDS)
         if self.bus is not None:
             self.bus.emit(f"orchestrate.{kind}", _cycle=0, job_key=job_key,
                           label=label, **detail)
@@ -174,16 +112,15 @@ class EventLog:
                   f"{' ' + extras if extras else ''}")
         return event
 
-    def flush(self) -> None:
-        """Push buffered sink lines to the OS (for live ``tail -f``)."""
-        if self._sink is not None:
-            self._sink.flush()
+    def release(self) -> None:
+        """Close the sink handle; the next event reopens it."""
+        if self.sink is not None:
+            self.sink.release()
 
     def close(self) -> None:
-        """Flush and release the sink handle; safe to call twice."""
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
+        """Close the sink handle for good; safe to call twice."""
+        if self.sink is not None:
+            self.sink.close()
 
     # Derived views ------------------------------------------------------
 

@@ -371,7 +371,14 @@ class Orchestrator:
     # ------------------------------------------------------------ public
 
     def run(self, specs: Sequence[JobSpec]) -> BatchResult:
-        """Execute a batch; returns one JobResult per input spec."""
+        """Execute a batch; returns one JobResult per input spec. The
+        event log's handle is released when the batch ends."""
+        try:
+            return self._run_batch(specs)
+        finally:
+            self.events.release()
+
+    def _run_batch(self, specs: Sequence[JobSpec]) -> BatchResult:
         t0 = time.perf_counter()
         unique: Dict[str, JobSpec] = {}
         for spec in specs:
@@ -404,7 +411,6 @@ class Orchestrator:
             # (how many submissions collapsed onto existing records).
             self.events.record("cache_stats", "", "result cache",
                                **self.cache.counters)
-        self.events.flush()
         return BatchResult(results=results, events=self.events,
                            wall_s=time.perf_counter() - t0)
 

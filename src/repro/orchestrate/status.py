@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.ioutil import read_events
 from repro.orchestrate.cache import ResultCache
-from repro.orchestrate.events import read_events
 from repro.orchestrate.jobspec import JobSpec
 
 #: Event kinds that carry a ``failure_kind`` detail.
@@ -98,7 +98,7 @@ def failure_histogram(events: Sequence[Dict[str, Any]]) -> Dict[str, int]:
 
 def events_status(events_path: str) -> Dict[str, Any]:
     """Failure histogram + event count from a JSONL event log (torn
-    tails tolerated — see :func:`repro.orchestrate.events.tail_events`)."""
+    tails tolerated — see :func:`repro.ioutil.tail_events`)."""
     events = read_events(events_path)
     return {"events": len(events), "failure_classes":
             failure_histogram(events)}

@@ -70,8 +70,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.ioutil import tail_events
 from repro.obs.promtext import Family, render_prometheus
-from repro.orchestrate.events import tail_events
 
 from repro.serve.model import ServeError
 from repro.serve.queue import JobQueue

@@ -8,72 +8,45 @@ processes holding them died with the previous service instance, and
 their tokens are fenced off by the generation bump the next lease
 performs).
 
-Durability is tiered the same way the orchestrator's event log tiers
-it: entries that *are* the system of record — submissions and terminal
-outcomes — are flushed **and fsynced** before the call returns, so an
-acknowledged submission or result can never be lost to a power cut;
-scheduling chatter (lease, requeue) is flushed to the OS but not
-synced, because replay reconstructs it conservatively anyway (an
-unjournaled lease simply gets requeued).
+Durability is tiered: entries that *are* the system of record —
+submissions and terminal outcomes (:data:`DURABLE_OPS`) — are fsynced
+before the call returns, so an acknowledged submission or result can
+never be lost to a power cut; scheduling chatter (lease, requeue) is
+flushed to the OS but not synced, because replay reconstructs it
+conservatively anyway (an unjournaled lease simply gets requeued).
 
 Batch appends (:meth:`Journal.append_many`) amortize one fsync over a
 whole sweep submission — the difference between 1000 fsyncs and one
 when a tenant submits a 1000-point sweep.
 
-The reader is :func:`repro.orchestrate.events.tail_events`: a torn
-final line — the crash happened mid-append — is skipped instead of
-raising, so a journal truncated by the very crash it exists to survive
-still replays cleanly.
+The journal is a system-of-record :class:`repro.ioutil.AppendLog`
+(format, reader and error rule: the :mod:`repro.ioutil` docstring):
+every failed write or fsync, ``ENOSPC`` or not, raises to the caller.
 """
 
 from __future__ import annotations
 
-import errno
-import json
 import os
-import threading
-import time
 from typing import Any, Dict, Iterable, List
 
-from repro import ioutil
-from repro.iohooks import (SITE_JOURNAL_FSYNC, SITE_JOURNAL_SYNCED,
-                           SITE_JOURNAL_WRITE, filter_write, io_site)
-from repro.obs.metrics import Histogram
-from repro.orchestrate.events import tail_events
+from repro.ioutil import AppendLog
 
 #: Ops that must hit the platter before the call returns.
 DURABLE_OPS = frozenset({"submit", "commit", "fail", "cancel"})
 
 
-class Journal:
-    """One append-only JSONL journal file with tiered durability.
-
-    Every durable append times its fsync into :attr:`fsync_us` (a
-    power-of-two histogram in microseconds) — the journal is on every
-    submit and commit path, so its sync latency *is* the service's
-    write-side latency floor, and ``GET /metrics`` exposes it.
-    """
+class Journal(AppendLog):
+    """One append-only JSONL journal file with tiered durability. Its
+    :attr:`fsync_us` is the service's write-side latency floor, exposed
+    on ``GET /metrics``."""
 
     def __init__(self, path: str,
                  durable_ops: "frozenset[str]" = DURABLE_OPS) -> None:
-        self.path = path
-        #: Which ops fsync before returning. The queue uses the module
-        #: default; other journal users (the fleet supervisor's
-        #: ``fleet.jsonl``) pass their own durable vocabulary and reuse
-        #: the same tiered-write machinery and fault sites.
-        self.durable_ops = durable_ops
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        self._lock = threading.Lock()
-        self._handle = open(path, "a")
-        #: fsync latency distribution, microseconds.
-        self.fsync_us = Histogram("journal_fsync_us")
-        #: Failed journal fsyncs / failed or torn line writes since
-        #: open. The queue's health machinery reads these to decide
-        #: when durability has actually been lost.
-        self.fsync_errors = 0
-        self.write_errors = 0
-
-    # ------------------------------------------------------------ write
+        super().__init__(path, fault_sites=True)
+        #: Which ops fsync before returning (the fleet supervisor's
+        #: ``fleet.jsonl`` passes its own vocabulary).
+        self.durable_ops = durable_ops
 
     def append(self, op: str, **fields: Any) -> Dict[str, Any]:
         """Append one entry; durable (fsynced) for :data:`DURABLE_OPS`."""
@@ -82,69 +55,12 @@ class Journal:
 
     def append_many(self,
                     entries: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Append a batch atomically enough for a queue (one writer):
-        all lines written under the lock, then one flush, and one fsync
-        if any entry is durable."""
+        """One write, one flush, and one fsync if any entry is durable."""
         batch = [dict(entry) for entry in entries]
-        durable = any(entry.get("op") in self.durable_ops
-                      for entry in batch)
-        data = "".join(json.dumps(entry, sort_keys=True) + "\n"
-                       for entry in batch)
-        with self._lock:
-            io_site(SITE_JOURNAL_WRITE, self.path, size=len(data))
-            out = filter_write(SITE_JOURNAL_WRITE, self.path, data)
-            try:
-                self._handle.write(out)
-                self._handle.flush()
-            except OSError:
-                self.write_errors += 1
-                raise
-            if len(out) != len(data):
-                self.write_errors += 1
-                raise OSError(
-                    errno.EIO,
-                    f"torn journal append ({len(out)}/{len(data)} bytes)",
-                    self.path)
-            if durable:
-                io_site(SITE_JOURNAL_FSYNC, self.path)
-                t0 = time.perf_counter()
-                try:
-                    os.fsync(self._handle.fileno())
-                except OSError as exc:
-                    self.fsync_errors += 1
-                    ioutil.FSYNC_ERRORS.inc()
-                    if exc.errno == errno.ENOSPC:
-                        raise
-                    # Other fsync errors stay best-effort (exotic
-                    # filesystems), but are now counted, not invisible.
-                self.fsync_us.observe(
-                    (time.perf_counter() - t0) * 1e6)
-                io_site(SITE_JOURNAL_SYNCED, self.path)
+        self.write(batch, durable=any(entry.get("op") in self.durable_ops
+                                      for entry in batch))
         return batch
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None  # type: ignore[assignment]
-
-    # ------------------------------------------------------------- read
-
-    @staticmethod
-    def replay(path: str) -> List[Dict[str, Any]]:
-        """All complete journal entries at ``path`` (torn tail and
-        crash-merged lines tolerated; missing file reads as empty)."""
-        entries, _, _ = tail_events(path)
-        return entries
 
 
 def journal_path(root: str) -> str:
     return os.path.join(root, "journal.jsonl")
-
-
-def open_journal(root: str) -> Journal:
-    return Journal(journal_path(root))
-
-
-def replay_entries(root: str) -> List[Dict[str, Any]]:
-    return Journal.replay(journal_path(root))

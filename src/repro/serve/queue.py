@@ -122,7 +122,7 @@ class JobQueue:
         self.artifacts_root = os.path.join(self.root, "artifacts")
         self.events_path = os.path.join(self.root, "events.jsonl")
         self.events = EventLog(sink_path=self.events_path, verbose=verbose)
-        #: The event log as a callback source: every flushed append
+        #: The event log as a callback source: every recorded event
         #: bumps ``event_appends`` and notifies this condition, so a
         #: long-poll on ``/v1/events`` wakes on the write itself
         #: instead of re-reading the file on a timer.
@@ -167,22 +167,16 @@ class JobQueue:
 
     def _event(self, kind: str, job_key: str, label: str = "",
                **detail: Any) -> None:
-        """Record + flush (the stream endpoints tail this file live);
+        """Record an event (the stream endpoints tail this file live);
         suppressed during replay so restarts don't duplicate history.
-        Event-log IO trouble (a full disk) must never fail the
-        transition being narrated — dropped events are counted and the
-        flight ring (memory-only) still gets the record."""
+        The event log is lossy (a full disk drops, never raises), and
+        the flight ring (memory-only) always gets the record."""
         if self._replaying:
             return
-        try:
-            self.events.record(kind, job_key, label, **detail)
-            self.events.flush()
-        except OSError:
-            self.counters["dropped_events"] += 1
-        else:
-            with self._appended:
-                self.event_appends += 1
-                self._appended.notify_all()
+        self.events.record(kind, job_key, label, **detail)
+        with self._appended:
+            self.event_appends += 1
+            self._appended.notify_all()
         self.flight.record(kind, job_key=job_key, label=label, **detail)
 
     def _journal_op(self, op: str, **fields: Any) -> None:
@@ -1142,9 +1136,10 @@ class JobQueue:
             degrade = Family("repro_degradation_events_total", "counter",
                              "Health-state machinery activity.")
             for kind in ("health_to_read_only", "health_recoveries",
-                         "probe_failures", "journal_write_errors",
-                         "dropped_events"):
+                         "probe_failures", "journal_write_errors"):
                 degrade.add(self.counters.get(kind, 0), kind=kind)
+            degrade.add(self.events.sink.dropped, kind="dropped_events")
+            degrade.add(self.hostspans.sink.dropped, kind="dropped_spans")
             fams.append(degrade)
 
             fams.append(histogram_family(
@@ -1262,7 +1257,7 @@ class JobQueue:
     # ------------------------------------------------------------ replay
 
     def _replay(self) -> Optional[Dict[str, int]]:
-        entries = Journal.replay(journal_path(self.root))
+        entries = ioutil.read_events(journal_path(self.root))
         if not entries:
             return None
         self._replaying = True

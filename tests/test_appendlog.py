@@ -6,11 +6,13 @@ checked for three things: every line is ``json.dumps(entry,
 sort_keys=True) + "\\n"``; fsyncs land on exactly the durable tier of
 each file (counted per inode through a patched ``os.fsync``); and the
 reader returns the same ``(entries, offset, skipped)`` for a torn tail
-and a damaged middle line.
+and a damaged middle line. The tests after the pins cover the one
+error rule of :class:`repro.ioutil.AppendLog`.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 
@@ -18,8 +20,9 @@ import pytest
 
 from repro.ckpt import CheckpointStore
 from repro.fleet.supervisor import FLEET_DURABLE_OPS
+from repro.ioutil import FSYNC_ERRORS, AppendLog, tail_events
 from repro.obs.tracectx import HostSpan, HostSpanLog
-from repro.orchestrate.events import KINDS, EventLog, tail_events
+from repro.orchestrate.events import KINDS, EventLog
 from repro.serve.journal import DURABLE_OPS, Journal
 
 JOURNAL_OPS = ("submit", "lease", "requeue", "commit", "fail", "cancel",
@@ -27,6 +30,21 @@ JOURNAL_OPS = ("submit", "lease", "requeue", "commit", "fail", "cancel",
 FLEET_OPS = ("scale", "spawn", "adopt", "crash", "quarantine", "exit",
              "clear", "drain")
 EVENT_DURABLE_KINDS = ("failed", "timeout", "quarantined")
+
+needs_proc_fds = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                    reason="needs /proc/self/fd")
+
+
+def open_handles(path) -> int:
+    """How many of this process's descriptors are open on ``path``."""
+    target = os.path.realpath(str(path))
+    count = 0
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{name}") == target
+        except OSError:
+            continue
+    return count
 
 
 def _journal(tmp_path):
@@ -140,3 +158,73 @@ def test_reader_skips_torn_tail_and_damaged_line(tmp_path, name):
         assert CheckpointStore(os.path.dirname(path)).manifest() == entries
     if name == "hostspans":
         assert [span.as_dict() for span in HostSpanLog.read(path)] == entries
+
+
+# ------------------------------------------------------ the error rule
+
+
+def test_system_of_record_raises_a_failed_append(tmp_path):
+    log = AppendLog(str(tmp_path / "missing" / "log.jsonl"))
+    with pytest.raises(OSError):
+        log.write([{"op": "submit"}], durable=True)
+    assert (log.write_errors, log.dropped) == (1, 0)
+
+
+def test_lossy_log_counts_and_drops_a_failed_append(tmp_path):
+    log = AppendLog(str(tmp_path / "missing" / "log.jsonl"), lossy=True)
+    log.write([{"n": 1}, {"n": 2}])
+    assert (log.write_errors, log.dropped) == (1, 2)
+
+
+def test_failed_fsync_is_counted_and_raised(tmp_path, monkeypatch):
+    def broken_fsync(fd):
+        raise OSError(errno.EIO, "injected EIO")
+    monkeypatch.setattr(os, "fsync", broken_fsync)
+    path = tmp_path / "log.jsonl"
+    log = AppendLog(str(path))
+    before = FSYNC_ERRORS.value
+    log.write([{"n": 1}])                 # not durable: no fsync
+    with pytest.raises(OSError) as exc:
+        log.write([{"n": 2}], durable=True)
+    assert exc.value.errno == errno.EIO
+    assert log.fsync_errors == 1 and FSYNC_ERRORS.value == before + 1
+    log.close()
+    # The line itself was written; only its durability failed.
+    assert len(path.read_text().splitlines()) == 2
+
+
+def test_failed_manifest_fsync_is_counted_and_raised(tmp_path, monkeypatch):
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+
+    def broken_fsync(fd):
+        raise OSError(errno.EIO, "injected EIO")
+    monkeypatch.setattr(os, "fsync", broken_fsync)
+    before = FSYNC_ERRORS.value
+    with pytest.raises(OSError):
+        store.quarantine_checkpoint("ab" * 32, 100, reason="pin")
+    assert FSYNC_ERRORS.value == before + 1
+
+
+@needs_proc_fds
+@pytest.mark.parametrize("lossy", [False, True])
+def test_release_reopens_but_close_is_final(tmp_path, lossy):
+    path = tmp_path / "log.jsonl"
+    log = AppendLog(str(path), lossy=lossy)
+    assert open_handles(path) == 0       # opened by the first write
+    log.write([{"n": 1}])
+    assert open_handles(path) == 1
+    log.release()
+    assert open_handles(path) == 0
+    log.write([{"n": 2}])
+    assert open_handles(path) == 1
+    log.close()
+    log.close()                          # idempotent
+    if lossy:
+        log.write([{"n": 3}])
+        assert log.dropped == 1
+    else:
+        with pytest.raises(OSError) as exc:
+            log.write([{"n": 3}])
+        assert exc.value.errno == errno.EBADF
+    assert open_handles(path) == 0
+    assert tail_events(str(path))[0] == [{"n": 1}, {"n": 2}]

@@ -22,11 +22,11 @@ from repro.chaos.plan import (HTTP_DROP, HTTP_DROP_RESPONSE, HTTP_ERROR,
                               WRITE_ENOSPC, FSYNC_ENOSPC, ChaosPlan,
                               HostFault, make_chaos_plan)
 from repro.ioutil import (CorruptArtifactError, atomic_write_json,
-                          read_checked_json, sha256_of)
+                          read_checked_json, read_events, sha256_of)
 from repro.orchestrate.jobspec import JobSpec
 from repro.serve.api import ServeService
 from repro.serve.client import ServeClient, ServeHTTPError
-from repro.serve.journal import Journal, open_journal
+from repro.serve.journal import Journal, journal_path
 from repro.serve.model import (HEALTH_OK, HEALTH_READ_ONLY, RUN_FAILED,
                                SUB_FAILED, SUB_QUEUED,
                                BacklogExceededError,
@@ -127,7 +127,7 @@ class TestFaultyIO:
         journal.close()
         assert fio.injected and \
             fio.injected[0]["kind"] == WRITE_ENOSPC
-        entries = Journal.replay(str(tmp_path / "j.jsonl"))
+        entries = read_events(str(tmp_path / "j.jsonl"))
         assert [e["sub"] for e in entries] == ["a-1"]
 
     def test_fsync_enospc_on_atomic_write_cleans_tmp(self, tmp_path):
@@ -153,7 +153,7 @@ class TestFaultyIO:
                 journal.append("submit", sub="a-2", job_key="k2")
             assert "torn journal append" in str(exc.value)
         journal.close()
-        entries = Journal.replay(path)
+        entries = read_events(path)
         assert [e["sub"] for e in entries] == ["a-1"]
 
     def test_read_eio_surfaces_as_corrupt_artifact(self, tmp_path):
@@ -267,7 +267,7 @@ def _committed_not_done(queue, acked):
 
 def _second_commit_line(queue, acked):
     queue.close()
-    open_journal(queue.root).append(
+    Journal(journal_path(queue.root)).append(
         "commit", job_key=next(iter(acked.values())), gen=1)
     reopened = JobQueue(queue.root, lease_s=30.0, checkpoint_every=0)
     # The cold replay treats the second line as a no-op: the journal
@@ -325,7 +325,7 @@ class TestAudit:
     def test_duplicate_commit_line_fails_both_verdicts(self, tmp_path,
                                                        capsys):
         root, acked = _lifecycle_root(tmp_path, capsys)
-        open_journal(root).append(
+        Journal(journal_path(root)).append(
             "commit", job_key=next(iter(acked.values())), gen=1)
         report = recover_and_verify(root, acked, list(acked.values()),
                                     jobs=2)

@@ -26,6 +26,7 @@ from repro.fleet.autoscale import (AutoscaleConfig, Autoscaler,
 from repro.fleet.budget import RestartBudget, kind_of_exit
 from repro.fleet.supervisor import (FLEET_DURABLE_OPS, Supervisor,
                                     SupervisorConfig)
+from repro.ioutil import read_events
 from repro.obs.promtext import parse_prometheus
 from repro.orchestrate.jobspec import JobSpec
 from repro.serve.breaker import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
@@ -410,7 +411,7 @@ class TestFleetPaths:
         journal.append("scale", desired=3)
         journal.append("spawn", slot="w0")
         journal.close()
-        assert [e["op"] for e in Journal.replay(path)] == \
+        assert [e["op"] for e in read_events(path)] == \
             ["scale", "spawn"]
 
 
@@ -555,7 +556,7 @@ class TestControlMailbox:
             assert not os.path.exists(control)  # consumed
         finally:
             supervisor.shutdown(kill_workers=False)
-        ops = [e for e in Journal.replay(
+        ops = [e for e in read_events(
             paths.fleet_journal_path(supervisor.fleet_root))
             if e["op"] == "scale"]
         assert ops and ops[-1]["desired"] == 4

@@ -34,6 +34,7 @@ from repro.orchestrate.registry import build_workload
 from repro.sim.engine import Engine
 from repro.sim.stats import (MAX_MERGED_FIELDS, Stats, int_field_names,
                              summed_field_names)
+from tests.test_appendlog import needs_proc_fds, open_handles
 
 
 def run_pair(label, spec, params=None, cores=4, tconfig=None):
@@ -461,16 +462,18 @@ class TestStatsMerge:
 # ------------------------------------------------------------- event log
 
 class TestEventLog:
+    @needs_proc_fds
     def test_single_sink_handle(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(sink_path=str(path))
         for index in range(5):
             log.record("queued", f"job{index}")
-        log.flush()
+            assert open_handles(path) == 1
+        # Every record is already flushed: no flush() call needed.
         assert len(path.read_text().splitlines()) == 5
         log.close()
         log.close()  # idempotent
-        assert log._sink is None
+        assert open_handles(path) == 0
 
     def test_failed_durable_fsync_is_counted(self, tmp_path, monkeypatch):
         def broken_fsync(fd):

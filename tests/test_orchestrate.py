@@ -15,6 +15,7 @@ from repro.orchestrate import (JobSpec, Orchestrator, RecordResult,
 from repro.orchestrate.cli import build_specs, main
 from repro.orchestrate.registry import parse_run_spec, parse_value
 from repro.workloads.microbench import BarrierMicrobench, LockMicrobench
+from tests.test_appendlog import needs_proc_fds, open_handles
 
 
 def spec_for(seed=1, iterations=2, label="CB-One", **overrides):
@@ -243,6 +244,20 @@ class TestOrchestratorSerial(SchedulingModeCases):
         third = run_batch(specs + [spec_for(seed=4)],
                           cache_dir=str(tmp_path), run_fn=fake_run)
         assert third.simulations_executed == 1
+
+    @needs_proc_fds
+    def test_run_releases_the_event_log_and_a_second_run_appends(
+            self, tmp_path):
+        from repro.ioutil import read_events
+        orchestrator = Orchestrator(cache=str(tmp_path), run_fn=fake_run)
+        path = tmp_path / "events.jsonl"
+        orchestrator.run([spec_for(seed=1)])
+        assert open_handles(path) == 0
+        first = read_events(str(path))
+        orchestrator.run([spec_for(seed=2)])
+        assert open_handles(path) == 0
+        kinds = [e["kind"] for e in read_events(str(path))[len(first):]]
+        assert kinds == ["queued", "started", "finished", "cache_stats"]
 
     def test_retry_after_injected_failure(self):
         calls = []
@@ -600,7 +615,7 @@ class TestEventLogReader:
         return str(path)
 
     def test_torn_final_line_is_skipped_not_raised(self, tmp_path):
-        from repro.orchestrate.events import read_events, tail_events
+        from repro.ioutil import read_events, tail_events
         path = self._log(tmp_path,
                          [{"kind": "queued", "job_key": "a"},
                           {"kind": "started", "job_key": "a"}],
@@ -618,7 +633,7 @@ class TestEventLogReader:
         assert offset2 > offset and skipped == 0
 
     def test_interleaved_garbage_line_is_counted_not_raised(self, tmp_path):
-        from repro.orchestrate.events import tail_events
+        from repro.ioutil import tail_events
         # A crash-torn fragment that a *restarted* writer appended
         # after: the merged line is complete but unparseable.
         path = tmp_path / "events.jsonl"
@@ -649,11 +664,11 @@ class TestEventLogReader:
         assert HostSpanLog.read(path) == [span]
 
     def test_missing_file_reads_empty(self, tmp_path):
-        from repro.orchestrate.events import tail_events
+        from repro.ioutil import tail_events
         assert tail_events(str(tmp_path / "nope.jsonl")) == ([], 0, 0)
 
     def test_incremental_offsets_resume_across_calls(self, tmp_path):
-        from repro.orchestrate.events import tail_events
+        from repro.ioutil import tail_events
         path = self._log(tmp_path, [{"n": i} for i in range(5)])
         first, offset, _ = tail_events(path)
         assert len(first) == 5
@@ -672,7 +687,8 @@ class TestEventLogDerivedViews:
     def test_views_match_the_list_derived_values(self, tmp_path):
         from collections import Counter
 
-        from repro.orchestrate.events import EventLog, read_events
+        from repro.ioutil import read_events
+        from repro.orchestrate.events import EventLog
         sink = str(tmp_path / "events.jsonl")
         log = EventLog(sink_path=sink)
         batch = [("queued", {}), ("started", {}),

@@ -11,6 +11,8 @@ worker-process story (SIGKILL, resume, 1000-job flood) lives in
 ``test_serve_load.py``.
 """
 
+import builtins
+import errno
 import json
 import os
 import socket
@@ -21,18 +23,20 @@ import time
 
 import pytest
 
+from repro.ioutil import read_events
 from repro.obs.promtext import parse_prometheus
 from repro.orchestrate import execute_job
-from repro.orchestrate.events import read_events
 from repro.orchestrate.jobspec import JobSpec
 from repro.orchestrate.status import job_status_entry
 from repro.serve import (JobQueue, Journal, QuotaExceededError,
                          ServeClient, ServeHTTPError, ServeService,
-                         StaleLeaseError, spawn_worker)
+                         ServiceUnavailableError, StaleLeaseError,
+                         spawn_worker)
 from repro.serve import api
 from repro.serve.journal import journal_path
 from repro.serve.model import (RUN_DONE, RUN_FAILED, RUN_LEASED,
-                               RUN_QUEUED, SUB_DONE)
+                               RUN_QUEUED, SUB_DONE, SUB_QUEUED)
+from tests.test_appendlog import open_handles
 
 
 def spec_for(seed=1, label="CB-All", iterations=2, cores=4):
@@ -62,7 +66,7 @@ class TestJournal:
         journal.append("submit", sub="t-1", job_key="k1")
         journal.append("lease", job_key="k1", gen=1)
         journal.close()
-        entries = Journal.replay(path)
+        entries = read_events(path)
         assert [e["op"] for e in entries] == ["submit", "lease"]
 
     def test_torn_tail_is_tolerated(self, tmp_path):
@@ -72,7 +76,7 @@ class TestJournal:
         journal.close()
         with open(path, "a") as handle:   # crash mid-append
             handle.write('{"op": "commit", "job_')
-        entries = Journal.replay(path)
+        entries = read_events(path)
         assert [e["op"] for e in entries] == ["submit"]
 
     def test_batch_append_is_one_write(self, tmp_path):
@@ -81,7 +85,7 @@ class TestJournal:
         journal.append_many([{"op": "submit", "sub": f"t-{i}"}
                              for i in range(50)])
         journal.close()
-        assert len(Journal.replay(path)) == 50
+        assert len(read_events(path)) == 50
 
 
 class TestSubmitDedup:
@@ -642,6 +646,118 @@ class TestServeEventsOnDisk:
         queue.close()
 
 
+class _FullDisk:
+    """A file every write to which fails the way a full disk does."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def full_span_disk(monkeypatch):
+    """Every append to a ``hostspans.jsonl`` fails with ENOSPC."""
+    real_open = builtins.open
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith("hostspans.jsonl") and "a" in mode:
+            return _FullDisk()
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", fake_open)
+
+
+def degradation(queue, kind):
+    """One ``repro_degradation_events_total`` sample from ``/metrics``."""
+    family = parse_prometheus(queue.prometheus_text())[
+        "repro_degradation_events_total"]
+    (value,) = [v for (_, labels), v in family["samples"].items()
+                if ("kind", kind) in labels]
+    return value
+
+
+class TestObservabilityLogsNeverWedge:
+    """Host spans and events are observability logs: a failed append is
+    counted and dropped, never raised into the transition it records."""
+
+    def test_lease_completes_while_span_writes_fail(self, tmp_path,
+                                                     full_span_disk):
+        queue = make_queue(tmp_path)
+        queue.submit("alice", spec_for().to_dict())
+        lease = queue.lease("w1")
+        assert queue.runs[lease["job_key"]].state == RUN_LEASED
+        assert degradation(queue, "dropped_spans") == 1     # queue.wait
+        assert degradation(queue, "dropped_events") == 0
+        assert queue.healthz()["state"] == "ok"
+        queue.close()
+
+    def test_commit_completes_and_settles_while_span_writes_fail(
+            self, tmp_path, full_span_disk):
+        queue = make_queue(tmp_path)
+        spec = spec_for()
+        sub = queue.submit("alice", spec.to_dict())
+        lease = queue.lease("w1")
+        worker_span = {"name": "sim.run", "trace_id": lease["trace_id"],
+                       "start": 1.0, "end": 2.0, "track": "host/worker"}
+        queue.commit(lease["job_key"], lease["token"],
+                     record_for(spec, host_spans=[worker_span]))
+        assert queue.runs[lease["job_key"]].state == RUN_DONE
+        assert queue.subs[sub["submission_id"]].state == SUB_DONE
+        # queue.wait, lease.held and the worker's sim.run.
+        assert degradation(queue, "dropped_spans") == 3
+        queue.close()
+
+    def test_expiry_requeues_while_span_writes_fail(self, tmp_path,
+                                                    full_span_disk):
+        queue = make_queue(tmp_path)
+        sub = queue.submit("alice", spec_for().to_dict())
+        lease = queue.lease("w1")
+        assert queue.expire_leases(now=time.time() + 3600) \
+            == [lease["job_key"]]
+        assert queue.runs[lease["job_key"]].state == RUN_QUEUED
+        assert queue.subs[sub["submission_id"]].state == SUB_QUEUED
+        assert degradation(queue, "dropped_spans") == 2
+        queue.close()
+
+    def test_closed_queue_never_reopens_a_log(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.submit("alice", spec_for().to_dict())
+        queue.close()
+        paths = [journal_path(queue.root), queue.events_path,
+                 queue.hostspans_path]
+        before = [os.path.exists(p) and os.path.getsize(p) for p in paths]
+        # A late lease journals, narrates and records a span: every one
+        # of those appends must find its log closed.
+        lease = queue.lease("w1")
+        assert queue.runs[lease["job_key"]].state == RUN_LEASED
+        assert [os.path.exists(p) and os.path.getsize(p)
+                for p in paths] == before
+        if os.path.isdir("/proc/self/fd"):
+            assert [open_handles(p) for p in paths] == [0, 0, 0]
+
+
+class TestSubmitAckContract:
+    def test_failed_journal_fsync_is_503_and_applies_nothing(
+            self, tmp_path, monkeypatch):
+        queue = make_queue(tmp_path)
+
+        def broken_fsync(fd):
+            raise OSError(errno.EIO, "injected EIO")
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        with pytest.raises(ServiceUnavailableError):
+            queue.submit("alice", spec_for().to_dict())
+        assert queue.subs == {} and queue.runs == {}
+        assert queue.counters["journal_write_errors"] == 1
+        assert degradation(queue, "journal_write_errors") == 1
+        assert queue.healthz()["state"] == "degraded"
+        queue.close()
+
+
 # Satellite of the chaos PR: replay must tolerate exactly the journals
 # the fault shims and crash points produce — duplicated ops from client
 # retries, and a final record torn at any byte offset.
@@ -734,7 +850,7 @@ class TestJournalTornTails:
             for entry in self._COMPLETE:
                 handle.write(json.dumps(entry, sort_keys=True) + "\n")
             handle.write(_TORN_FINAL[:cut])
-        entries = Journal.replay(path)
+        entries = read_events(path)
         assert [e["op"] for e in entries] == ["submit", "lease"], \
             f"cut at byte {cut} corrupted the complete prefix"
 
@@ -744,7 +860,7 @@ class TestJournalTornTails:
             for entry in self._COMPLETE:
                 handle.write(json.dumps(entry, sort_keys=True) + "\n")
             handle.write(_TORN_FINAL)
-        assert [e["op"] for e in Journal.replay(path)] \
+        assert [e["op"] for e in read_events(path)] \
             == ["submit", "lease", "commit"]
 
     def test_queue_opens_on_torn_journal(self, tmp_path):

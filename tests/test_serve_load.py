@@ -31,7 +31,7 @@ from collections import Counter
 
 import pytest
 
-from repro.orchestrate.events import read_events
+from repro.ioutil import read_events
 from repro.orchestrate.jobspec import JobSpec
 from repro.serve import JobQueue, ServeClient, ServeService, spawn_worker
 
@@ -144,10 +144,10 @@ class TestServeUnderLoadAndCrashes:
                 "some run finished more than once"
 
             # The journal's durable commits agree too.
-            from repro.serve.journal import Journal, journal_path
+            from repro.serve.journal import journal_path
             commits = Counter(
                 e["job_key"] for e in
-                Journal.replay(journal_path(queue.root))
+                read_events(journal_path(queue.root))
                 if e.get("op") == "commit")
             assert len(commits) == unique_runs
             assert set(commits.values()) == {1}
