@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro import iohooks
 from repro.ckpt import CheckpointStore
 from repro.fleet.supervisor import FLEET_DURABLE_OPS
 from repro.ioutil import FSYNC_ERRORS, AppendLog, tail_events
@@ -228,3 +229,59 @@ def test_release_reopens_but_close_is_final(tmp_path, lossy):
         assert exc.value.errno == errno.EBADF
     assert open_handles(path) == 0
     assert tail_events(str(path))[0] == [{"n": 1}, {"n": 2}]
+
+
+# ------------------------------------------------ a torn append's damage
+
+
+class _TearNth:
+    """IO fault handler: tears the ``nth`` journal write to ``keep``
+    bytes (what a ``TORN_WRITE`` chaos fault does)."""
+
+    def __init__(self, nth: int, keep: int) -> None:
+        self.nth = nth
+        self.keep = keep
+        self.writes = 0
+
+    def on_site(self, site, path="", size=-1):
+        pass
+
+    def filter_write(self, site, path, data):
+        if site != iohooks.SITE_JOURNAL_WRITE:
+            return data
+        self.writes += 1
+        return data[:self.keep] if self.writes == self.nth else data
+
+
+def test_a_torn_append_costs_only_its_own_batch(tmp_path):
+    """a-2's append is torn and raises; the acknowledged a-3 after it
+    must replay, and the fragment is one skipped line."""
+    path = str(tmp_path / "journal.jsonl")
+    journal = Journal(path)
+    handler = iohooks.install(_TearNth(2, 11))
+    try:
+        journal.append("submit", sub="a-1")
+        with pytest.raises(OSError):
+            journal.append("submit", sub="a-2")
+        journal.append("submit", sub="a-3")
+    finally:
+        iohooks.uninstall(handler)
+        journal.close()
+    entries, _offset, skipped = tail_events(path)
+    assert [entry["sub"] for entry in entries] == ["a-1", "a-3"]
+    assert skipped == 1
+
+
+def test_a_restarted_writer_starts_after_a_crash_torn_tail(tmp_path):
+    """A crash mid-append leaves a fragment with no newline; the next
+    writer's first durable entry must replay on a line of its own."""
+    path = str(tmp_path / "journal.jsonl")
+    with Journal(path) as journal:
+        journal.append("submit", sub="a-1")
+    with open(path, "a") as handle:
+        handle.write('{"op": "sub')
+    with Journal(path) as journal:
+        journal.append("submit", sub="a-2")
+    entries, _offset, skipped = tail_events(path)
+    assert [entry["sub"] for entry in entries] == ["a-1", "a-2"]
+    assert skipped == 1
