@@ -20,13 +20,24 @@ trampoline never recurses.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Dict, Generator, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.protocols import ops
 from repro.protocols.base import CoherenceProtocol
 from repro.sim.engine import Engine
 from repro.sim.stats import Stats
+
+
+#: :meth:`Core._dispatch` branches: ops the core runs itself, in test
+#: order (branch = index + 1), and everything else, handed to the
+#: protocol's ``issue``.
+_BRANCH_OPS = (ops.Compute, ops.SpinThrough, ops.BackoffWait)
+_ISSUE, _COMPUTE, _SPIN_THROUGH, _BACKOFF = range(4)
+
+#: ``{core class: {op class: (spin, branch)}}``, filled by
+#: :meth:`Core._op_plan`.
+_OP_PLANS: Dict[type, Dict[type, Tuple[bool, int]]] = {}
 
 
 class Core:
@@ -72,6 +83,7 @@ class Core:
         #: Fault-injection hook on back-off timers: when set, called as
         #: ``hook(core_id, attempt, delay) -> delay`` (repro.resilience).
         self.fault_hook: Optional[Callable[[int, int, int], int]] = None
+        self._plans = _OP_PLANS.setdefault(type(self), {})
 
     def start(self, gen: Generator) -> None:
         """Begin executing ``gen`` at the current cycle."""
@@ -126,23 +138,41 @@ class Core:
     #: wildly exaggerated for the Invalidation configuration.
     COMPUTE_CYCLES_PER_L1_ACCESS = 7
 
+    def _op_plan(self, op_type: type) -> Tuple[bool, int]:
+        """``(spin, branch)`` of an op class: whether it is a spin op
+        (:attr:`SPIN_OPS`) and which :meth:`_dispatch` branch runs it.
+        Resolved once per class (by subclass test, so subclasses of an
+        op follow it) into the per-core-class table ``_plans``."""
+        for branch, base in enumerate(_BRANCH_OPS, 1):
+            if issubclass(op_type, base):
+                break
+        else:
+            branch = _ISSUE
+        plan = self._plans[op_type] = (issubclass(op_type, self.SPIN_OPS),
+                                       branch)
+        return plan
+
     def _dispatch(self, op: ops.Op) -> None:
         self._outstanding = True
-        self._in_spin_op = isinstance(op, self.SPIN_OPS)
-        if isinstance(op, ops.Compute):
+        plan = self._plans.get(type(op))
+        if plan is None:
+            plan = self._op_plan(type(op))
+        self._in_spin_op, branch = plan
+        if branch == _ISSUE:
+            self.protocol.issue(self.core_id, op, self._resume)
+        elif branch == _COMPUTE:
             accesses = op.cycles // self.COMPUTE_CYCLES_PER_L1_ACCESS
             self.stats.l1_accesses += accesses
             self.stats.l1_hits += accesses
-            delay = max(1, op.cycles)
+            delay = op.cycles if op.cycles > 1 else 1
             self.computing_until = self.engine.now + delay
             self.engine.schedule(delay, lambda: self._resume(None))
-        elif isinstance(op, ops.SpinThrough):
+        elif branch == _SPIN_THROUGH:
             self.protocol.spin_through(self, op)
-        elif isinstance(op, ops.BackoffWait):
-            delay = self._backoff(op.attempt)
-            self.engine.schedule(max(1, delay), lambda: self._resume(None))
         else:
-            self.protocol.issue(self.core_id, op, self._resume)
+            delay = self._backoff(op.attempt)
+            self.engine.schedule(delay if delay > 1 else 1,
+                                 lambda: self._resume(None))
 
     def _backoff(self, attempt: int) -> int:
         """Book one back-off pause before retry ``attempt``; returns its

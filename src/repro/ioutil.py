@@ -31,8 +31,13 @@ through :func:`tail_events`. A batch of entries is one ``write`` +
 ``flush`` of ``json.dumps(entry, sort_keys=True) + "\n"`` lines,
 fsynced only when the caller marks it durable; a short write is a torn
 write; every failed write or fsync is counted on the log (fsyncs also
-in :data:`FSYNC_ERRORS`). The reader never consumes a torn final line
-and skips (and counts) a complete line that does not parse.
+in :data:`FSYNC_ERRORS`). A batch always starts on a line boundary:
+after a failed or torn write in this process, or when the file it
+opens does not end in ``"\n"`` (a crash-torn tail), the batch is
+prefixed with ``"\n"``, so the fragment stays one damaged line and
+never swallows the next entry. The reader never consumes a torn final
+line, skips (and counts) a complete line that does not parse, and
+ignores blank lines.
 
 **One error rule.** A *system of record* — the two journals and the
 checkpoint manifest — raises every failed append to its caller, which
@@ -250,6 +255,9 @@ class AppendLog:
         self._lock = threading.Lock()
         self._handle: Optional[IO[str]] = None
         self._closed = False
+        # The file may not end on a line boundary: a write failed or was
+        # torn since the last whole batch (checked again on each open).
+        self._mid_line = False
 
     def write(self, entries: Iterable[Dict[str, Any]],
               durable: bool = False) -> None:
@@ -267,13 +275,19 @@ class AppendLog:
     def _append(self, data: str, durable: bool) -> None:
         if self._closed:
             raise OSError(errno.EBADF, "append to a closed log", self.path)
-        out = data
         if self.fault_sites:
             io_site(SITE_JOURNAL_WRITE, self.path, size=len(data))
-            out = filter_write(SITE_JOURNAL_WRITE, self.path, data)
         try:
             if self._handle is None:
-                self._handle = open(self.path, "a")
+                # Readable too, so the first write can see the last byte.
+                self._handle = open(self.path, "a+")
+                self._mid_line = self._mid_line or self._tail_is_torn()
+            if self._mid_line:
+                data = "\n" + data
+            out = data
+            if self.fault_sites:
+                out = filter_write(SITE_JOURNAL_WRITE, self.path, data)
+            self._mid_line = True
             self._handle.write(out)
             self._handle.flush()
         except OSError:
@@ -285,6 +299,7 @@ class AppendLog:
                 errno.EIO,
                 f"torn journal append ({len(out)}/{len(data)} bytes)",
                 self.path)
+        self._mid_line = False
         if not durable:
             return
         if self.fault_sites:
@@ -299,6 +314,12 @@ class AppendLog:
         self.fsync_us.observe((time.perf_counter() - t0) * 1e6)
         if self.fault_sites:
             io_site(SITE_JOURNAL_SYNCED, self.path)
+
+    def _tail_is_torn(self) -> bool:
+        """Whether the opened file ends in a fragment (no ``"\n"``)."""
+        fd = self._handle.fileno()
+        size = os.fstat(fd).st_size
+        return size > 0 and os.pread(fd, 1, size - 1) != b"\n"
 
     def release(self) -> None:
         with self._lock:

@@ -77,7 +77,7 @@ class SetAssociativeCache:
     def lookup(self, line: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line or None. ``touch`` updates recency
         (LRU policy only)."""
-        bucket = self._set_for(line)
+        bucket = self._sets[line % self.sets]
         entry = bucket.get(line)
         if entry is not None and touch and self.policy == "lru":
             bucket.move_to_end(line)

@@ -78,22 +78,58 @@ class Network:
         self._contention = config.model_link_contention
         # (src_tile, dst_tile) directed link -> busy-until cycle.
         self._link_busy: dict = {}
-        #: Telemetry probe bus (set when a Telemetry attaches), else None.
-        self.obs = None
-        #: When telemetry is attached, delivery handlers are wrapped to
-        #: maintain the flits-in-flight gauge. The wrapping changes only
-        #: handler identity, never (time, seq) ordering.
-        self.track_inflight = False
-        self.inflight_flits = 0
-        #: Fault-injection hook (repro.resilience): when set, called as
-        #: ``hook(src, dst, kind, latency) -> (extra_latency, duplicates)``
-        #: for every message. ``extra_latency`` delays delivery (a slow
-        #: NoC path); ``duplicates`` re-sends the message's flits that
-        #: many times — the payload handler still runs exactly once (the
-        #: receiver drops duplicates), but the copies are charged as
-        #: traffic. Left None (the default), sends are untouched.
-        self.fault_hook: Optional[
+        self._obs = None
+        self._track_inflight = False
+        self._fault_hook: Optional[
             Callable[[int, int, MsgKind, int], Tuple[int, int]]] = None
+        self._refresh_plain()
+        self.inflight_flits = 0
+
+    @property
+    def obs(self):
+        """Telemetry probe bus (set when a Telemetry attaches), else None."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, bus) -> None:
+        self._obs = bus
+        self._refresh_plain()
+
+    @property
+    def track_inflight(self) -> bool:
+        """When telemetry is attached, delivery handlers are wrapped to
+        maintain the flits-in-flight gauge. The wrapping changes only
+        handler identity, never (time, seq) ordering."""
+        return self._track_inflight
+
+    @track_inflight.setter
+    def track_inflight(self, track: bool) -> None:
+        self._track_inflight = track
+        self._refresh_plain()
+
+    @property
+    def fault_hook(self) -> Optional[
+            Callable[[int, int, MsgKind, int], Tuple[int, int]]]:
+        """Fault-injection hook (repro.resilience): when set, called as
+        ``hook(src, dst, kind, latency) -> (extra_latency, duplicates)``
+        for every message. ``extra_latency`` delays delivery (a slow
+        NoC path); ``duplicates`` re-sends the message's flits that
+        many times — the payload handler still runs exactly once (the
+        receiver drops duplicates), but the copies are charged as
+        traffic. Left None (the default), sends are untouched."""
+        return self._fault_hook
+
+    @fault_hook.setter
+    def fault_hook(self, hook: Optional[
+            Callable[[int, int, MsgKind, int], Tuple[int, int]]]) -> None:
+        self._fault_hook = hook
+        self._refresh_plain()
+
+    def _refresh_plain(self) -> None:
+        # The one definition of plainness; see plain().
+        self._plain = not (self._fault_hook is not None
+                           or self._obs is not None
+                           or self._track_inflight or self._contention)
 
     def _wire_table(self, diameter: int) -> Dict[str, WireEntry]:
         """Per-kind wire facts, keyed by the member's ``_value_``.
@@ -130,8 +166,7 @@ class Network:
         gauge). A plain message costs its route's fixed facts
         (:meth:`route_facts`), so :meth:`send` and the spin runner book
         it inline; otherwise :meth:`book` accounts every message."""
-        return not (self.fault_hook is not None or self.obs is not None
-                    or self.track_inflight or self._contention)
+        return self._plain
 
     def send(
         self,
@@ -147,7 +182,7 @@ class Network:
         Figure 20 LLC-sync-access metric upstream; the tag itself is only
         recorded in per-kind counters here). Returns the latency charged.
         """
-        if not self.plain():
+        if not self._plain:
             latency, inflight, duplicates = self.book(src, dst, kind, sync)
             if inflight:
                 inner = handler
@@ -178,8 +213,7 @@ class Network:
         engine = self.engine
         seq = engine._seq
         engine._seq = seq + 1
-        heappush(engine._queue, (engine.now + latency, seq, handler, False))
-        engine._live += 1
+        heappush(engine._queue, (engine.now + latency, seq, handler))
         return latency
 
     def book(self, src: int, dst: int, kind: MsgKind,
@@ -206,18 +240,18 @@ class Network:
         else:
             latency = latency_by_hops[hops]
         duplicates = 0
-        if self.fault_hook is not None:
-            extra, duplicates = self.fault_hook(src, dst, kind, latency)
+        if self._fault_hook is not None:
+            extra, duplicates = self._fault_hook(src, dst, kind, latency)
             latency += extra
         # A local delivery (hops == 0) is still counted, for protocol-level
         # message-count assertions, but contributes no traffic.
         self.stats.record_message(value, flits, hops, size)
         inflight = 0
-        if self.track_inflight and hops > 0:
+        if self._track_inflight and hops > 0:
             inflight = flits
             self.inflight_flits += flits
-        if self.obs is not None:
-            self.obs.emit("noc.send", src=src, dst=dst, kind=value,
+        if self._obs is not None:
+            self._obs.emit("noc.send", src=src, dst=dst, kind=value,
                           flits=flits, hops=hops, latency=latency,
                           sync=sync)
         return latency, inflight, duplicates

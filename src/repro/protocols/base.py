@@ -99,6 +99,12 @@ class CoherenceProtocol:
         # Hardware thread -> its core's tile/L1, read on every op.
         self._tile_of = tuple(config.core_of(tid)
                               for tid in range(config.num_threads))
+        # Address geometry, bound once: handlers compute a line
+        # (addr // _line_bytes), a word base (addr - addr % _word_bytes)
+        # and a home bank (line % _num_banks) inline, as AddressMap does.
+        self._line_bytes = config.line_bytes
+        self._word_bytes = config.word_bytes
+        self._num_banks = config.num_banks
         # Lines whose data is resident in the LLC (first touch pays DRAM).
         self._llc_present: set = set()
         #: Telemetry probe bus (set when a Telemetry attaches), else None.
@@ -258,7 +264,7 @@ class CoherenceProtocol:
                       value: object = None) -> None:
         """Call ``done(value)`` after ``delay`` cycles (always via the
         engine, so completions never recurse into the core synchronously)."""
-        self.engine.schedule(max(1, delay), partial(done, value))
+        self.engine.schedule(delay if delay > 1 else 1, partial(done, value))
 
 
 class _Burst:

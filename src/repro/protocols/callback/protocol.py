@@ -107,25 +107,28 @@ class CallbackProtocol(VIPSProtocol):
         directory.note_activity()
 
     def _op_load_cb(self, core: int, op: ops.LoadCB, done: Done) -> None:
-        bank = self.bank_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
+        addr = op.addr
+        line = addr // self._line_bytes
+        bank = line % self._num_banks
+        word = addr - addr % self._word_bytes
+        node = self._tile_of[core]
 
         def read() -> None:
             wait = self.config.cb_latency
             wait += self.bank_service(bank, data=True, sync=True)
-            wait += self.llc_fill_latency(self.addr_map.line_of(op.addr))
+            wait += self.llc_fill_latency(line)
             self.engine.schedule(
                 wait,
                 lambda: self.network.send(
-                    bank, self.l1_of(core), MsgKind.DATA_WORD,
+                    bank, node, MsgKind.DATA_WORD,
                     lambda: done(self.store.read(word))),
             )
 
         def woken(value: int) -> None:
-            self.network.send(bank, self.l1_of(core), MsgKind.WAKEUP,
+            self.network.send(bank, node, MsgKind.WAKEUP,
                               lambda: done(value))
 
-        self.network.send(self.l1_of(core), bank, MsgKind.LOAD_CB,
+        self.network.send(node, bank, MsgKind.LOAD_CB,
                           lambda: self._cb_gate(core, bank, word, read, woken),
                           sync=True)
 
@@ -135,7 +138,8 @@ class CallbackProtocol(VIPSProtocol):
                            ) -> Optional[Callable[[int, int], None]]:
         """Each probe first consumes the issuer's F/E bit of an existing
         directory entry (Table 1), then goes to the LLC as under VIPS."""
-        return self.cb_dirs[self.bank_of(addr)].on_read_through
+        return self.cb_dirs[
+            addr // self._line_bytes % self._num_banks].on_read_through
 
     # -------------------------------------------------------------- writes
 
@@ -155,14 +159,15 @@ class CallbackProtocol(VIPSProtocol):
         if op.ld is not ops.LdKind.CB:
             super()._op_atomic(core, op, done)
             return
-        bank = self.bank_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
+        addr = op.addr
+        bank = addr // self._line_bytes % self._num_banks
+        word = addr - addr % self._word_bytes
 
         def execute(_value: object = None) -> None:
             self._mshr_acquire(word, lambda: self._exec_atomic(
                 core, bank, word, op, done))
 
-        self.network.send(self.l1_of(core), bank, MsgKind.LOAD_CB,
+        self.network.send(self._tile_of[core], bank, MsgKind.LOAD_CB,
                           lambda: self._cb_gate(core, bank, word, execute,
                                                 execute),
                           sync=True)

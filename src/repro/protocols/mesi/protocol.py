@@ -109,12 +109,12 @@ class MESIProtocol(CoherenceProtocol):
         return captured
 
     def _l1_lookup(self, tid: int, line: int) -> Optional[L1Line]:
-        cached = self.l1[self.l1_of(tid)].lookup(line)
+        cached = self.l1[self._tile_of[tid]].lookup(line)
         return cached.payload if cached is not None else None
 
     def _l1_fill(self, tid: int, line: int, state: MESIState) -> None:
         """Install a line in the requester's L1, handling the victim."""
-        core = self.l1_of(tid)
+        core = self._tile_of[tid]
         _inserted, victim = self.l1[core].insert(line, L1Line(state))
         if victim is not None:
             self._evict(core, victim.line, victim.payload)
@@ -122,7 +122,7 @@ class MESIProtocol(CoherenceProtocol):
     def _evict(self, core: int, line: int, payload: L1Line) -> None:
         """Handle an L1 replacement victim: the L1 table names the
         action (data-bearing PutM, control PutE, or silent S drop)."""
-        bank = line % self.config.num_banks
+        bank = line % self._num_banks
         actions = l1_step(payload.state, "evict")[1]
         if "putm" in actions:
             self.stats.writebacks += 1
@@ -225,9 +225,9 @@ class MESIProtocol(CoherenceProtocol):
         """Issue a GetS from ``core``; call ``on_fill`` once the line is in
         its L1 (in S or E)."""
         self.stats.l1_misses += 1
-        bank = line % self.config.num_banks
+        bank = line % self._num_banks
         self.network.send(
-            self.l1_of(core), bank, MsgKind.GETS,
+            self._tile_of[core], bank, MsgKind.GETS,
             lambda: self._dir_request(
                 line, lambda: self._dir_gets(core, line, bank, on_fill, sync)
             ),
@@ -240,7 +240,7 @@ class MESIProtocol(CoherenceProtocol):
         requesting hardware thread keeps its tid for the fill. The
         decision (forward vs. fill, E vs. S) comes from the declarative
         directory table; this method adds the timing and messaging."""
-        node = self.l1_of(tid)
+        node = self._tile_of[tid]
         entry = self._entry(line)
         step = MESI_DIR_TABLE.step(entry.view(), TableEvent("gets", core=node))
         if step.transition.name == "gets_forward":
@@ -297,9 +297,9 @@ class MESIProtocol(CoherenceProtocol):
         """Obtain M state for ``core``, which holds the line in neither E
         nor M (callers handle those hits); call ``on_owned`` when writable."""
         self.stats.l1_misses += 1
-        bank = line % self.config.num_banks
+        bank = line % self._num_banks
         self.network.send(
-            self.l1_of(core), bank, MsgKind.GETX,
+            self._tile_of[core], bank, MsgKind.GETX,
             lambda: self._dir_request(
                 line, lambda: self._dir_getx(core, line, bank, on_owned, sync)
             ),
@@ -308,7 +308,7 @@ class MESIProtocol(CoherenceProtocol):
 
     def _dir_getx(self, tid: int, line: int, bank: int,
                   on_owned: Callable[[], None], sync: bool) -> None:
-        node = self.l1_of(tid)
+        node = self._tile_of[tid]
         entry = self._entry(line)
         step = MESI_DIR_TABLE.step(entry.view(), TableEvent("getx", core=node))
         if step.transition.name == "getx_forward":
@@ -380,58 +380,60 @@ class MESIProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------ ops
 
     def _load(self, core: int, addr: int, done: Done) -> None:
-        self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(addr)
-        word = self.addr_map.word_base(addr)
-        cached = self._l1_lookup(core, line)
-        if cached is not None:
-            self.stats.l1_hits += 1
+        stats = self.stats
+        stats.l1_accesses += 1
+        line = addr // self._line_bytes
+        if self.l1[self._tile_of[core]].lookup(line) is not None:
+            stats.l1_hits += 1
             self.resolve_later(done, self.config.l1_latency,
-                               self.store.read(word))
+                               self.store.read(addr))
         else:
             self._get_s(core, line,
-                        lambda: done(self.store.read(word)),
+                        lambda: done(self.store.read(addr)),
                         sync=False)
 
     def _store(self, core: int, addr: int, value: Optional[int],
                done: Done) -> None:
-        self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(addr)
-        word = self.addr_map.word_base(addr)
+        stats = self.stats
+        stats.l1_accesses += 1
+        line = addr // self._line_bytes
+        node = self._tile_of[core]
 
         def commit() -> None:
             if value is not None:
-                self.store.write(word, value)
-                self._check_local_watches(self.l1_of(core), line)
+                self.store.write(addr, value)
+                self._check_local_watches(node, line)
             self.resolve_later(done, self.config.l1_latency)
 
-        cached = self._l1_lookup(core, line)
-        if cached is not None and cached.state in (MESIState.MODIFIED,
-                                                   MESIState.EXCLUSIVE):
-            self.stats.l1_hits += 1
-            cached.transition("store")
+        cached = self.l1[node].lookup(line)
+        if cached is not None and cached.payload.state in (
+                MESIState.MODIFIED, MESIState.EXCLUSIVE):
+            stats.l1_hits += 1
+            cached.payload.transition("store")
             commit()
         else:
             self._get_x(core, line, commit, sync=value is not None)
 
     def _op_atomic(self, core: int, op: ops.Atomic, done: Done) -> None:
         """RMWs acquire M state and execute locally (ll/sc-free model)."""
-        self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(op.addr)
+        stats = self.stats
+        stats.l1_accesses += 1
+        line = op.addr // self._line_bytes
+        node = self._tile_of[core]
 
         def owned() -> None:
             result = self.apply_rmw(op)
-            self._check_local_watches(self.l1_of(core), line)
+            self._check_local_watches(node, line)
             self.resolve_later(done,
                                self.config.l1_latency +
                                self.config.rmw_compute_cycles,
                                result)
 
-        cached = self._l1_lookup(core, line)
-        if cached is not None and cached.state in (MESIState.MODIFIED,
-                                                   MESIState.EXCLUSIVE):
-            self.stats.l1_hits += 1
-            cached.transition("store")
+        cached = self.l1[node].lookup(line)
+        if cached is not None and cached.payload.state in (
+                MESIState.MODIFIED, MESIState.EXCLUSIVE):
+            stats.l1_hits += 1
+            cached.payload.transition("store")
             owned()
         else:
             self._get_x(core, line, owned, sync=True)
@@ -463,16 +465,17 @@ class MESIProtocol(CoherenceProtocol):
 
     def _op_spin_until(self, core: int, op: ops.SpinUntil,
                        done: Done) -> None:
-        self._spin_attempt(core, self.addr_map.word_base(op.addr), op.pred,
+        addr = op.addr
+        self._spin_attempt(core, addr - addr % self._word_bytes, op.pred,
                            done)
 
     def _spin_attempt(self, core: int, word_addr: int,
                       pred: Callable[[int], bool], done: Done) -> None:
-        line = self.addr_map.line_of(word_addr)
-        self.stats.l1_accesses += 1
-        cached = self._l1_lookup(core, line)
-        if cached is not None:
-            self.stats.l1_hits += 1
+        line = word_addr // self._line_bytes
+        stats = self.stats
+        stats.l1_accesses += 1
+        if self.l1[self._tile_of[core]].lookup(line) is not None:
+            stats.l1_hits += 1
             value = self.store.read(word_addr)
             if pred(value):
                 self.resolve_later(done, self.config.l1_latency, value)
@@ -493,7 +496,7 @@ class MESIProtocol(CoherenceProtocol):
                     pred: Callable[[int], bool], done: Done) -> None:
         watch = _Watch(pred, done, self.engine.now, word_addr)
         watch.tid = tid
-        bucket = self._watches.setdefault(self.l1_of(tid), {})
+        bucket = self._watches.setdefault(self._tile_of[tid], {})
         bucket.setdefault(line, []).append(watch)
         if self.obs is not None:
             self.obs.emit("spin.park", core=tid, word=word_addr)

@@ -102,27 +102,28 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
     # --------------------------------------------------------- DRF data ops
 
     def _load(self, core: int, addr: int, done: Done) -> None:
-        self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(addr)
-        cached = self.l1[self.l1_of(core)].lookup(line)
+        stats = self.stats
+        stats.l1_accesses += 1
+        cached = self.l1[self._tile_of[core]].lookup(addr // self._line_bytes)
         if cached is not None:
-            self.stats.l1_hits += 1
+            stats.l1_hits += 1
             self.resolve_later(done, self.config.l1_latency,
-                               self.store.read(self.addr_map.word_base(addr)))
+                               self.store.read(addr))
         else:
-            self._fetch_line(core, addr, lambda: done(
-                self.store.read(self.addr_map.word_base(addr))))
+            self._fetch_line(core, addr,
+                             lambda: done(self.store.read(addr)))
 
     def _store(self, core: int, addr: int, value: Optional[int],
                done: Done) -> None:
         """DRF store: write-allocate in the L1, mark the word dirty; shared
         dirty words are flushed by ``self_down`` (delayed write-through)."""
-        self.stats.l1_accesses += 1
-        line = self.addr_map.line_of(addr)
-        word = self.addr_map.word_base(addr)
+        stats = self.stats
+        stats.l1_accesses += 1
+        line = addr // self._line_bytes
+        word = addr - addr % self._word_bytes
+        node = self._tile_of[core]
 
         def commit() -> None:
-            node = self.l1_of(core)
             cached = self.l1[node].lookup(line)
             if cached is not None:
                 payload: VIPSLine = cached.payload
@@ -133,9 +134,9 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
                 self.store.write(word, value)
             self.resolve_later(done, self.config.l1_latency)
 
-        cached = self.l1[self.l1_of(core)].lookup(line)
+        cached = self.l1[node].lookup(line)
         if cached is not None:
-            self.stats.l1_hits += 1
+            stats.l1_hits += 1
             commit()
         else:
             self._fetch_line(core, addr, commit)
@@ -144,9 +145,9 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
                     ) -> None:
         """Line fetch from the LLC (no directory: always a 2-hop fill)."""
         self.stats.l1_misses += 1
-        line = self.addr_map.line_of(addr)
-        bank = self.bank_of(addr)
-        node = self.l1_of(core)
+        line = addr // self._line_bytes
+        bank = line % self._num_banks
+        node = self._tile_of[core]
         shared = self.classifier.touch(addr, node)
 
         def at_bank() -> None:
@@ -163,7 +164,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
 
     def _fill(self, core: int, line: int, shared: bool,
               done: Callable[[], None]) -> None:
-        node = self.l1_of(core)
+        node = self._tile_of[core]
         _entry, victim = self.l1[node].insert(line, VIPSLine(shared))
         # A refill of a resident line replaces its payload with a clean one.
         self._unindex(node, line)
@@ -183,7 +184,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
                            ) -> None:
         """Evicted dirty lines write their dirty words through."""
         if writes_back_on_evict(payload.dirty_words):
-            bank = line % self.config.num_banks
+            bank = line % self._num_banks
             self.stats.words_written_through += len(payload.dirty_words)
             self.stats.writebacks += 1
             self.network.send(core, bank, MsgKind.WRITE_THROUGH, lambda: None)
@@ -220,7 +221,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
             # Footnote 7: self_invl also downgrades transient dirty shared
             # words so that the invalidation cannot lose data.
             flush_delay = self._flush_dirty_shared(core)
-            node = self.l1_of(core)
+            node = self._tile_of[core]
             shared_lines = self._shared_lines[node]
             removed = self.l1[node].evict_matching(
                 lambda entry: drops_on_self_invl(entry.payload.shared),
@@ -250,13 +251,13 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
         full scan of the L1 would visit them.
         """
         max_latency = 0
-        node = self.l1_of(core)
+        node = self._tile_of[core]
         dirty_lines = self._dirty_shared_lines[node]
         for entry in self.l1[node].entries_in_sets_of(dirty_lines):
             payload: VIPSLine = entry.payload
             if not flushes_on_fence(payload.shared, payload.dirty_words):
                 continue
-            bank = entry.line % self.config.num_banks
+            bank = entry.line % self._num_banks
             count = len(payload.dirty_words)
             self.stats.words_written_through += count
             payload.dirty_words.clear()
@@ -305,8 +306,10 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
                           done: Done) -> None:
         """st_through / st_cbA, st_cb1 and st_cb0: write the word through
         at its home bank, then apply the write's ``op.st`` effect."""
-        bank = self.bank_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
+        addr = op.addr
+        bank = addr // self._line_bytes % self._num_banks
+        word = addr - addr % self._word_bytes
+        node = self._tile_of[core]
 
         def at_bank() -> None:
             wait = self.bank_service(bank, data=True, sync=True)
@@ -314,12 +317,12 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
             self._on_llc_write(bank, word, op.st)
             self.engine.schedule(
                 wait,
-                lambda: self.network.send(bank, self.l1_of(core), MsgKind.ACK,
+                lambda: self.network.send(bank, node, MsgKind.ACK,
                                           lambda: done(None)),
             )
 
-        self.network.send(self.l1_of(core), bank, MsgKind.STORE_THROUGH,
-                          at_bank, sync=True)
+        self.network.send(node, bank, MsgKind.STORE_THROUGH, at_bank,
+                          sync=True)
 
     def _on_llc_write(self, bank: int, word: int, st: ops.StKind) -> None:
         """A racy write (a write-through, or an RMW that wrote) has just
@@ -330,14 +333,15 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
 
     def _op_atomic(self, core: int, op: ops.Atomic, done: Done) -> None:
         """RMW at the home bank under the word's MSHR lock (Section 2.6)."""
-        bank = self.bank_of(op.addr)
-        word = self.addr_map.word_base(op.addr)
+        addr = op.addr
+        bank = addr // self._line_bytes % self._num_banks
+        word = addr - addr % self._word_bytes
 
         def at_bank() -> None:
             self._mshr_acquire(word, lambda: self._exec_atomic(
                 core, bank, word, op, done))
 
-        self.network.send(self.l1_of(core), bank, MsgKind.ATOMIC, at_bank,
+        self.network.send(self._tile_of[core], bank, MsgKind.ATOMIC, at_bank,
                           sync=True)
 
     def _exec_atomic(self, core: int, bank: int, word: int, op: ops.Atomic,
@@ -350,7 +354,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
 
         def respond() -> None:
             self._mshr_release(word)
-            self.network.send(bank, self.l1_of(core), MsgKind.DATA_WORD,
+            self.network.send(bank, self._tile_of[core], MsgKind.DATA_WORD,
                               lambda: done(result))
 
         self.engine.schedule(wait, respond)

@@ -126,14 +126,14 @@ class SpinRunner:
         ``pred`` (any value when ``pred`` is None). ``traced`` False
         keeps the first probe from ``probe_hook`` (an issued
         ``LoadThrough`` was traced as the op)."""
-        addr_map = self.addr_map
-        bank = addr_map.bank_of(addr)
-        node = self.l1_of(core_id)
-        word = addr_map.word_base(addr)
+        line = addr // self._line_bytes
+        bank = line % self._num_banks
+        node = self._tile_of[core_id]
+        word = addr - addr % self._word_bytes
         network = self.network
         spin = Spin(self, core, core_id, addr, node, bank, self.banks[bank],
-                    word, self.store._key(word), addr_map.line_of(addr),
-                    pred, done, read_through,
+                    word, self.store._key(word), line, pred, done,
+                    read_through,
                     network.route_facts(node, bank, MsgKind.LOAD_THROUGH),
                     network.route_facts(bank, node, MsgKind.DATA_WORD))
         self._fire_probe(spin, network.plain(), traced)
@@ -160,7 +160,6 @@ class SpinRunner:
             engine._seq = seq + 1
             heappush(engine._spins, (engine.now + spin.req_latency, seq,
                                      AT_BANK, spin))
-            engine._live += 1
         else:
             self._book_probe(spin, spin.node, spin.bank,
                              MsgKind.LOAD_THROUGH, True, AT_BANK)
@@ -191,13 +190,13 @@ class SpinRunner:
 
         A phase that queues its own spin's next phase and calls nothing
         outside the runner replaces its heap entry (``heapreplace``: one
-        sift, ``_live`` unchanged). A phase that calls out (``spin.done``,
-        a hooked send, probe or pause) pops its entry first, so the
-        callee sees the heaps the op-by-op loop would show it. Delays
-        queued inline are never negative: they come from the validated
-        configuration (latencies, header size, back-off) or are clamped
-        to >= 1; a hooked latency goes through ``Engine.push_spin``,
-        which rejects a negative one.
+        sift). A phase that calls out (``spin.done``, a hooked send,
+        probe or pause) pops its entry first, so the callee sees the
+        heaps the op-by-op loop would show it. Delays queued inline are
+        never negative: they come from the validated configuration
+        (latencies, header size, back-off) or are clamped to >= 1; a
+        hooked latency goes through ``Engine.push_spin``, which rejects
+        a negative one.
 
         Counters the inline phases bump are tallied in locals and booked
         onto ``stats`` by ``book()`` before every call out of the runner
@@ -205,7 +204,7 @@ class SpinRunner:
         sees a partial count."""
         engine = self.engine
         network = self.network
-        spins, queue = engine._spins, engine._queue
+        spins, queue, daemons = engine._spins, engine._queue, engine._daemons
         stats = self.stats
         kinds = stats.msg_kinds
         values = self.store._values
@@ -254,7 +253,8 @@ class SpinRunner:
         try:
             while spins:
                 entry = spins[0]
-                if queue and queue[0] < entry:
+                if ((queue and queue[0] < entry)
+                        or (daemons and daemons[0] < entry)):
                     break
                 time, _seq, phase, spin = entry
                 if time > stop_time or executed >= stop_events:
@@ -295,7 +295,6 @@ class SpinRunner:
                                             DELIVER, spin))
                     else:
                         heappop(spins)
-                        engine._live -= 1
                         book()
                         self._book_probe(spin, spin.bank, spin.node,
                                          MsgKind.DATA_WORD, False, DELIVER)
@@ -304,7 +303,6 @@ class SpinRunner:
                     pred = spin.pred
                     if pred is None or pred(value):
                         heappop(spins)
-                        engine._live -= 1
                         book()
                         spin.done(value)
                         continue
@@ -321,7 +319,6 @@ class SpinRunner:
                                             seq, PAUSE, spin))
                     else:
                         heappop(spins)
-                        engine._live -= 1
                         book()
                         delay = core._backoff(attempt)
                         engine.push_spin(delay if delay > 1 else 1, PAUSE,
@@ -339,7 +336,6 @@ class SpinRunner:
                                             AT_BANK, spin))
                     else:
                         heappop(spins)
-                        engine._live -= 1
                         book()
                         self._fire_probe(spin, fast)
         finally:

@@ -9,28 +9,28 @@ Determinism matters for reproducibility of the paper's experiments: two
 events scheduled for the same cycle fire in the order they were scheduled
 (FIFO tie-breaking via a monotonically increasing sequence number).
 
-Telemetry hooks (repro.obs) ride on two engine features that are inert
-unless used:
+Events live in three heaps that draw ``seq`` from one counter:
 
-* **daemon events** (``schedule(..., daemon=True)``) fire like normal
-  events but do not keep the simulation alive: :meth:`run` stops once
-  only daemon events remain, and the clock never advances past the last
-  live event. The time-series sampler uses these for its cycle-window
-  ticks, which is what keeps sampled runs bit-identical to unsampled
-  ones.
-* an optional **step hook** (:attr:`profile_hook`) that, when set, is
-  handed each event's callable instead of the engine calling it
-  directly — a popped callback, or the spin runner's ``step_spin`` for
-  a spin event; the wall-clock profiler uses it to attribute host time
-  by component.
+* the **general heap** of live ``(time, seq, callback)`` events;
+* the **spin heap** of ``(time, seq, phase, spin)`` entries: the phases
+  of BackOff-N ``ld_through`` probes, which are not closures but steps
+  of a spin record run by the record's ``runner``
+  (:mod:`repro.protocols.vips.spin`);
+* the **daemon heap** of ``(time, seq, callback)`` daemon events
+  (``schedule(..., daemon=True)``). They fire like live events but do
+  not keep the simulation alive: :meth:`run` stops once only daemon
+  events remain, and the clock never advances past the last live event.
+  The time-series sampler uses these for its cycle-window ticks, which
+  is what keeps sampled runs bit-identical to unsampled ones.
 
-A second heap, the **spin heap**, holds ``(time, seq, phase, spin)``
-entries: the phases of BackOff-N ``ld_through`` probes, which are not
-closures but steps of a spin record run by the record's ``runner``
-(:mod:`repro.protocols.vips.spin`). Both heaps draw ``seq`` from one
-counter and :meth:`run` always executes whichever head comes first by
-``(time, seq)``, so the merged order is the order one heap would have
-given.
+:meth:`run` always executes whichever head comes first by ``(time,
+seq)``, so the merged order is the order one heap would have given.
+Liveness is the length of the two live heaps; no counter is kept.
+
+An optional **step hook** (:attr:`profile_hook`), when set, is handed
+each event's callable instead of the engine calling it directly — a
+popped callback, or the spin runner's ``step_spin`` for a spin event;
+the wall-clock profiler uses it to attribute host time by component.
 """
 
 from __future__ import annotations
@@ -121,9 +121,10 @@ def _callback_name(callback: Callable[[], None]) -> str:
 class Engine:
     """A minimal deterministic discrete-event scheduler.
 
-    Events are ``(time, seq, callback, daemon)`` tuples in a binary heap.
-    ``seq`` breaks ties so that same-cycle events run in scheduling order,
-    making runs bit-reproducible regardless of callback identity.
+    Live events are ``(time, seq, callback)`` tuples in a binary heap,
+    daemon events the same in a heap of their own. ``seq`` breaks ties
+    so that same-cycle events run in scheduling order, making runs
+    bit-reproducible regardless of callback identity.
     """
 
     def __init__(self) -> None:
@@ -131,14 +132,15 @@ class Engine:
         #: The spin heap: ``(time, seq, phase, spin)``, always live. All
         #: entries share one runner, ``spin.runner``:
         #: ``run_spins(stop_time, stop_events, executed) -> executed``
-        #: executes entries while the spin head comes first, its time is
-        #: at most ``stop_time`` and fewer than ``stop_events`` events
-        #: have run; ``step_spin()`` executes the spin head;
+        #: executes entries while the spin head comes before the heads
+        #: of :attr:`_queue` and :attr:`_daemons`, its time is at most
+        #: ``stop_time`` and fewer than ``stop_events`` events have run;
+        #: ``step_spin()`` executes the spin head;
         #: ``spin_label(phase)`` names a phase for :meth:`ckpt_state`.
         self._spins: list = []
+        self._daemons: list = []
         self._seq = 0
         self.now = 0
-        self._live = 0
         #: When set, :meth:`run` calls ``profile_hook(callback)`` instead
         #: of ``callback()`` — the hook must invoke the callback exactly
         #: once (see repro.obs.profiler).
@@ -154,21 +156,18 @@ class Engine:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        heappush(self._queue, (self.now + delay, self._seq, callback,
-                               daemon))
+        heappush(self._daemons if daemon else self._queue,
+                 (self.now + delay, self._seq, callback))
         self._seq += 1
-        if not daemon:
-            self._live += 1
 
     def schedule_at(self, time: int, callback: Callable[[], None],
                     daemon: bool = False) -> None:
         """Run ``callback`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        heappush(self._queue, (time, self._seq, callback, daemon))
+        heappush(self._daemons if daemon else self._queue,
+                 (time, self._seq, callback))
         self._seq += 1
-        if not daemon:
-            self._live += 1
 
     def push_spin(self, delay: int, phase: int, spin: Any) -> None:
         """Queue phase ``phase`` of ``spin`` on the spin heap ``delay``
@@ -177,20 +176,29 @@ class Engine:
             raise ValueError(f"negative delay: {delay}")
         heappush(self._spins, (self.now + delay, self._seq, phase, spin))
         self._seq += 1
-        self._live += 1
+
+    @property
+    def scheduled(self) -> int:
+        """Number of events ever queued (daemon and spin events
+        included)."""
+        return self._seq
 
     @property
     def pending(self) -> int:
         """Number of events still queued (daemon and spin events
         included)."""
+        return len(self._queue) + len(self._spins) + len(self._daemons)
+
+    @property
+    def live_pending(self) -> int:
+        """Number of non-daemon events still queued."""
         return len(self._queue) + len(self._spins)
 
     def next_time(self) -> Optional[int]:
         """Cycle of the earliest queued event (daemon or live), or None."""
-        spins, queue = self._spins, self._queue
-        if spins and (not queue or spins[0] < queue[0]):
-            return spins[0][0]
-        return queue[0][0] if queue else None
+        heads = [heap[0] for heap in (self._queue, self._spins,
+                                      self._daemons) if heap]
+        return min(heads)[0] if heads else None
 
     def ckpt_state(self) -> Dict[str, Any]:
         """Deterministic view of the scheduler state for checkpoint
@@ -205,27 +213,21 @@ class Engine:
         live events themselves.
         """
         live = [(time, seq, _callback_name(callback))
-                for time, seq, callback, daemon in self._queue
-                if not daemon]
+                for time, seq, callback in self._queue]
         live += [(time, seq, spin.runner.spin_label(phase))
                  for time, seq, phase, spin in self._spins]
         live.sort()
-        return {"now": self.now, "live_pending": self._live,
+        return {"now": self.now, "live_pending": len(live),
                 "queue": [(time, name) for time, _seq, name in live]}
-
-    @property
-    def live_pending(self) -> int:
-        """Number of non-daemon events still queued."""
-        return self._live
 
     def drop_daemons(self) -> None:
         """Forget the daemon events queued past the end of a finished
         run: no live event is left to carry the clock to them. A queued
         sampler tick holds gauges that hold this engine, a reference
         cycle that only the collector would otherwise free."""
-        if self._live:
+        if self._queue or self._spins:
             raise SimulationError("drop_daemons() with live events queued")
-        self._queue.clear()
+        self._daemons.clear()
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None,
@@ -253,21 +255,25 @@ class Engine:
         is one ``step_spin`` call handed to the hook).
         """
         executed = 0
-        queue, spins = self._queue, self._spins
+        queue, spins, daemons = self._queue, self._spins, self._daemons
         stop_time = min(NO_LIMIT if until is None else until,
                         NO_LIMIT if max_cycles is None else max_cycles)
         stop_events = NO_LIMIT if max_events is None else max_events
-        while self._live > 0:
+        while queue or spins:
             if spins and (not queue or spins[0] < queue[0]):
-                head = spins[0][0]
-                spin_head = True
+                entry = spins[0]
+                heap = spins
             else:
-                head = queue[0][0]
-                spin_head = False
-            if head > stop_time or executed >= stop_events:
-                if until is not None and head > until:
+                entry = queue[0]
+                heap = queue
+            if daemons and daemons[0] < entry:
+                entry = daemons[0]
+                heap = daemons
+            time = entry[0]
+            if time > stop_time or executed >= stop_events:
+                if until is not None and time > until:
                     break
-                if max_cycles is not None and head > max_cycles:
+                if max_cycles is not None and time > max_cycles:
                     raise SimulationTimeout(
                         f"watchdog: simulated clock would pass the "
                         f"{max_cycles}-cycle deadline at cycle "
@@ -281,23 +287,21 @@ class Engine:
                     reason="max_events", cycle=self.now, events=executed,
                 )
             hook = self.profile_hook
-            if not spin_head:
-                time, _seq, callback, daemon = heappop(queue)
+            if heap is not spins:
+                heappop(heap)
                 if time < self.now:
                     raise SimulationError(
                         "event heap corrupted: time moved backwards")
                 self.now = time
-                if not daemon:
-                    self._live -= 1
                 if hook is None:
-                    callback()
+                    entry[2]()
                 else:
-                    hook(callback)
+                    hook(entry[2])
                 executed += 1
             elif hook is None:
-                executed = spins[0][3].runner.run_spins(
+                executed = entry[3].runner.run_spins(
                     stop_time, stop_events, executed)
             else:
-                hook(spins[0][3].runner.step_spin)
+                hook(entry[3].runner.step_spin)
                 executed += 1
         return executed

@@ -195,10 +195,11 @@ class TestEmptyPlanParity:
         queue = JobQueue(str(tmp_path / "s"), checkpoint_every=0)
         service = ServeService(queue).start()
         try:
-            bare = ServeClient(service.url).health()
-            shimmed = ServeClient(
-                service.url,
-                transport=ChaosTransport(ChaosPlan())).health()
+            with ServeClient(service.url) as client:
+                bare = client.health()
+            with ServeClient(service.url,
+                             transport=ChaosTransport(ChaosPlan())) as client:
+                shimmed = client.health()
             assert bare == shimmed
         finally:
             service.stop()
@@ -267,8 +268,8 @@ def _committed_not_done(queue, acked):
 
 def _second_commit_line(queue, acked):
     queue.close()
-    Journal(journal_path(queue.root)).append(
-        "commit", job_key=next(iter(acked.values())), gen=1)
+    with Journal(journal_path(queue.root)) as journal:
+        journal.append("commit", job_key=next(iter(acked.values())), gen=1)
     reopened = JobQueue(queue.root, lease_s=30.0, checkpoint_every=0)
     # The cold replay treats the second line as a no-op: the journal
     # is the only place the double commit still shows.
@@ -325,8 +326,9 @@ class TestAudit:
     def test_duplicate_commit_line_fails_both_verdicts(self, tmp_path,
                                                        capsys):
         root, acked = _lifecycle_root(tmp_path, capsys)
-        Journal(journal_path(root)).append(
-            "commit", job_key=next(iter(acked.values())), gen=1)
+        with Journal(journal_path(root)) as journal:
+            journal.append("commit", job_key=next(iter(acked.values())),
+                           gen=1)
         report = recover_and_verify(root, acked, list(acked.values()),
                                     jobs=2)
         assert report["ok"] is False
@@ -477,13 +479,13 @@ class TestWaitIdleLongPoll:
         queue = JobQueue(str(tmp_path / "s"), checkpoint_every=0)
         service = ServeService(queue).start()
         try:
-            client = ServeClient(service.url)
-            spec = spec_for(1)
-            client.submit("alice", spec.to_dict())
-            lease = client.lease("w")
-            client.commit(lease["job_key"], lease["token"],
-                          record_for(spec))
-            status = client.wait_idle(timeout_s=10.0)
+            with ServeClient(service.url) as client:
+                spec = spec_for(1)
+                client.submit("alice", spec.to_dict())
+                lease = client.lease("w")
+                client.commit(lease["job_key"], lease["token"],
+                              record_for(spec))
+                status = client.wait_idle(timeout_s=10.0)
             assert status["runs"].get("leased", 0) == 0
         finally:
             service.stop()
@@ -492,10 +494,10 @@ class TestWaitIdleLongPoll:
         queue = JobQueue(str(tmp_path / "s"), checkpoint_every=0)
         service = ServeService(queue).start()
         try:
-            client = ServeClient(service.url)
-            client.submit("alice", spec_for(1).to_dict())
-            with pytest.raises(TimeoutError):
-                client.wait_idle(timeout_s=0.3)
+            with ServeClient(service.url) as client:
+                client.submit("alice", spec_for(1).to_dict())
+                with pytest.raises(TimeoutError):
+                    client.wait_idle(timeout_s=0.3)
         finally:
             service.stop()
 
@@ -510,10 +512,9 @@ class TestChaosTransport:
         service = ServeService(queue).start()
         try:
             shim = ChaosTransport(plan)
-            client = ServeClient(service.url, retries=3,
-                                 backoff_s=0.001, retry_seed=0,
-                                 transport=shim)
-            view = client.submit("alice", spec_for(1).to_dict())
+            with ServeClient(service.url, retries=3, backoff_s=0.001,
+                             retry_seed=0, transport=shim) as client:
+                view = client.submit("alice", spec_for(1).to_dict())
             assert view["state"] == "queued"
             assert shim.injected[0]["kind"] == HTTP_ERROR
             assert client.retry_counts["503"] == 1
@@ -526,12 +527,12 @@ class TestChaosTransport:
         queue = JobQueue(str(tmp_path / "s"), checkpoint_every=0)
         service = ServeService(queue).start()
         try:
-            client = ServeClient(service.url, retries=2,
-                                 backoff_s=0.001, retry_seed=0,
-                                 transport=ChaosTransport(plan))
-            # submit is declared idempotent (content-address dedup),
-            # so the lost reply is retried and lands on the same run.
-            view = client.submit("alice", spec_for(1).to_dict())
+            with ServeClient(service.url, retries=2, backoff_s=0.001,
+                             retry_seed=0,
+                             transport=ChaosTransport(plan)) as client:
+                # submit is declared idempotent (content-address dedup),
+                # so the lost reply is retried and lands on the same run.
+                view = client.submit("alice", spec_for(1).to_dict())
             assert view["state"] == "queued"
             assert len(queue.runs) == 1
         finally:
@@ -545,11 +546,11 @@ class TestChaosTransport:
         queue = JobQueue(str(tmp_path / "s"), checkpoint_every=0)
         service = ServeService(queue).start()
         try:
-            client = ServeClient(service.url, retries=2,
-                                 backoff_s=0.001, retry_seed=0,
-                                 transport=ChaosTransport(plan))
-            assert "runs" in client.status()     # drop retried
-            assert client.health()["ok"] is True  # truncate retried
+            with ServeClient(service.url, retries=2, backoff_s=0.001,
+                             retry_seed=0,
+                             transport=ChaosTransport(plan)) as client:
+                assert "runs" in client.status()     # drop retried
+                assert client.health()["ok"] is True  # truncate retried
         finally:
             service.stop()
 

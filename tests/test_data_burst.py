@@ -61,7 +61,7 @@ def _run(label, seed, reference):
     def tick():
         nonlocal captured_at
         # Every tick queues one event: take those out of ``seq``.
-        mark = (engine._seq - len(samples), engine._live)
+        mark = (engine.scheduled - len(samples), engine.live_pending)
         capture = len(samples) % PROTOCOL_EVERY == 0 and mark != captured_at
         if capture:
             captured_at = mark

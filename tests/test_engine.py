@@ -116,13 +116,15 @@ class _LogRunner:
 
     def run_spins(self, stop_time, stop_events, executed):
         engine = self.engine
-        spins, queue = engine._spins, engine._queue
-        while spins and (not queue or spins[0] < queue[0]):
-            if spins[0][0] > stop_time or executed >= stop_events:
+        spins, queue, daemons = engine._spins, engine._queue, engine._daemons
+        while spins:
+            head = spins[0]
+            if (queue and queue[0] < head) or (daemons and daemons[0] < head):
+                break
+            if head[0] > stop_time or executed >= stop_events:
                 break
             time, _seq, phase, _spin = heapq.heappop(spins)
             engine.now = time
-            engine._live -= 1
             executed += 1
             self.log.append(phase)
         return executed
@@ -168,6 +170,96 @@ class TestSpinHeap:
     def test_negative_spin_delay_rejected(self):
         with pytest.raises(ValueError):
             Engine().push_spin(-1, 0, None)
+
+
+class TestDaemonHeap:
+    """Daemon events sit in a heap of their own; liveness is the length
+    of the general and spin heaps."""
+
+    def test_one_cycle_runs_in_seq_order_across_three_heaps(self):
+        engine = Engine()
+        log = []
+        spin = _LogRunner(engine, log)
+        engine.schedule(4, lambda: log.append("daemon"), daemon=True)
+        engine.push_spin(4, "spin", spin)
+        engine.schedule(4, lambda: log.append("live"))
+        engine.schedule(4, lambda: log.append("daemon2"), daemon=True)
+        engine.push_spin(4, "spin2", spin)
+        assert engine.run() == 5
+        assert log == ["daemon", "spin", "live", "daemon2", "spin2"]
+        assert engine.now == 4
+
+    def test_only_daemons_left_stops_at_the_last_live_event(self):
+        engine = Engine()
+        fired = []
+
+        def tick():
+            fired.append(engine.now)
+            engine.schedule(3, tick, daemon=True)
+
+        engine.schedule(0, tick, daemon=True)
+        engine.schedule(10, lambda: fired.append("live"))
+        assert engine.run() == 5   # ticks at 0, 3, 6, 9, then the event
+        assert fired == [0, 3, 6, 9, "live"]
+        assert engine.now == 10
+        assert engine.live_pending == 0 and engine.pending == 1
+        assert engine.next_time() == 12
+
+    def test_max_events_counts_daemon_events(self):
+        engine = Engine()
+        for delay in range(1, 6):
+            engine.schedule(delay, lambda: None, daemon=True)
+        engine.schedule(10, lambda: None)
+        with pytest.raises(SimulationError, match="exceeded 3 events") as info:
+            engine.run(max_events=3)
+        assert info.value.events == 3 and info.value.cycle == 3
+
+    def test_run_spins_yields_to_an_earlier_daemon_head(self):
+        engine = Engine()
+        log = []
+        spin = _LogRunner(engine, log)
+        engine.push_spin(1, "a", spin)
+        engine.schedule(2, lambda: log.append("daemon"), daemon=True)
+        engine.push_spin(2, "b", spin)
+        engine.push_spin(3, "c", spin)
+        # The runner alone stops before the daemon head at cycle 2.
+        assert spin.run_spins(NO_LIMIT, NO_LIMIT, 0) == 1
+        assert log == ["a"]
+        assert engine.run() == 3
+        assert log == ["a", "daemon", "b", "c"]
+
+    def test_drop_daemons_empties_only_the_daemon_heap(self):
+        engine = Engine()
+        engine.schedule(5, lambda: None, daemon=True)
+        engine.schedule(1, lambda: None)
+        with pytest.raises(SimulationError, match="live events"):
+            engine.drop_daemons()
+        assert engine.pending == 2
+        engine.run()
+        assert engine.pending == 1 and engine.now == 1
+        engine.drop_daemons()
+        assert engine.pending == 0 and engine.next_time() is None
+
+    def test_introspection_reads_as_one_merged_queue(self):
+        engine = Engine()
+        spin = _LogRunner(engine, [])
+        assert (engine.pending, engine.live_pending) == (0, 0)
+        assert engine.next_time() is None
+        engine.schedule(2, lambda: None, daemon=True)
+        assert (engine.pending, engine.live_pending) == (1, 0)
+        assert engine.next_time() == 2
+        assert engine.ckpt_state() == {"now": 0, "live_pending": 0,
+                                       "queue": []}
+        engine.schedule(7, lambda: None)
+        engine.push_spin(7, 0, spin)
+        engine.schedule_at(3, lambda: None, daemon=True)
+        assert (engine.pending, engine.live_pending) == (4, 2)
+        assert engine.scheduled == 4
+        assert engine.next_time() == 2
+        state = engine.ckpt_state()
+        assert state["live_pending"] == 2
+        assert [time for time, _name in state["queue"]] == [7, 7]
+        assert state["queue"][1] == (7, "spin.0")
 
 
 class TestDeterminism:

@@ -711,6 +711,7 @@ class TestSupervisedFleetSmoke:
             key = ("repro_fleet_supervisor_up", ())
             assert fams["repro_fleet_supervisor_up"]["samples"][key] == 1
         finally:
+            client.close()
             supervisor.shutdown(kill_workers=True)
             service.stop()
         # Graceful shutdown drained both workers; no orphans remain.

@@ -131,7 +131,8 @@ class TestFlightRecorder:
         dump_path = os.path.join(queue.flight_dir,
                                  f"{lease['job_key']}.json")
         assert os.path.exists(dump_path)
-        dump = json.load(open(dump_path))
+        with open(dump_path) as handle:
+            dump = json.load(handle)
         assert dump["failure_kind"] == "invariant"
         assert dump["trace_id"]
         kinds = [e["kind"] for e in dump["flight"]["events"]]
@@ -330,9 +331,11 @@ def service(tmp_path):
     queue = JobQueue(str(tmp_path / "serve"), lease_s=5.0,
                      checkpoint_every=0)
     svc = ServeService(queue, housekeeping_s=0.05).start()
+    client = ServeClient(svc.url)
     try:
-        yield svc, ServeClient(svc.url)
+        yield svc, client
     finally:
+        client.close()
         svc.stop()
 
 
@@ -369,9 +372,9 @@ class TestHTTPObservability:
         def commit_later():
             time.sleep(0.3)
             spec = spec_of(lease)
-            client2 = ServeClient(svc.url)
-            client2.commit(lease["job_key"], lease["token"],
-                           record_for(spec))
+            with ServeClient(svc.url) as client2:
+                client2.commit(lease["job_key"], lease["token"],
+                               record_for(spec))
 
         thread = threading.Thread(target=commit_later, daemon=True)
         t0 = time.time()
@@ -446,4 +449,5 @@ class TestCollapsedProfile:
         out = str(tmp_path / "profile.collapsed")
         count = telemetry.profiler.write_collapsed(out)
         assert count == len(lines)
-        assert open(out).read().splitlines() == lines
+        with open(out) as handle:
+            assert handle.read().splitlines() == lines

@@ -647,7 +647,10 @@ class TestServeEventsOnDisk:
 
 
 class _FullDisk:
-    """A file every write to which fails the way a full disk does."""
+    """An open file every write to which fails the way a full disk does."""
+
+    def __init__(self, handle):
+        self._handle = handle
 
     def write(self, data):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -655,8 +658,11 @@ class _FullDisk:
     def flush(self):
         pass
 
+    def fileno(self):
+        return self._handle.fileno()
+
     def close(self):
-        pass
+        self._handle.close()
 
 
 @pytest.fixture
@@ -666,7 +672,7 @@ def full_span_disk(monkeypatch):
 
     def fake_open(file, mode="r", *args, **kwargs):
         if str(file).endswith("hostspans.jsonl") and "a" in mode:
-            return _FullDisk()
+            return _FullDisk(real_open(file, mode, *args, **kwargs))
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", fake_open)

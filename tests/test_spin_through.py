@@ -377,7 +377,7 @@ def _hang(expand, monkeypatch, **kwargs):
         "error": type(info.value).__name__,
         "cycle": engine.now,
         "pending": engine.pending,
-        "daemons": sum(1 for entry in engine._queue if entry[3]),
+        "daemons": engine.pending - engine.live_pending,
         "live": engine.live_pending,
         "next": engine.next_time(),
         "gauge": gauge.value,
