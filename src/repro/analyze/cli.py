@@ -43,7 +43,7 @@ import argparse
 import sys
 from typing import Any, List, Optional
 
-from repro.config import PAPER_CONFIGS, config_for
+from repro.config import PAPER_CONFIGS
 from repro.sync.base import SyncStyle
 
 from repro.analyze.findings import Report
@@ -121,23 +121,20 @@ def cmd_race(args: argparse.Namespace) -> int:
     else:
         if not args.workload:
             raise SystemExit("race needs --workload (or --trace FILE)")
-        from repro.core.machine import Machine
-        from repro.orchestrate.registry import (build_workload,
-                                                parse_run_spec)
+        from repro.orchestrate.jobspec import build_machine
+        from repro.orchestrate.registry import spec_from_flags
         from repro.analyze.hb import RaceMonitor
 
-        name, params, overrides = parse_run_spec(
-            args.workload, args.param, args.override, args.cores)
-        config = config_for(args.config, seed=args.seed, **overrides)
         telemetry = None
         if args.obs:
             from repro.obs.telemetry import Telemetry, TelemetryConfig
             telemetry = Telemetry(TelemetryConfig())
-        machine = Machine(config, telemetry=telemetry)
-        monitor = RaceMonitor(machine)
-        build_workload(name, params).install(machine)
+        monitors: List[RaceMonitor] = []
+        machine = build_machine(
+            spec_from_flags(args), telemetry=telemetry,
+            prepare=lambda m: monitors.append(RaceMonitor(m)))
         machine.run()
-        report = monitor.finish()
+        report = monitors[0].finish()
     _emit(report, args)
     return 0 if report.ok else 1
 

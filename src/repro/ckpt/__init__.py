@@ -2,11 +2,12 @@
 
 * :mod:`~repro.ckpt.state` — the snapshottability contract: every
   mutable component's ``ckpt_state()`` capture, aggregated by
-  :meth:`~repro.core.machine.Machine.ckpt_state`, and the full /
-  functional fingerprints taken over it.
+  :meth:`~repro.core.machine.Machine.ckpt_state`, and the fingerprint
+  taken over it.
 * :mod:`~repro.ckpt.checkpoint` — re-execution checkpoints: replay
   recipe + boundary + verified capture; :class:`Checkpointer` drives
-  checkpointed, resumable runs and the failure black box.
+  checkpointed, resumable runs and the failure black box. Restores
+  rebuild through :func:`repro.orchestrate.jobspec.build_machine`.
 * :mod:`~repro.ckpt.store` — :class:`CheckpointStore`: atomic
   temp+fsync+rename blobs with embedded checksums, an fsynced journal,
   and corrupt-blob quarantine with fallback to older checkpoints.
@@ -20,15 +21,13 @@ from the newest valid checkpoint instead of scratch (see
 """
 
 from repro.ckpt.checkpoint import (Checkpoint, CheckpointMismatchError,
-                                   Checkpointer, build_machine,
-                                   restore_checkpoint, take_checkpoint)
-from repro.ckpt.state import (capture_state, functional_fingerprint,
-                              state_fingerprint)
+                                   Checkpointer, restore_checkpoint,
+                                   take_checkpoint)
+from repro.ckpt.state import capture_state, state_fingerprint
 from repro.ckpt.store import CheckpointStore
 
 __all__ = [
     "Checkpoint", "CheckpointMismatchError", "Checkpointer",
-    "CheckpointStore", "build_machine", "restore_checkpoint",
-    "take_checkpoint", "capture_state", "functional_fingerprint",
-    "state_fingerprint",
+    "CheckpointStore", "restore_checkpoint", "take_checkpoint",
+    "capture_state", "state_fingerprint",
 ]

@@ -34,11 +34,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.ckpt.state import (capture_state, diff_captures,
-                              functional_fingerprint, state_fingerprint)
-from repro.config import config_for
+from repro.ckpt.state import capture_state, diff_captures, state_fingerprint
 from repro.core.machine import Machine
-from repro.orchestrate.jobspec import JobSpec
+from repro.mem.store import functional_fingerprint
+from repro.orchestrate.jobspec import JobSpec, build_machine
 from repro.sim.engine import (DeadlockError, LivenessError, SimulationError,
                               SimulationTimeout)
 
@@ -49,10 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.faults import FaultPlan
     from repro.resilience.resilience import Resilience
     from repro.sim.stats import Stats
-    from repro.workloads.base import Workload
 
 __all__ = ["Checkpoint", "CheckpointMismatchError", "Checkpointer",
-           "build_machine", "restore_checkpoint"]
+           "restore_checkpoint"]
 
 #: Format version of the checkpoint blob.
 CKPT_VERSION = 1
@@ -152,49 +150,14 @@ def take_checkpoint(machine: Machine, spec: JobSpec, boundary: int,
         final=final,
         progress={str(k): v for k, v in machine.progress().items()},
         fingerprint=state_fingerprint(state),
-        functional=functional_fingerprint(machine),
+        functional=functional_fingerprint(machine.store),
         state=state,
     )
-
-
-def build_machine(spec: JobSpec, plan: Optional["FaultPlan"] = None,
-                  telemetry: Optional["Telemetry"] = None,
-                  resilience: Optional["Resilience"] = None,
-                  workload: Optional["Workload"] = None,
-                  prepare: Optional[Callable[[Machine], None]] = None,
-                  ) -> Machine:
-    """Rebuild a machine from its replay recipe, threads spawned.
-
-    ``plan`` attaches a fault injector replaying the recorded fault
-    schedule (merged into ``resilience`` when both are given).
-    ``workload`` overrides the registry lookup with a prepared workload
-    object — the caller then owns recipe reproducibility. ``prepare``
-    runs after construction but *before* threads spawn — the attachment
-    window pre-spawn observers (e.g. the race monitor) need.
-    """
-    if workload is None:
-        # Lazy: the registry package reaches back into the harness.
-        from repro.orchestrate.registry import build_workload
-        workload = build_workload(spec.workload, spec.workload_params)
-    if plan is not None:
-        from repro.resilience.resilience import Resilience, ResilienceConfig
-        if resilience is None:
-            resilience = Resilience(ResilienceConfig(plan=plan))
-        elif resilience.config.plan is None:
-            resilience.config.plan = plan
-    config = config_for(spec.config_label, seed=spec.seed,
-                        **spec.config_overrides)
-    machine = Machine(config, telemetry=telemetry, resilience=resilience)
-    if prepare is not None:
-        prepare(machine)
-    workload.install(machine)
-    return machine
 
 
 def restore_checkpoint(ckpt: Checkpoint,
                        telemetry: Optional["Telemetry"] = None,
                        resilience: Optional["Resilience"] = None,
-                       workload: Optional["Workload"] = None,
                        prepare: Optional[Callable[[Machine], None]] = None,
                        verify: str = "auto") -> Machine:
     """Rebuild + fast-forward to the checkpoint's boundary, verified.
@@ -211,7 +174,7 @@ def restore_checkpoint(ckpt: Checkpoint,
     plan = FaultPlan.from_dict(ckpt.plan) if ckpt.plan else None
     machine = build_machine(JobSpec.from_dict(ckpt.spec), plan=plan,
                             telemetry=telemetry, resilience=resilience,
-                            workload=workload, prepare=prepare)
+                            prepare=prepare)
     machine.fast_forward(ckpt.boundary)
     if verify == "auto":
         observed = ckpt.observed or telemetry is not None
@@ -226,7 +189,7 @@ def restore_checkpoint(ckpt: Checkpoint,
                 f"{', '.join(divergence) or 'fingerprint'}",
                 divergence=divergence)
     elif verify == "functional":
-        actual = functional_fingerprint(machine)
+        actual = functional_fingerprint(machine.store)
         if actual != ckpt.functional:
             raise CheckpointMismatchError(
                 f"restore of {ckpt.describe()} diverged functionally "
@@ -251,7 +214,6 @@ class Checkpointer:
                  ring: int = 8,
                  telemetry: Optional["Telemetry"] = None,
                  resilience: Optional["Resilience"] = None,
-                 workload: Optional["Workload"] = None,
                  boundary_hook: Optional[Callable[[int], None]] = None,
                  flight: Optional["FlightRecorder"] = None,
                  ) -> None:
@@ -267,7 +229,6 @@ class Checkpointer:
         self.plan = plan
         self.telemetry = telemetry
         self.resilience = resilience
-        self.workload = workload
         self.boundary_hook = boundary_hook
         #: Optional host-domain flight recorder whose snapshot joins the
         #: black-box payload (what was the *fleet* doing when this run
@@ -300,7 +261,7 @@ class Checkpointer:
                 try:
                     self.machine = restore_checkpoint(
                         ckpt, telemetry=self.telemetry,
-                        resilience=self.resilience, workload=self.workload)
+                        resilience=self.resilience)
                     self.resumed_from = ckpt.boundary
                     self.ring.append(self._ring_entry(ckpt))
                     return self.machine
@@ -310,7 +271,7 @@ class Checkpointer:
                     ckpt = self.store.latest(self.job_key)
         self.machine = build_machine(
             self.spec, plan=self.plan, telemetry=self.telemetry,
-            resilience=self.resilience, workload=self.workload)
+            resilience=self.resilience)
         return self.machine
 
     # --------------------------------------------------------------- run

@@ -40,22 +40,13 @@ from repro.ckpt.checkpoint import (Checkpoint, CheckpointMismatchError,
                                    Checkpointer, restore_checkpoint)
 from repro.ckpt.state import capture_state, state_fingerprint
 from repro.ckpt.store import CheckpointStore
-from repro.orchestrate.jobspec import JobSpec
-from repro.orchestrate.registry import parse_run_spec
+from repro.orchestrate.registry import spec_from_flags
 from repro.sim.engine import (DeadlockError, LivenessError, SimulationError,
                               SimulationTimeout)
 
 
-def _spec_of(args: argparse.Namespace) -> JobSpec:
-    name, params, overrides = parse_run_spec(
-        args.workload, args.param, args.override, args.cores)
-    return JobSpec(config_label=args.config, workload=name,
-                   workload_params=params, config_overrides=overrides,
-                   seed=args.seed)
-
-
 def cmd_save(args: argparse.Namespace) -> int:
-    spec = _spec_of(args)
+    spec = spec_from_flags(args)
     store = CheckpointStore(args.dir)
 
     hook = None

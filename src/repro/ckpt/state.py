@@ -25,8 +25,8 @@ Core                  retirement counts, lifecycle cycles, spin flag
 Two machines with equal captures behave identically from that point on;
 the capture's SHA-256 is the checkpoint **fingerprint**. A second,
 weaker digest — the **functional fingerprint**, SHA-256 over the word
-store's non-zero values only (the same formula the fault campaigns use,
-:func:`repro.resilience.campaign.functional_fingerprint`) — survives
+store's non-zero values only (the digest the fault campaigns use,
+:func:`repro.mem.store.functional_fingerprint`) — survives
 attachments that legitimately perturb the full capture (telemetry wraps
 network handlers, changing queued-callback names).
 
@@ -41,13 +41,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict
 
 from repro.ioutil import sha256_of
-from repro.resilience import campaign
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import Machine
 
-__all__ = ["capture_state", "state_fingerprint", "functional_fingerprint",
-           "diff_captures"]
+__all__ = ["capture_state", "state_fingerprint", "diff_captures"]
 
 
 def capture_state(machine: "Machine") -> Dict[str, Any]:
@@ -58,12 +56,6 @@ def capture_state(machine: "Machine") -> Dict[str, Any]:
 def state_fingerprint(state: Dict[str, Any]) -> str:
     """SHA-256 hex over a capture's canonical JSON form."""
     return sha256_of(state)
-
-
-def functional_fingerprint(machine: "Machine") -> str:
-    """The fault campaigns' fingerprint of ``machine.store``, so a
-    restored run can be checked against a campaign baseline directly."""
-    return campaign.functional_fingerprint(machine.store)
 
 
 def diff_captures(expected: Dict[str, Any],

@@ -67,6 +67,8 @@ class Machine:
         ]
         self._remaining = 0
         self._started = False
+        #: Name of the installed workload (labels the run's results).
+        self.workload_name = ""
         #: Cumulative engine events executed across run slices. A sliced
         #: run (``run(checkpoint_every=...)``) and a restored-and-resumed
         #: run both charge their slices against the same

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.config import SystemConfig, config_for
 from repro.core.machine import Machine
@@ -58,6 +58,15 @@ class RunResult:
     #: The run's resilience layer, when requested (else None).
     resilience: Optional[Resilience] = None
 
+    @classmethod
+    def of(cls, machine: Machine, stats: Stats) -> "RunResult":
+        """The result of ``machine``'s installed workload finishing with
+        ``stats``."""
+        return cls(workload=machine.workload_name,
+                   config_label=machine.config.label(), stats=stats,
+                   energy=energy_of(stats), telemetry=machine.telemetry,
+                   resilience=machine.resilience)
+
     @property
     def cycles(self) -> int:
         return self.stats.cycles
@@ -79,10 +88,7 @@ class RunResult:
 def run_workload(config: SystemConfig, workload: Workload,
                  telemetry: TelemetryArg = None,
                  resilience: ResilienceArg = None,
-                 audit_every: int = 0,
-                 checkpoint_every: int = 0,
-                 checkpoint_dir: Optional[str] = None,
-                 checkpoint_spec=None) -> RunResult:
+                 audit_every: int = 0) -> RunResult:
     """Simulate ``workload`` on a machine built from ``config``.
 
     ``telemetry`` opts the run into observability: pass a
@@ -97,62 +103,22 @@ def run_workload(config: SystemConfig, workload: Workload,
     just the auditing component (it merges into whatever ``resilience``
     object/config was passed). Both defaults leave the run untouched.
 
-    ``checkpoint_every=N`` with ``checkpoint_dir=`` makes the run
-    durable (:mod:`repro.ckpt`): it saves a verified checkpoint into
-    the store every N cycles, resumes from the newest valid one if a
-    previous attempt left any behind, and persists a black-box payload
-    should the run die of a deadlock/livelock/timeout.
-    ``checkpoint_spec`` (a :class:`~repro.orchestrate.jobspec.JobSpec`)
-    is then required — it is the checkpoint's *replay recipe* and must
-    describe exactly the run being performed (same config, workload,
-    and seed), or restores will fail verification by construction.
+    Durable, resumable runs take a
+    :class:`~repro.orchestrate.jobspec.JobSpec` instead: see
+    :class:`~repro.ckpt.checkpoint.Checkpointer`.
     """
     telemetry = _as_telemetry(telemetry)
     resilience = _as_resilience(resilience, audit_every)
-    if checkpoint_every and checkpoint_dir:
-        from repro.ckpt import Checkpointer, CheckpointStore
-        if checkpoint_spec is None:
-            raise ValueError(
-                "checkpointed runs need checkpoint_spec= (the JobSpec "
-                "replay recipe that rebuilds this exact run)")
-        plan = resilience.config.plan if resilience is not None else None
-        checkpointer = Checkpointer(
-            checkpoint_spec, CheckpointStore(checkpoint_dir),
-            every=checkpoint_every, plan=plan, telemetry=telemetry,
-            resilience=resilience, workload=workload)
-        stats = checkpointer.run()
-        return RunResult(
-            workload=workload.name,
-            config_label=config.label(),
-            stats=stats,
-            energy=energy_of(stats),
-            telemetry=telemetry,
-            resilience=resilience,
-        )
     machine = Machine(config, telemetry=telemetry, resilience=resilience)
     workload.install(machine)
-    stats = machine.run()
-    return RunResult(
-        workload=workload.name,
-        config_label=config.label(),
-        stats=stats,
-        energy=energy_of(stats),
-        telemetry=telemetry,
-        resilience=resilience,
-    )
+    return RunResult.of(machine, machine.run())
 
 
 def run_config(name: str, workload: Workload,
                telemetry: TelemetryArg = None,
                resilience: ResilienceArg = None,
-               audit_every: int = 0,
-               checkpoint_every: int = 0,
-               checkpoint_dir: Optional[str] = None,
-               checkpoint_spec=None, **overrides) -> RunResult:
+               audit_every: int = 0, **overrides) -> RunResult:
     """Run under a paper configuration label ("Invalidation", ...)."""
     return run_workload(config_for(name, **overrides), workload,
                         telemetry=telemetry, resilience=resilience,
-                        audit_every=audit_every,
-                        checkpoint_every=checkpoint_every,
-                        checkpoint_dir=checkpoint_dir,
-                        checkpoint_spec=checkpoint_spec)
+                        audit_every=audit_every)

@@ -13,6 +13,8 @@ synchronization word returns the store's current value.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, Tuple
 
 
@@ -81,3 +83,13 @@ class WordStore:
             self.write(addr, new)
             return old, True
         return old, False
+
+
+def functional_fingerprint(store: WordStore) -> str:
+    """SHA-256 over the store's non-zero word values: the digest fault
+    campaigns compare against their fault-free baseline and checkpoints
+    verify telemetered restores against."""
+    snapshot = store.snapshot()
+    blob = json.dumps(sorted(snapshot.items()),
+                      separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()

@@ -36,26 +36,22 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from repro.config import PAPER_CONFIGS, config_for
-from repro.harness.runner import RunResult, run_workload
+from repro.config import PAPER_CONFIGS
+from repro.harness.runner import RunResult
 from repro.obs.export import (chrome_trace, trace_events_to_spans,
                               validate_chrome_trace, write_chrome_trace)
 from repro.obs.spans import load_spans
 from repro.obs.telemetry import Telemetry, TelemetryConfig
-from repro.orchestrate.registry import (build_workload, parse_run_spec,
-                                        workload_spec_names)
+from repro.orchestrate.jobspec import build_machine
+from repro.orchestrate.registry import spec_from_flags, workload_spec_names
 
 
 def _simulate(args: argparse.Namespace,
               tconfig: TelemetryConfig) -> Tuple[RunResult, Telemetry]:
     """One telemetered run described by the common CLI options."""
-    name, params, overrides = parse_run_spec(
-        args.workload, args.param, args.override, args.cores)
-    config = config_for(args.config, seed=args.seed, **overrides)
-    workload = build_workload(name, params)
     telemetry = Telemetry(tconfig)
-    result = run_workload(config, workload, telemetry=telemetry)
-    return result, telemetry
+    machine = build_machine(spec_from_flags(args), telemetry=telemetry)
+    return RunResult.of(machine, machine.run()), telemetry
 
 
 def _counters_arg(text: Optional[str]):

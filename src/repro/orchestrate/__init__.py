@@ -13,7 +13,7 @@ the shell.
 
 from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.events import Event, EventLog
-from repro.orchestrate.jobspec import JobSpec
+from repro.orchestrate.jobspec import JobSpec, build_machine
 from repro.orchestrate.record import RecordResult, record_of
 from repro.orchestrate.registry import (build_workload,
                                         register_workload_spec,
@@ -31,6 +31,7 @@ __all__ = [
     "Orchestrator",
     "RecordResult",
     "ResultCache",
+    "build_machine",
     "build_workload",
     "execute_job",
     "record_of",

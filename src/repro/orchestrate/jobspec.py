@@ -15,6 +15,10 @@ a JobSpec is:
 
 Everything in a JobSpec must therefore be plain JSON-able data; the
 workload is referred to by registry name, never by closure.
+
+:func:`build_machine` is the one path from a spec to a machine: batch
+jobs, serve workers, fault plans, checkpoint restores and the
+single-run CLIs all build through it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
+
+from repro.config import config_for
+from repro.core.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.telemetry import Telemetry
+    from repro.resilience.faults import FaultPlan
+    from repro.resilience.resilience import Resilience
 
 
 def _canonical(value: Any) -> Any:
@@ -102,3 +114,33 @@ class JobSpec:
             parts.append(overrides)
         parts.append(f"seed={self.seed}")
         return " ".join(parts)
+
+
+def build_machine(spec: JobSpec, plan: Optional["FaultPlan"] = None,
+                  telemetry: Optional["Telemetry"] = None,
+                  resilience: Optional["Resilience"] = None,
+                  prepare: Optional[Callable[[Machine], None]] = None,
+                  ) -> Machine:
+    """Build the machine ``spec`` names, threads spawned.
+
+    ``plan`` attaches a fault injector replaying the recorded fault
+    schedule (merged into ``resilience`` when both are given).
+    ``prepare`` runs after construction but *before* threads spawn — the
+    attachment window pre-spawn observers (e.g. the race monitor) need.
+    """
+    # Lazy: the registry imports this module for its spec helpers.
+    from repro.orchestrate.registry import build_workload
+    workload = build_workload(spec.workload, spec.workload_params)
+    if plan is not None:
+        from repro.resilience.resilience import Resilience, ResilienceConfig
+        if resilience is None:
+            resilience = Resilience(ResilienceConfig(plan=plan))
+        elif resilience.config.plan is None:
+            resilience.config.plan = plan
+    config = config_for(spec.config_label, seed=spec.seed,
+                        **spec.config_overrides)
+    machine = Machine(config, telemetry=telemetry, resilience=resilience)
+    if prepare is not None:
+        prepare(machine)
+    workload.install(machine)
+    return machine

@@ -34,13 +34,17 @@ Every CLI names a simulation point the same way, parsed here by
 the param :data:`DETAIL_PARAM` names, e.g. ``app:barnes`` or
 ``lock:clh``), repeated ``--param KEY=VALUE`` and ``--override
 KEY=VALUE`` pairs, and ``--cores N`` as a default ``num_cores``
-override.
+override. The single-run CLIs add ``--config`` and ``--seed`` and turn
+the lot into one :class:`~repro.orchestrate.jobspec.JobSpec` with
+:func:`spec_from_flags`.
 """
 
 from __future__ import annotations
 
+import argparse
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
+from repro.orchestrate.jobspec import JobSpec
 from repro.workloads.base import Workload
 from repro.workloads.extra import PipelineWorkload, TaskQueueWorkload
 from repro.workloads.microbench import (BarrierMicrobench, LockMicrobench,
@@ -156,3 +160,13 @@ def parse_run_spec(workload: str, params: Sequence[str] = (),
     if cores:
         config.setdefault("num_cores", value(str(cores)))
     return name, parsed, config
+
+
+def spec_from_flags(args: argparse.Namespace) -> JobSpec:
+    """The one simulation a single-run CLI's ``--workload``, ``--param``,
+    ``--override``, ``--cores``, ``--config`` and ``--seed`` name."""
+    name, params, overrides = parse_run_spec(
+        args.workload, args.param, args.override, args.cores)
+    return JobSpec(config_label=args.config, workload=name,
+                   workload_params=params, config_overrides=overrides,
+                   seed=args.seed)

@@ -54,16 +54,13 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
-from repro.config import config_for
-from repro.energy.model import energy_of
-from repro.harness.runner import RunResult, run_workload
+from repro.harness.runner import RunResult
 from repro.resilience.classify import classify_failure, exit_code_for
 
 from repro.orchestrate.cache import ResultCache
 from repro.orchestrate.events import EventLog
-from repro.orchestrate.jobspec import JobSpec
+from repro.orchestrate.jobspec import JobSpec, build_machine
 from repro.orchestrate.record import RecordResult, record_of
-from repro.orchestrate.registry import build_workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.flight import FlightRecorder
@@ -139,11 +136,6 @@ def execute_job(payload: Dict[str, Any],
         if cap > 0:
             deadline_cycles = cap
 
-    def _cap_cycles(cfg: Any) -> None:
-        if deadline_cycles is not None:
-            cfg.max_cycles = (deadline_cycles if cfg.max_cycles is None
-                              else min(cfg.max_cycles, deadline_cycles))
-
     tracectx = None
     if trace_cfg and trace_cfg.get("trace_id"):
         from repro.obs.tracectx import TraceContext
@@ -152,10 +144,6 @@ def execute_job(payload: Dict[str, Any],
         tracectx.begin("worker.attempt", job_key=spec.job_key()[:12],
                        attempt=int(trace_cfg.get("attempt", 0)),
                        pid=os.getpid())
-    config = config_for(spec.config_label, seed=spec.seed,
-                        **spec.config_overrides)
-    _cap_cycles(config)
-    workload = build_workload(spec.workload, spec.workload_params)
 
     telemetry = None
     if tel_cfg is not None:
@@ -165,49 +153,41 @@ def execute_job(payload: Dict[str, Any],
             spans=True))
 
     t0 = time.perf_counter()
-    resumed_from: Optional[int] = None
-    events_executed: Optional[int] = None
+    checkpointer = None
     if ckpt_cfg:
         from repro.ckpt import Checkpointer, CheckpointStore
         checkpointer = Checkpointer(
             spec, CheckpointStore(ckpt_cfg["dir"]),
             every=int(ckpt_cfg.get("every", 2000)),
             ring=int(ckpt_cfg.get("ring", 8)),
-            telemetry=telemetry, workload=workload,
-            boundary_hook=boundary_hook, flight=flight)
+            telemetry=telemetry, boundary_hook=boundary_hook, flight=flight)
         resume = bool(ckpt_cfg.get("resume", True))
         if tracectx is not None:
             tracectx.begin("ckpt.restore")
         machine = checkpointer.prepare(resume=resume)
-        # The checkpoint path builds its machine from the spec (not the
-        # local config above), so the deadline cap is applied to the
-        # prepared machine's config directly.
-        _cap_cycles(machine.config)
         if tracectx is not None:
             tracectx.end("ckpt.restore",
                          resumed_from=checkpointer.resumed_from)
-            tracectx.begin("sim.run")
-        stats = checkpointer.run(resume=resume)
-        if tracectx is not None:
-            tracectx.end("sim.run", cycles=stats.cycles)
-        resumed_from = checkpointer.resumed_from
-        if checkpointer.machine is not None:
-            events_executed = checkpointer.machine.events_executed
-        result = RunResult(workload=workload.name,
-                           config_label=config.label(), stats=stats,
-                           energy=energy_of(stats), telemetry=telemetry)
     else:
-        if tracectx is not None:
-            tracectx.begin("sim.run")
-        result = run_workload(config, workload, telemetry=telemetry)
-        if tracectx is not None:
-            tracectx.end("sim.run", cycles=result.cycles)
+        machine = build_machine(spec, telemetry=telemetry)
+    # The engine reads the cycle cap at run time, so it applies to a
+    # fresh and a restored machine alike.
+    config = machine.config
+    if deadline_cycles is not None:
+        config.max_cycles = (deadline_cycles if config.max_cycles is None
+                             else min(config.max_cycles, deadline_cycles))
+    if tracectx is not None:
+        tracectx.begin("sim.run")
+    stats = (checkpointer.run(resume=resume) if checkpointer is not None
+             else machine.run())
+    if tracectx is not None:
+        tracectx.end("sim.run", cycles=stats.cycles)
+    result = RunResult.of(machine, stats)
 
     record = record_of(spec, result, wall_s=time.perf_counter() - t0)
-    if resumed_from is not None:
-        record["meta"]["resumed_from"] = resumed_from
-    if events_executed is not None:
-        record["meta"]["events_executed"] = events_executed
+    record["meta"]["events_executed"] = machine.events_executed
+    if checkpointer is not None and checkpointer.resumed_from is not None:
+        record["meta"]["resumed_from"] = checkpointer.resumed_from
     if telemetry is not None and tel_cfg.get("dir"):
         record["meta"]["artifacts"] = _export_artifacts(
             telemetry, tel_cfg["dir"])
@@ -335,8 +315,7 @@ class Orchestrator:
                  verbose: bool = False,
                  quarantine_after: int = 3,
                  checkpoint_dir: Optional[str] = None,
-                 checkpoint_every: int = 0,
-                 checkpoint_ring: int = 8) -> None:
+                 checkpoint_every: int = 0) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
@@ -357,7 +336,6 @@ class Orchestrator:
         #: checkpoint instead of scratch.
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_ring = checkpoint_ring
         #: Deterministic failures per job family (workload, config).
         self._family_failures: Counter = Counter()
         self.run_fn: RunFn = run_fn or execute_job
@@ -428,7 +406,6 @@ class Orchestrator:
             payload["_checkpoint"] = {
                 "dir": self.checkpoint_dir,
                 "every": self.checkpoint_every,
-                "ring": self.checkpoint_ring,
                 "resume": True,
             }
         return payload

@@ -26,10 +26,10 @@ resilience layer (or with an empty one) is bit-identical to the plain
 simulator.
 """
 
+from repro.mem.store import functional_fingerprint
 from repro.resilience.campaign import (CampaignResult, PlanOutcome,
                                        baseline_fingerprint, execute_plan,
-                                       functional_fingerprint, minimize_plan,
-                                       run_campaign)
+                                       minimize_plan, run_campaign)
 from repro.resilience.classify import (FAILURE_EXIT_CODES, classify_failure,
                                        exit_code_for)
 from repro.resilience.faults import (Fault, FaultKind, FaultPlan,

@@ -10,7 +10,7 @@ wakeups, and back-off jitter are all allowed to change timing and traffic
 (they add latency and messages by construction) — what they must never
 change is what the program computed. The fingerprint is a SHA-256 over
 the word store's final non-zero contents
-(:meth:`~repro.mem.store.WordStore.snapshot`), i.e. every lock word,
+(:func:`~repro.mem.store.functional_fingerprint`), i.e. every lock word,
 barrier counter, and shared datum at the end of the run.
 
 Outcomes use the shared failure taxonomy
@@ -23,16 +23,12 @@ locally minimal subset with a ddmin-style search.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.config import config_for
-from repro.core.machine import Machine
 from repro.ioutil import atomic_write_json
-from repro.mem.store import WordStore
+from repro.mem.store import functional_fingerprint
 from repro.resilience.classify import classify_failure
 from repro.resilience.faults import FaultKind, FaultPlan, make_fault_plan
 from repro.resilience.resilience import Resilience, ResilienceConfig
@@ -41,14 +37,6 @@ from repro.resilience.resilience import Resilience, ResilienceConfig
 #: no legitimate run trips it, tight enough that a provoked livelock is
 #: caught long before the event budget.
 DEFAULT_WATCHDOG_STALL = 200_000
-
-
-def functional_fingerprint(store: WordStore) -> str:
-    """SHA-256 over the store's final non-zero word values."""
-    snapshot = store.snapshot()
-    blob = json.dumps(sorted(snapshot.items()),
-                      separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass
@@ -103,19 +91,18 @@ def execute_plan(plan: FaultPlan, baseline: Optional[str] = None,
     ``None`` to compute it here first (one extra fault-free run), or
     ``""`` to skip the comparison.
     """
-    # Lazy: the registry lives in repro.orchestrate, whose package
-    # import reaches back into repro.harness.runner (which imports this
-    # package) — importing it at call time breaks the cycle.
-    from repro.orchestrate.registry import build_workload
+    # Lazy: repro.orchestrate's package import reaches back into
+    # repro.harness.runner (which imports this package) — importing it
+    # at call time breaks the cycle.
+    from repro.orchestrate.jobspec import JobSpec, build_machine
     if baseline is None:
         baseline = baseline_fingerprint(plan)
-    config = config_for(plan.config_label, seed=plan.seed,
-                        **plan.config_overrides)
-    workload = build_workload(plan.workload, plan.workload_params)
+    spec = JobSpec(config_label=plan.config_label, workload=plan.workload,
+                   workload_params=plan.workload_params,
+                   config_overrides=plan.config_overrides, seed=plan.seed)
     resilience = Resilience(ResilienceConfig(
         plan=plan, watchdog_stall=watchdog_stall, audit_every=audit_every))
-    machine = Machine(config, resilience=resilience)
-    workload.install(machine)
+    machine = build_machine(spec, resilience=resilience)
     outcome = PlanOutcome(plan_key=plan.plan_key(),
                           describe=plan.describe(), status="ok",
                           baseline_fingerprint=baseline or "")

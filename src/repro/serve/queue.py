@@ -81,8 +81,6 @@ class JobQueue:
                  probe_interval_s: float = 1.0,
                  read_only_after: int = 3,
                  checkpoint_every: int = 2000,
-                 checkpoint_ring: int = 4,
-                 flight_capacity: int = 256,
                  deadline_cycles_per_s: float = 0.0,
                  verbose: bool = False) -> None:
         if lease_s <= 0:
@@ -108,7 +106,6 @@ class JobQueue:
         #: accepting writes (ENOSPC short-circuits to read-only at once).
         self.read_only_after = max(1, read_only_after)
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_ring = checkpoint_ring
         #: Wall→simulated-clock conversion for deadline propagation:
         #: a leased run with ``deadline_at`` set gets an out-of-band
         #: ``_deadline.max_cycles`` of ``remaining_s * this rate``, so
@@ -130,7 +127,7 @@ class JobQueue:
         self.event_appends = 0
         #: Bounded ring of recent transitions — the black box attached
         #: to failure dumps (see :meth:`_dump_flight`).
-        self.flight = FlightRecorder(capacity=flight_capacity)
+        self.flight = FlightRecorder()
         self.flight_dir = os.path.join(self.root, "flight")
         self.hostspans_path = os.path.join(self.root, "hostspans.jsonl")
         self.hostspans = HostSpanLog(self.hostspans_path)
@@ -589,7 +586,7 @@ class JobQueue:
             payload["_checkpoint"] = {
                 "dir": self.checkpoint_dir,
                 "every": self.checkpoint_every,
-                "ring": self.checkpoint_ring,
+                "ring": 4,
                 "resume": True,
             }
         if getattr(run, "telemetry", False):

@@ -18,30 +18,35 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.config import PAPER_CONFIGS, config_for
-from repro.energy.model import energy_of
+from repro.config import PAPER_CONFIGS
 from repro.energy.power import core_power_report
-from repro.harness.runner import run_workload
-from repro.workloads.base import Workload
-from repro.workloads.microbench import (BarrierMicrobench, LockMicrobench,
-                                        SignalWaitMicrobench)
-from repro.workloads.suite import APP_NAMES, get_workload
+from repro.harness.runner import RunResult
+from repro.orchestrate.jobspec import JobSpec, build_machine
+from repro.workloads.suite import APP_NAMES
+
+#: ``--ubench`` kind -> (registry spec, param the ``:NAME`` detail
+#: fills, param ``--iterations`` fills).
+UBENCH_SPECS = {"lock": ("lock", "lock_name", "iterations"),
+                "barrier": ("barrier", "barrier_name", "episodes"),
+                "signal-wait": ("signal_wait", None, "rounds")}
 
 
-def _build_workload(args: argparse.Namespace) -> Workload:
+def _spec_of(args: argparse.Namespace) -> JobSpec:
+    overrides = {"num_cores": args.cores}
     if args.app:
-        return get_workload(args.app, lock_name=args.lock,
-                            barrier_name=args.barrier, scale=args.scale)
+        return JobSpec(args.config, "app",
+                       {"name": args.app, "lock_name": args.lock,
+                        "barrier_name": args.barrier, "scale": args.scale},
+                       overrides)
     kind, _, detail = args.ubench.partition(":")
-    if kind == "lock":
-        return LockMicrobench(detail or "ttas", iterations=args.iterations)
-    if kind == "barrier":
-        return BarrierMicrobench(detail or "treesr",
-                                 episodes=args.iterations)
-    if kind == "signal-wait":
-        return SignalWaitMicrobench(rounds=args.iterations)
-    raise SystemExit(f"unknown microbenchmark {args.ubench!r} "
-                     "(lock:NAME | barrier:NAME | signal-wait)")
+    if kind not in UBENCH_SPECS:
+        raise SystemExit(f"unknown microbenchmark {args.ubench!r} "
+                         "(lock:NAME | barrier:NAME | signal-wait)")
+    name, detail_param, iterations_param = UBENCH_SPECS[kind]
+    params = {iterations_param: args.iterations}
+    if detail_param and detail:
+        params[detail_param] = detail
+    return JobSpec(args.config, name, params, overrides)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -64,12 +69,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--iterations", type=int, default=6)
     args = parser.parse_args(argv)
 
-    config = config_for(args.config, num_cores=args.cores)
-    workload = _build_workload(args)
-    result = run_workload(config, workload)
+    machine = build_machine(_spec_of(args))
+    result = RunResult.of(machine, machine.run())
     stats = result.stats
 
-    print(f"=== {workload.name} under {args.config} "
+    print(f"=== {result.workload} under {args.config} "
           f"({args.cores} cores) ===")
     print(f"cycles:               {stats.cycles}")
     print(f"L1 accesses:          {stats.l1_accesses} "
@@ -104,7 +108,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("energy (nJ):          "
           + ", ".join(f"{k}={v / 1000:.1f}"
                       for k, v in energy.as_dict().items()))
-    power = core_power_report(stats, config)
+    power = core_power_report(stats, machine.config)
     print(f"power extension:      sleepable "
           f"{100 * power.sleepable_fraction:.1f}% of core-cycles, "
           f"core-energy saving {100 * power.saving_fraction:.1f}%")

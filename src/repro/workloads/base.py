@@ -32,6 +32,7 @@ class Workload:
 
     def install(self, machine: Machine) -> None:
         """Build and spawn on the machine."""
+        machine.workload_name = self.name
         machine.spawn(self.build(machine))
 
     @staticmethod

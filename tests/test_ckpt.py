@@ -13,13 +13,13 @@ import os
 import pytest
 
 from repro.ckpt import (Checkpoint, CheckpointMismatchError, Checkpointer,
-                        CheckpointStore, build_machine, capture_state,
-                        functional_fingerprint, restore_checkpoint,
+                        CheckpointStore, capture_state, restore_checkpoint,
                         state_fingerprint, take_checkpoint)
 from repro.ioutil import (CorruptArtifactError, atomic_write_json,
                           atomic_write_text, canonical_json, quarantine,
                           read_checked_json, sha256_of)
-from repro.orchestrate import JobSpec
+from repro.mem.store import functional_fingerprint
+from repro.orchestrate import JobSpec, build_machine
 
 #: One label per protocol style: write-invalidate MESI, MESI with
 #: exponential back-off, and the two callback flavors from the paper.
@@ -37,7 +37,7 @@ def spec_for(label="CB-One", seed=1, iterations=2, **overrides):
 def finished_fingerprints(machine):
     """(full, functional) fingerprints of a completed machine."""
     return (state_fingerprint(capture_state(machine)),
-            functional_fingerprint(machine))
+            functional_fingerprint(machine.store))
 
 
 # ------------------------------------------------------------- ioutil
@@ -361,34 +361,20 @@ class TestRestoreVerification:
 
 
 class TestHarnessCheckpointing:
-    def test_run_workload_checkpoints_and_matches_plain_run(self, tmp_path):
+    def test_checkpointer_matches_plain_run_workload(self, tmp_path):
         from repro.config import config_for
         from repro.harness.runner import run_workload
         from repro.orchestrate.registry import build_workload
         spec = spec_for()
-        config = config_for("CB-One", seed=1, num_cores=4)
-        plain = run_workload(config, build_workload("lock",
-                                                    spec.workload_params))
-        ckpt = run_workload(config_for("CB-One", seed=1, num_cores=4),
-                            build_workload("lock", spec.workload_params),
-                            checkpoint_every=300,
-                            checkpoint_dir=str(tmp_path),
-                            checkpoint_spec=spec)
-        assert ckpt.cycles == plain.cycles
-        assert ckpt.traffic == plain.traffic
+        plain = run_workload(config_for("CB-One", seed=1, num_cores=4),
+                             build_workload("lock", spec.workload_params))
+        checkpointer = Checkpointer(spec, CheckpointStore(str(tmp_path)),
+                                    every=300)
+        stats = checkpointer.run()
+        assert stats.cycles == plain.cycles
+        assert stats.flit_hops == plain.traffic
         store = CheckpointStore(str(tmp_path))
         assert store.boundaries(spec.job_key())
-
-    def test_run_workload_requires_spec_when_checkpointing(self, tmp_path):
-        from repro.config import config_for
-        from repro.harness.runner import run_workload
-        from repro.orchestrate.registry import build_workload
-        with pytest.raises(ValueError, match="checkpoint_spec"):
-            run_workload(config_for("CB-One", num_cores=4),
-                         build_workload("lock", {"lock_name": "ttas",
-                                                 "iterations": 2}),
-                         checkpoint_every=300,
-                         checkpoint_dir=str(tmp_path))
 
 
 # ------------------------------------- hardened result cache (satellite)

@@ -16,9 +16,9 @@ import sys
 
 import pytest
 
-from repro.ckpt import (Checkpointer, CheckpointStore, build_machine,
-                        capture_state, state_fingerprint)
-from repro.orchestrate import JobSpec
+from repro.ckpt import (Checkpointer, CheckpointStore, capture_state,
+                        state_fingerprint)
+from repro.orchestrate import JobSpec, build_machine
 from repro.orchestrate.scheduler import run_batch
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

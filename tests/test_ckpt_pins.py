@@ -16,9 +16,9 @@ change that moves any of them must name the digest it moves.
 
 import pytest
 
-from repro.ckpt import (build_machine, capture_state, functional_fingerprint,
-                        state_fingerprint)
-from repro.orchestrate import JobSpec
+from repro.ckpt import capture_state, state_fingerprint
+from repro.mem.store import functional_fingerprint
+from repro.orchestrate import JobSpec, build_machine
 from repro.resilience.faults import FaultKind, make_fault_plan
 
 EVERY = 700
@@ -95,7 +95,7 @@ def boundary_digests(label, plan=None):
         if len(seen) < 3:
             seen.append((boundary,
                          state_fingerprint(capture_state(machine)),
-                         functional_fingerprint(machine)))
+                         functional_fingerprint(machine.store)))
 
     machine.run(checkpoint_every=EVERY, on_checkpoint=at)
     return seen

@@ -174,6 +174,7 @@ class TestServeUnderLoadAndCrashes:
         finally:
             for proc in workers:
                 proc.terminate()
+            client.close()
             service.stop()
 
     def test_restart_mid_flood_loses_nothing(self, tmp_path):
@@ -183,13 +184,13 @@ class TestServeUnderLoadAndCrashes:
         root = str(tmp_path / "serve")
         queue = JobQueue(root, lease_s=1.0, checkpoint_every=0)
         service = ServeService(queue, housekeeping_s=0.1).start()
-        client = ServeClient(service.url)
         specs = [flood_spec(seed) for seed in range(1, 41)]
-        for tenant in TENANTS:
-            client.submit_many(tenant, specs)
-        # A couple of leases are open when the service "crashes".
-        assert client.lease("doomed-1") is not None
-        assert client.lease("doomed-2") is not None
+        with ServeClient(service.url) as client:
+            for tenant in TENANTS:
+                client.submit_many(tenant, specs)
+            # A couple of leases are open when the service "crashes".
+            assert client.lease("doomed-1") is not None
+            assert client.lease("doomed-2") is not None
         service.stop()
 
         revived = JobQueue(root, lease_s=1.0, checkpoint_every=0)
@@ -212,4 +213,5 @@ class TestServeUnderLoadAndCrashes:
         finally:
             for proc in workers:
                 proc.terminate()
+            client.close()
             service.stop()
