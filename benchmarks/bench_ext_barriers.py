@@ -8,12 +8,8 @@ ceil(log2 n) times and receives that many wakeup messages, while
 back-off pays a probe storm per round.
 """
 
-import pytest
-
 from benchmarks.conftest import BENCH_CORES
-from repro.harness.runner import run_config
 from repro.harness.sweeps import Sweep, rows_to_table
-from repro.workloads.microbench import BarrierMicrobench
 
 CONFIGS = ("Invalidation", "BackOff-0", "BackOff-10", "CB-All")
 BARRIERS = ("sr", "treesr", "dissemination")
@@ -22,9 +18,9 @@ BARRIERS = ("sr", "treesr", "dissemination")
 def test_barrier_trio(benchmark):
     sweep = Sweep(
         configs=list(CONFIGS),
-        params={"barrier": list(BARRIERS)},
-        workload=lambda p: BarrierMicrobench(p["barrier"], episodes=5,
-                                             skew_cycles=300),
+        workload_spec="barrier",
+        spec_params={"episodes": 5, "skew_cycles": 300},
+        params={"barrier_name": list(BARRIERS)},
         metrics={
             "wait_mean": lambda r: r.episode_mean("barrier_wait"),
             "llc_sync": lambda r: float(r.llc_sync),
@@ -36,7 +32,8 @@ def test_barrier_trio(benchmark):
 
     def row(config, barrier):
         (match,) = [r for r in rows
-                    if r["config"] == config and r["barrier"] == barrier]
+                    if r["config"] == config
+                    and r["barrier_name"] == barrier]
         return match
 
     for barrier in BARRIERS:

@@ -1,32 +1,41 @@
 """Experiment harness: runner, per-figure experiments, reporting, CLI."""
 
-from repro.harness.fairness import (acquisition_fairness, jain_index,
-                                    latency_fairness)
-from repro.harness.replication import (Replicate, replicate,
-                                       replicate_comparison)
-from repro.harness.reporting import (format_table, geomean, geomean_rows,
-                                     normalize_to, normalize_to_max)
-from repro.harness.results_io import load_result, save_result
-from repro.harness.runner import RunResult, run_config, run_workload
-from repro.harness.sweeps import Sweep, rows_to_table
+import importlib
+from typing import Any
 
-__all__ = [
-    "Replicate",
-    "RunResult",
-    "Sweep",
-    "acquisition_fairness",
-    "format_table",
-    "geomean",
-    "geomean_rows",
-    "jain_index",
-    "latency_fairness",
-    "load_result",
-    "normalize_to",
-    "normalize_to_max",
-    "replicate",
-    "replicate_comparison",
-    "rows_to_table",
-    "run_config",
-    "run_workload",
-    "save_result",
-]
+#: Public name -> defining submodule. Exported lazily (PEP 562): the
+#: orchestrator imports ``runner`` and ``results_io``, and the sweep and
+#: replication modules import the orchestrator, so an eager package
+#: init would close an import cycle.
+_EXPORTS = {
+    "Replicate": "replication",
+    "RunResult": "runner",
+    "Sweep": "sweeps",
+    "acquisition_fairness": "fairness",
+    "format_table": "reporting",
+    "geomean": "reporting",
+    "geomean_rows": "reporting",
+    "jain_index": "fairness",
+    "latency_fairness": "fairness",
+    "load_result": "results_io",
+    "normalize_to": "reporting",
+    "normalize_to_max": "reporting",
+    "replicate": "replication",
+    "replicate_comparison": "replication",
+    "rows_to_table": "sweeps",
+    "run_config": "runner",
+    "run_spec": "runner",
+    "run_workload": "runner",
+    "save_result": "results_io",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = list(_EXPORTS)

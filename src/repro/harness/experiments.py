@@ -24,38 +24,48 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import PAPER_CONFIGS, WakePolicy, config_for
+from repro.config import PAPER_CONFIGS, WakePolicy
 from repro.harness.reporting import (format_table, geomean, geomean_rows,
                                      normalize_to, normalize_to_max)
-from repro.harness.runner import RunResult, run_config
-from repro.workloads.microbench import (BarrierMicrobench, LockMicrobench,
-                                        SignalWaitMicrobench)
-from repro.workloads.suite import APP_NAMES, get_workload
+from repro.harness.runner import RunResult, run_spec
+from repro.orchestrate.jobspec import JobSpec
+from repro.workloads.suite import APP_NAMES
 
 BACKOFF_CONFIGS = ("BackOff-0", "BackOff-5", "BackOff-10", "BackOff-15")
 
-#: (display name, workload factory, episode-latency category)
+#: construct -> (registered workload spec, its params, the param that
+#: counts iterations, episode-latency category)
 _CONSTRUCTS = {
-    "ttas": (lambda it: LockMicrobench("ttas", iterations=it),
-             "lock_acquire"),
-    "clh": (lambda it: LockMicrobench("clh", iterations=it),
-            "lock_acquire"),
-    "sr": (lambda it: BarrierMicrobench("sr", episodes=it), "barrier_wait"),
-    "treesr": (lambda it: BarrierMicrobench("treesr", episodes=it),
+    "ttas": ("lock", {"lock_name": "ttas"}, "iterations", "lock_acquire"),
+    "clh": ("lock", {"lock_name": "clh"}, "iterations", "lock_acquire"),
+    "sr": ("barrier", {"barrier_name": "sr"}, "episodes", "barrier_wait"),
+    "treesr": ("barrier", {"barrier_name": "treesr"}, "episodes",
                "barrier_wait"),
-    "signal-wait": (lambda it: SignalWaitMicrobench(rounds=it), "wait"),
+    "signal-wait": ("signal_wait", {}, "rounds", "wait"),
 }
+
+
+def _app_spec(label: str, app: str, num_cores: int, scale: float,
+              lock_name: str = "clh", barrier_name: str = "treesr",
+              **overrides) -> JobSpec:
+    """One suite application run at ``num_cores``."""
+    return JobSpec(label, "app",
+                   {"name": app, "lock_name": lock_name,
+                    "barrier_name": barrier_name, "scale": scale},
+                   {"num_cores": num_cores, **overrides})
 
 
 def _sync_metrics(construct: str, configs: Sequence[str], num_cores: int,
                   iterations: int) -> Dict[str, Dict[str, float]]:
     """Per-config LLC sync accesses and mean episode latency for one
     synchronization construct."""
-    factory, category = _CONSTRUCTS[construct]
+    workload, params, count_param, category = _CONSTRUCTS[construct]
     accesses: Dict[str, float] = {}
     latency: Dict[str, float] = {}
     for label in configs:
-        result = run_config(label, factory(iterations), num_cores=num_cores)
+        result = run_spec(JobSpec(label, workload,
+                                  {**params, count_param: iterations},
+                                  {"num_cores": num_cores}))
         accesses[label] = float(result.llc_sync)
         latency[label] = result.episode_mean(category)
     return {"llc_accesses": accesses, "latency": latency}
@@ -97,10 +107,10 @@ def fig20(num_cores: int = 64, iterations: int = 8, verbose: bool = True,
     return out
 
 
-#: (config, app, cores, scale, lock, barrier) -> RunResult. Simulations
-#: are deterministic, so fig21/fig22 (and repeated CLI invocations in one
-#: process) share runs instead of re-simulating.
-_RUN_CACHE: Dict[tuple, RunResult] = {}
+#: job key -> RunResult. Simulations are deterministic, so fig21/fig22
+#: (and repeated CLI invocations in one process) share runs instead of
+#: re-simulating.
+_RUN_CACHE: Dict[str, RunResult] = {}
 
 
 def _suite_runs(configs: Sequence[str], num_cores: int, scale: float,
@@ -113,13 +123,12 @@ def _suite_runs(configs: Sequence[str], num_cores: int, scale: float,
     for app in apps:
         results[app] = {}
         for label in configs:
-            key = (label, app, num_cores, scale, lock_name, barrier_name)
-            cached = _RUN_CACHE.get(key)
-            if cached is None:
-                workload = get_workload(app, lock_name, barrier_name, scale)
-                cached = run_config(label, workload, num_cores=num_cores)
-                _RUN_CACHE[key] = cached
-            results[app][label] = cached
+            spec = _app_spec(label, app, num_cores, scale, lock_name,
+                             barrier_name)
+            key = spec.job_key()
+            if key not in _RUN_CACHE:
+                _RUN_CACHE[key] = run_spec(spec)
+            results[app][label] = _RUN_CACHE[key]
     return results
 
 
@@ -230,9 +239,8 @@ def ablation_dirsize(num_cores: int = 64, scale: float = 0.5,
         cycles: List[float] = []
         traffic: List[float] = []
         for app in apps:
-            workload = get_workload(app, "clh", "treesr", scale)
-            result = run_config("CB-One", workload, num_cores=num_cores,
-                                cb_entries_per_bank=size)
+            result = run_spec(_app_spec("CB-One", app, num_cores, scale,
+                                        cb_entries_per_bank=size))
             cycles.append(float(result.cycles))
             traffic.append(float(result.traffic))
         rows[size] = {"time": geomean(cycles), "traffic": geomean(traffic)}
@@ -248,9 +256,9 @@ def ablation_policy(num_cores: int = 64, iterations: int = 8,
     """CB-One wakeup policy sweep (the paper fixes round-robin)."""
     rows: Dict[str, Dict[str, float]] = {}
     for policy in WakePolicy:
-        workload = LockMicrobench("ttas", iterations=iterations)
-        result = run_config("CB-One", workload, num_cores=num_cores,
-                            cb_wake_policy=policy)
+        result = run_spec(JobSpec(
+            "CB-One", "lock", {"lock_name": "ttas", "iterations": iterations},
+            {"num_cores": num_cores, "cb_wake_policy": policy}))
         rows[policy.value] = {
             "time": float(result.cycles),
             "traffic": float(result.traffic),

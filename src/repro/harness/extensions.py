@@ -20,8 +20,9 @@ from typing import Dict, Optional, Sequence
 from repro.config import config_for
 from repro.energy.power import core_power_report
 from repro.harness.reporting import format_table
-from repro.harness.runner import run_config, run_workload
-from repro.workloads.microbench import BarrierMicrobench, LockMicrobench
+from repro.harness.runner import run_spec
+from repro.orchestrate.jobspec import JobSpec
+from repro.orchestrate.scheduler import run_batch
 
 
 def scaling(core_counts: Sequence[int] = (4, 16, 36, 64),
@@ -38,7 +39,6 @@ def scaling(core_counts: Sequence[int] = (4, 16, 36, 64),
     batch: ``jobs`` simulations run concurrently and ``cache_dir``
     makes re-runs incremental. Results are identical at any ``jobs``.
     """
-    from repro.orchestrate import JobSpec, run_batch
     grid = [(cores, label) for cores in core_counts for label in configs]
     specs = [
         JobSpec(config_label=label, workload="app",
@@ -75,9 +75,10 @@ def power_saving(num_cores: int = 64, episodes: int = 6,
     """Sleepable core-cycles per technique on a skewed barrier workload."""
     rows: Dict[str, Dict[str, float]] = {}
     for label in configs:
-        workload = BarrierMicrobench("sr", episodes=episodes,
-                                     skew_cycles=skew_cycles)
-        result = run_config(label, workload, num_cores=num_cores)
+        result = run_spec(JobSpec(
+            label, "barrier", {"barrier_name": "sr", "episodes": episodes,
+                               "skew_cycles": skew_cycles},
+            {"num_cores": num_cores}))
         cfg = config_for(label, num_cores=num_cores)
         report = core_power_report(result.stats, cfg)
         rows[label] = {
@@ -111,7 +112,6 @@ def backoff_tuning(num_cores: int = 64, iterations: int = 6,
     through the orchestrator as one batch (``jobs`` concurrent
     simulations, cached under ``cache_dir`` when given).
     """
-    from repro.orchestrate import JobSpec, run_batch
     lock_params = {"lock_name": "ttas", "iterations": iterations}
     names = [f"base={base},limit={limit}"
              for base in bases for limit in limits]
@@ -148,12 +148,11 @@ def link_contention(num_cores: int = 64, iterations: int = 6,
     rows: Dict[str, Dict[str, float]] = {}
     for label in configs:
         for contention in (False, True):
-            workload = LockMicrobench("ttas", iterations=iterations)
-            result = run_workload(
-                config_for(label, num_cores=num_cores,
-                           model_link_contention=contention),
-                workload,
-            )
+            result = run_spec(JobSpec(
+                label, "lock", {"lock_name": "ttas",
+                                "iterations": iterations},
+                {"num_cores": num_cores,
+                 "model_link_contention": contention}))
             key = f"{label}{'/link-contention' if contention else ''}"
             rows[key] = {
                 "cycles": float(result.cycles),

@@ -10,12 +10,12 @@ stability rather than read off a single run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.config import config_for
-from repro.harness.runner import RunResult, run_workload
-from repro.workloads.base import Workload
+from repro.harness.runner import RunResult
+from repro.orchestrate.jobspec import JobSpec
+from repro.orchestrate.scheduler import run_batch
 
 
 @dataclass
@@ -60,59 +60,37 @@ class Replicate:
 
 
 def replicate(
-    label: str,
-    workload_factory: Optional[Callable[[], Workload]],
+    spec: JobSpec,
     metric: Callable[[RunResult], float],
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    workload_spec: Optional[str] = None,
-    workload_params: Optional[Mapping] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    **config_overrides,
 ) -> Replicate:
-    """Run one workload under ``label`` once per seed.
+    """Run ``spec`` once per seed (its own ``seed`` is replaced).
 
-    Either pass ``workload_factory`` (a closure; runs serially
-    in-process) or a declarative ``workload_spec``/``workload_params``
-    pair from :mod:`repro.orchestrate.registry` — the latter allows
-    ``jobs > 1`` (seeds simulate concurrently) and ``cache_dir``
-    (re-replication only simulates missing seeds). The per-seed values
-    are identical either way.
+    The seeds go through :func:`repro.orchestrate.run_batch` as one
+    batch: ``jobs > 1`` simulates seeds concurrently and ``cache_dir``
+    makes re-replication simulate only the missing seeds. The per-seed
+    values are identical either way. A seed listed twice is simulated
+    once.
     """
-    if (workload_factory is None) == (workload_spec is None):
-        raise ValueError("pass exactly one of workload_factory or "
-                         "workload_spec")
-    if workload_spec is not None:
-        from repro.orchestrate import JobSpec, run_batch
-        specs = [
-            JobSpec(config_label=label, workload=workload_spec,
-                    workload_params=dict(workload_params or {}),
-                    config_overrides=dict(config_overrides), seed=seed)
-            for seed in seeds
-        ]
-        batch = run_batch(specs, jobs=jobs, cache_dir=cache_dir)
-        return Replicate([metric(job.result()) for job in batch.results])
-    values = []
-    for seed in seeds:
-        config = config_for(label, seed=seed, **config_overrides)
-        result = run_workload(config, workload_factory())
-        values.append(metric(result))
-    return Replicate(values)
+    batch = run_batch([replace(spec, seed=seed) for seed in seeds],
+                      jobs=jobs, cache_dir=cache_dir)
+    return Replicate([metric(job.result()) for job in batch.results])
 
 
 def replicate_comparison(
     labels: Sequence[str],
-    workload_factory: Optional[Callable[[], Workload]],
+    spec: JobSpec,
     metric: Callable[[RunResult], float],
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     **kwargs,
 ) -> Dict[str, Replicate]:
-    """Replicate one metric across several configurations.
-
-    Forwards ``workload_spec``/``jobs``/``cache_dir`` and config
-    overrides to :func:`replicate`.
-    """
+    """Replicate one metric across several configurations: ``spec``
+    under each of ``labels``. Forwards ``jobs``/``cache_dir`` to
+    :func:`replicate`."""
     return {
-        label: replicate(label, workload_factory, metric, seeds, **kwargs)
+        label: replicate(replace(spec, config_label=label), metric, seeds,
+                         **kwargs)
         for label in labels
     }

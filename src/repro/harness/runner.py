@@ -3,46 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.config import SystemConfig, config_for
 from repro.core.machine import Machine
 from repro.energy.model import EnergyBreakdown, energy_of
-from repro.obs.telemetry import Telemetry, TelemetryConfig
-from repro.resilience.resilience import Resilience, ResilienceConfig
+from repro.obs.telemetry import Telemetry
+from repro.orchestrate.jobspec import JobSpec, build_machine
+from repro.resilience.resilience import Resilience
 from repro.sim.stats import Stats
 from repro.workloads.base import Workload
-
-#: What callers may pass as ``telemetry=``: nothing, a config describing
-#: what to collect, or a ready-made (unattached) Telemetry object.
-TelemetryArg = Optional[Union[Telemetry, TelemetryConfig]]
-
-#: What callers may pass as ``resilience=``: nothing, a config describing
-#: what to attach, or a ready-made (unattached) Resilience object.
-ResilienceArg = Optional[Union[Resilience, ResilienceConfig]]
-
-
-def _as_telemetry(telemetry: TelemetryArg) -> Optional[Telemetry]:
-    if telemetry is None:
-        return None
-    if isinstance(telemetry, TelemetryConfig):
-        return Telemetry(telemetry) if telemetry.enabled else None
-    return telemetry
-
-
-def _as_resilience(resilience: ResilienceArg,
-                   audit_every: int) -> Optional[Resilience]:
-    if resilience is None:
-        if audit_every:
-            return Resilience(ResilienceConfig(audit_every=audit_every))
-        return None
-    if isinstance(resilience, ResilienceConfig):
-        if audit_every:
-            resilience.audit_every = audit_every
-        return Resilience(resilience)
-    if audit_every:
-        resilience.config.audit_every = audit_every
-    return resilience
 
 
 @dataclass
@@ -85,40 +55,42 @@ class RunResult:
         return self.stats.episode_mean(category)
 
 
-def run_workload(config: SystemConfig, workload: Workload,
-                 telemetry: TelemetryArg = None,
-                 resilience: ResilienceArg = None,
-                 audit_every: int = 0) -> RunResult:
-    """Simulate ``workload`` on a machine built from ``config``.
+def run_spec(spec: JobSpec, telemetry: Optional[Telemetry] = None,
+             resilience: Optional[Resilience] = None) -> RunResult:
+    """Simulate the run ``spec`` names, in this process.
 
-    ``telemetry`` opts the run into observability: pass a
-    :class:`~repro.obs.telemetry.TelemetryConfig` (or a prepared
-    :class:`~repro.obs.telemetry.Telemetry`) and the attached collectors
-    come back on ``RunResult.telemetry``. The default (None) runs fully
-    uninstrumented and is bit-identical to the untelemetered simulator.
+    ``telemetry`` (a prepared, unattached
+    :class:`~repro.obs.telemetry.Telemetry`) opts the run into
+    observability; its collectors come back on ``RunResult.telemetry``.
+    ``resilience`` (an unattached
+    :class:`~repro.resilience.resilience.Resilience`) opts it into the
+    robustness layer: fault injection, the liveness watchdog and
+    periodic invariant auditing. Both defaults leave the run
+    bit-identical to the bare simulator.
 
-    ``resilience`` opts the run into the robustness layer
-    (:mod:`repro.resilience`): fault injection, the liveness watchdog,
-    and periodic invariant auditing. ``audit_every=N`` is shorthand for
-    just the auditing component (it merges into whatever ``resilience``
-    object/config was passed). Both defaults leave the run untouched.
-
-    Durable, resumable runs take a
-    :class:`~repro.orchestrate.jobspec.JobSpec` instead: see
-    :class:`~repro.ckpt.checkpoint.Checkpointer`.
+    Batches of specs (parallel, cached, checkpointed) go through
+    :func:`repro.orchestrate.run_batch` instead.
     """
-    telemetry = _as_telemetry(telemetry)
-    resilience = _as_resilience(resilience, audit_every)
+    machine = build_machine(spec, telemetry=telemetry,
+                            resilience=resilience)
+    return RunResult.of(machine, machine.run())
+
+
+def run_workload(config: SystemConfig, workload: Workload,
+                 telemetry: Optional[Telemetry] = None,
+                 resilience: Optional[Resilience] = None) -> RunResult:
+    """Simulate a :class:`~repro.workloads.base.Workload` object on a
+    machine built from ``config``; ``telemetry``/``resilience`` as for
+    :func:`run_spec`."""
     machine = Machine(config, telemetry=telemetry, resilience=resilience)
     workload.install(machine)
     return RunResult.of(machine, machine.run())
 
 
 def run_config(name: str, workload: Workload,
-               telemetry: TelemetryArg = None,
-               resilience: ResilienceArg = None,
-               audit_every: int = 0, **overrides) -> RunResult:
+               telemetry: Optional[Telemetry] = None,
+               resilience: Optional[Resilience] = None,
+               **overrides) -> RunResult:
     """Run under a paper configuration label ("Invalidation", ...)."""
     return run_workload(config_for(name, **overrides), workload,
-                        telemetry=telemetry, resilience=resilience,
-                        audit_every=audit_every)
+                        telemetry=telemetry, resilience=resilience)

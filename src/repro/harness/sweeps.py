@@ -1,14 +1,15 @@
 """Declarative parameter sweeps.
 
 A :class:`Sweep` maps a cartesian grid of (configuration label x config
-overrides x workload parameters) onto simulations, collecting any set of
-metrics. The per-figure experiments hand-roll their loops for clarity;
-this engine serves ad-hoc exploration and the extension benches::
+overrides x workload parameters) onto simulations of one registered
+workload spec (:mod:`repro.orchestrate.registry`), collecting any set
+of metrics::
 
     sweep = Sweep(
         configs=["Invalidation", "CB-One"],
+        workload_spec="lock",
+        spec_params={"lock_name": "ttas", "iterations": 4},
         overrides={"cb_entries_per_bank": [1, 4, 16]},
-        workload=lambda p: LockMicrobench("ttas", iterations=4),
         metrics={"cycles": lambda r: r.cycles,
                  "traffic": lambda r: r.traffic},
     )
@@ -17,17 +18,12 @@ this engine serves ad-hoc exploration and the extension benches::
 ``table`` is a list of row dicts (one per grid point) ready for
 ``rows_to_table`` or JSON export.
 
-Sweeps come in two flavours:
-
-* **factory sweeps** (``workload=`` a closure, as above) run serially
-  in-process — closures cannot cross process boundaries;
-* **declarative sweeps** (``workload_spec=`` a registry name from
-  :mod:`repro.orchestrate.registry`, plus static ``spec_params``) can
-  additionally run through the orchestrator: ``run(jobs=4)`` simulates
-  four grid points at a time, and ``run(cache_dir=...)`` makes re-runs
-  incremental. Parallel results are bit-identical to serial ones — each
-  grid point is an independent, seeded simulation, and rows always come
-  back in grid order.
+Every grid point is one :class:`~repro.orchestrate.jobspec.JobSpec`.
+By default the specs simulate one by one in-process; ``run(jobs=4)``
+simulates four at a time through the orchestrator, and
+``run(cache_dir=...)`` makes re-runs incremental. Parallel results are
+bit-identical to serial ones — each grid point is an independent,
+seeded simulation, and rows always come back in grid order.
 """
 
 from __future__ import annotations
@@ -37,14 +33,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.config import config_for
 from repro.harness.reporting import format_table
-from repro.harness.runner import RunResult, run_workload
+from repro.harness.runner import RunResult, run_spec
 from repro.obs.telemetry import Telemetry, TelemetryConfig
-from repro.workloads.base import Workload
+from repro.orchestrate.jobspec import JobSpec
+from repro.orchestrate.scheduler import run_batch
+from repro.resilience.resilience import Resilience, ResilienceConfig
 
 Metric = Callable[[RunResult], float]
-WorkloadFactory = Callable[[Mapping[str, Any]], Workload]
 
 
 @dataclass
@@ -52,25 +48,15 @@ class Sweep:
     """A cartesian sweep specification."""
 
     configs: Sequence[str]
-    #: Factory closure (serial-only). Mutually exclusive with
-    #: ``workload_spec``.
-    workload: Optional[WorkloadFactory] = None
+    #: Registry workload spec name; swept ``params`` become its params.
+    workload_spec: str
     metrics: Dict[str, Metric] = field(default_factory=dict)
     #: {config_field: [values...]} — swept as a cartesian product.
     overrides: Dict[str, Sequence[Any]] = field(default_factory=dict)
-    #: {workload_param: [values...]} — passed to the workload factory.
+    #: {workload_param: [values...]} — swept as workload params.
     params: Dict[str, Sequence[Any]] = field(default_factory=dict)
-    #: Registry workload spec name (orchestrator-capable alternative to
-    #: ``workload``); swept ``params`` become workload params.
-    workload_spec: Optional[str] = None
     #: Static workload params merged under each grid point's ``params``.
     spec_params: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if (self.workload is None) == (self.workload_spec is None):
-            raise ValueError(
-                "pass exactly one of workload= (factory closure) or "
-                "workload_spec= (registry name)")
 
     def grid(self) -> List[Dict[str, Any]]:
         """All grid points as {field: value} dicts (excluding config)."""
@@ -86,12 +72,25 @@ class Sweep:
         return [dict(zip(axes, combo))
                 for combo in itertools.product(*axes.values())]
 
-    def _build_workload(self, params: Mapping[str, Any]) -> Workload:
-        if self.workload is not None:
-            return self.workload(params)
-        from repro.orchestrate.registry import build_workload
-        return build_workload(self.workload_spec,
-                              {**self.spec_params, **params})
+    def _specs(self, seed: Optional[int] = None,
+              **base_overrides: Any) -> List[JobSpec]:
+        """One :class:`JobSpec` per (grid point, config), in row order."""
+        overlap = sorted(set(base_overrides) & set(self.overrides))
+        if overlap:
+            raise ValueError(
+                f"config key(s) {overlap} are both swept (overrides=) "
+                "and fixed (run keyword); drop one")
+        return [
+            JobSpec(config_label=label, workload=self.workload_spec,
+                    workload_params={**self.spec_params,
+                                     **{k: v for k, v in point.items()
+                                        if k in self.params}},
+                    config_overrides={**base_overrides,
+                                      **{k: v for k, v in point.items()
+                                         if k in self.overrides}},
+                    seed=seed if seed is not None else 1)
+            for point in self.grid() for label in self.configs
+        ]
 
     def run(self, seed: Optional[int] = None, jobs: int = 1,
             cache_dir: Optional[str] = None,
@@ -104,10 +103,12 @@ class Sweep:
         """Execute the sweep; returns one row dict per (config, point).
 
         ``seed`` sets :attr:`SystemConfig.seed` for every run and is
-        included in each result row. ``jobs``/``cache_dir`` route the
-        sweep through :mod:`repro.orchestrate` (declarative sweeps
-        only): ``jobs`` simulations run concurrently and results are
-        cached/reused under ``cache_dir``.
+        included in each result row. ``base_overrides`` fix config
+        fields for every run; a key may not be both fixed here and
+        swept in ``overrides``. ``jobs``/``cache_dir`` route the sweep
+        through :mod:`repro.orchestrate`: ``jobs`` simulations run
+        concurrently and results are cached/reused under
+        ``cache_dir``.
 
         ``telemetry`` (a :class:`~repro.obs.telemetry.TelemetryConfig`)
         instruments every grid point; with ``telemetry_dir`` each
@@ -126,24 +127,13 @@ class Sweep:
         ``checkpoint_every=N`` with ``checkpoint_dir=`` makes every grid
         point durable (:mod:`repro.ckpt`): points checkpoint as they
         simulate, and an interrupted sweep resumes each point from its
-        newest valid checkpoint. Checkpoints need each point's
-        declarative replay recipe, so this routes through the
-        orchestrator and requires ``workload_spec=``.
+        newest valid checkpoint. This routes through the orchestrator.
         """
-        plan = []   # (point, config_overrides, workload_params, label)
-        for point in self.grid():
-            config_overrides = {k: v for k, v in point.items()
-                                if k in self.overrides}
-            workload_params = {k: v for k, v in point.items()
-                               if k in self.params}
-            for label in self.configs:
-                plan.append((point, config_overrides, workload_params,
-                             label))
-
-        seed_overrides = {} if seed is None else {"seed": seed}
+        specs = self._specs(seed, **base_overrides)
         checkpointing = bool(checkpoint_every and checkpoint_dir)
         orchestrated = jobs > 1 or cache_dir is not None or checkpointing
-        if telemetry is not None and telemetry.enabled and orchestrated:
+        telemetered = telemetry is not None and telemetry.enabled
+        if telemetered and orchestrated:
             raise ValueError(
                 "telemetry= sweeps are serial-only: collectors live in "
                 "the simulating process, so drop jobs=/cache_dir=/"
@@ -154,41 +144,25 @@ class Sweep:
                 "the simulating process, so drop jobs=/cache_dir=/"
                 "checkpoint_dir=")
         if orchestrated:
-            if self.workload_spec is None:
-                raise ValueError(
-                    "parallel/cached/checkpointed sweeps need "
-                    "workload_spec= — factory closures cannot cross "
-                    "process boundaries (and checkpoints need a "
-                    "declarative replay recipe)")
-            from repro.orchestrate import JobSpec, run_batch
-            specs = [
-                JobSpec(config_label=label, workload=self.workload_spec,
-                        workload_params={**self.spec_params,
-                                         **workload_params},
-                        config_overrides={**base_overrides,
-                                          **config_overrides},
-                        seed=seed if seed is not None else 1)
-                for (point, config_overrides, workload_params, label)
-                in plan
-            ]
             batch = run_batch(specs, jobs=jobs, cache_dir=cache_dir,
                               checkpoint_dir=checkpoint_dir,
                               checkpoint_every=checkpoint_every)
             results = [job.result() for job in batch.results]
         else:
             results = []
-            for point, config_overrides, workload_params, label in plan:
-                config = config_for(label, **base_overrides,
-                                    **config_overrides, **seed_overrides)
-                run_telemetry = (Telemetry(telemetry)
-                                 if telemetry is not None
-                                 and telemetry.enabled else None)
-                results.append(run_workload(
-                    config, self._build_workload(workload_params),
-                    telemetry=run_telemetry, audit_every=audit_every))
+            for spec in specs:
+                audits = None
+                if audit_every:
+                    audits = Resilience(
+                        ResilienceConfig(audit_every=audit_every))
+                results.append(run_spec(
+                    spec, Telemetry(telemetry) if telemetered else None,
+                    audits))
 
         rows: List[Dict[str, Any]] = []
-        for (point, _, _, label), result in zip(plan, results):
+        points = [point for point in self.grid() for _ in self.configs]
+        for point, spec, result in zip(points, specs, results):
+            label = spec.config_label
             row: Dict[str, Any] = {"config": label, **point}
             if seed is not None:
                 row["seed"] = seed

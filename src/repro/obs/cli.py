@@ -37,12 +37,11 @@ import sys
 from typing import List, Optional, Tuple
 
 from repro.config import PAPER_CONFIGS
-from repro.harness.runner import RunResult
+from repro.harness.runner import RunResult, run_spec
 from repro.obs.export import (chrome_trace, trace_events_to_spans,
                               validate_chrome_trace, write_chrome_trace)
 from repro.obs.spans import load_spans
 from repro.obs.telemetry import Telemetry, TelemetryConfig
-from repro.orchestrate.jobspec import build_machine
 from repro.orchestrate.registry import spec_from_flags, workload_spec_names
 
 
@@ -50,8 +49,7 @@ def _simulate(args: argparse.Namespace,
               tconfig: TelemetryConfig) -> Tuple[RunResult, Telemetry]:
     """One telemetered run described by the common CLI options."""
     telemetry = Telemetry(tconfig)
-    machine = build_machine(spec_from_flags(args), telemetry=telemetry)
-    return RunResult.of(machine, machine.run()), telemetry
+    return run_spec(spec_from_flags(args), telemetry=telemetry), telemetry
 
 
 def _counters_arg(text: Optional[str]):

@@ -11,31 +11,38 @@ an :class:`EventLog` narrates progress and throughput. The
 the shell.
 """
 
-from repro.orchestrate.cache import ResultCache
-from repro.orchestrate.events import Event, EventLog
-from repro.orchestrate.jobspec import JobSpec, build_machine
-from repro.orchestrate.record import RecordResult, record_of
-from repro.orchestrate.registry import (build_workload,
-                                        register_workload_spec,
-                                        workload_spec_names)
-from repro.orchestrate.scheduler import (BatchResult, JobResult,
-                                         Orchestrator, execute_job,
-                                         run_batch)
+import importlib
+from typing import Any
 
-__all__ = [
-    "BatchResult",
-    "Event",
-    "EventLog",
-    "JobResult",
-    "JobSpec",
-    "Orchestrator",
-    "RecordResult",
-    "ResultCache",
-    "build_machine",
-    "build_workload",
-    "execute_job",
-    "record_of",
-    "register_workload_spec",
-    "run_batch",
-    "workload_spec_names",
-]
+#: Public name -> defining submodule. Exported lazily (PEP 562), so
+#: importing one submodule (``jobspec``, say, from the checkpoint code
+#: or the harness runner) does not import the scheduler, and through it
+#: the harness and the resilience campaign.
+_EXPORTS = {
+    "BatchResult": "scheduler",
+    "Event": "events",
+    "EventLog": "events",
+    "JobResult": "scheduler",
+    "JobSpec": "jobspec",
+    "Orchestrator": "scheduler",
+    "RecordResult": "record",
+    "ResultCache": "cache",
+    "build_machine": "jobspec",
+    "build_workload": "registry",
+    "execute_job": "scheduler",
+    "record_of": "record",
+    "register_workload_spec": "registry",
+    "run_batch": "scheduler",
+    "workload_spec_names": "registry",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = list(_EXPORTS)

@@ -3,9 +3,8 @@
 A :class:`JobSpec` names one simulation declaratively — a paper
 configuration label, a dict of :class:`~repro.config.SystemConfig`
 overrides, a registered workload spec (name + params, see
-:mod:`repro.orchestrate.registry`), and a seed. Unlike the bare
-``(config, workload_factory)`` pairs the harness loops hand around,
-a JobSpec is:
+:mod:`repro.orchestrate.registry`), and a seed. It is how the harness
+names every run, and it is:
 
 * **picklable** — it crosses process boundaries, so a batch can be
   executed by a :class:`~concurrent.futures.ProcessPoolExecutor`;
@@ -17,7 +16,8 @@ Everything in a JobSpec must therefore be plain JSON-able data; the
 workload is referred to by registry name, never by closure.
 
 :func:`build_machine` is the one path from a spec to a machine: batch
-jobs, serve workers, fault plans, checkpoint restores and the
+jobs, serve workers, fault plans, checkpoint restores, the in-process
+harness runs (:func:`repro.harness.runner.run_spec`) and the
 single-run CLIs all build through it.
 """
 

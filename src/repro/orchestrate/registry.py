@@ -1,8 +1,8 @@
 """Declarative workload-spec registry.
 
-The harness's figure loops build workloads with factory closures, which
-cannot cross a process boundary. The orchestrator instead refers to
-workloads by **spec name + params dict**; this module maps those back to
+A :class:`~repro.orchestrate.jobspec.JobSpec` refers to its workload
+by **spec name + params dict**, never by closure, so it can cross a
+process boundary; this module maps those back to
 :class:`~repro.workloads.base.Workload` instances inside whichever
 process executes the job.
 

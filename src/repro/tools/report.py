@@ -18,10 +18,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.config import PAPER_CONFIGS
+from repro.config import PAPER_CONFIGS, config_for
 from repro.energy.power import core_power_report
-from repro.harness.runner import RunResult
-from repro.orchestrate.jobspec import JobSpec, build_machine
+from repro.harness.runner import run_spec
+from repro.orchestrate.jobspec import JobSpec
 from repro.workloads.suite import APP_NAMES
 
 #: ``--ubench`` kind -> (registry spec, param the ``:NAME`` detail
@@ -69,8 +69,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--iterations", type=int, default=6)
     args = parser.parse_args(argv)
 
-    machine = build_machine(_spec_of(args))
-    result = RunResult.of(machine, machine.run())
+    result = run_spec(_spec_of(args))
     stats = result.stats
 
     print(f"=== {result.workload} under {args.config} "
@@ -108,7 +107,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("energy (nJ):          "
           + ", ".join(f"{k}={v / 1000:.1f}"
                       for k, v in energy.as_dict().items()))
-    power = core_power_report(stats, machine.config)
+    power = core_power_report(stats, config_for(args.config,
+                                                num_cores=args.cores))
     print(f"power extension:      sleepable "
           f"{100 * power.sleepable_fraction:.1f}% of core-cycles, "
           f"core-energy saving {100 * power.saving_fraction:.1f}%")

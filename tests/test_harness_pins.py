@@ -20,6 +20,7 @@ from repro.harness import experiments, extensions
 from repro.harness.replication import replicate
 from repro.harness.sweeps import Sweep
 from repro.ioutil import sha256_of
+from repro.orchestrate import JobSpec
 
 APPS = ["swaptions", "radix"]
 
@@ -101,8 +102,8 @@ def test_sweep_pinned(jobs):
 
 
 def test_replicate_pinned():
-    rep = replicate("CB-One", None, lambda r: float(r.cycles),
-                    seeds=(1, 2, 3), workload_spec="lock",
-                    workload_params={"lock_name": "ttas", "iterations": 2},
-                    num_cores=4)
+    rep = replicate(JobSpec("CB-One", "lock",
+                            {"lock_name": "ttas", "iterations": 2},
+                            {"num_cores": 4}),
+                    lambda r: float(r.cycles), seeds=(1, 2, 3))
     assert sha256_of(rep.values) == PINS["replicate"]

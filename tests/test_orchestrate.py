@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -356,6 +358,23 @@ class TestOrchestratorParallel:
             assert left.record["result"] == right.record["result"]
 
 
+class TestLazyPackage:
+    def test_checkpoint_import_leaves_scheduler_unloaded(self):
+        # repro.ckpt needs only the spec and machine builder; the
+        # package init must not drag in the scheduler, the harness or
+        # the resilience campaign behind them.
+        code = ("import sys, repro.ckpt; "
+                "loaded = [m for m in ('repro.orchestrate.scheduler', "
+                "'repro.harness.runner', 'repro.resilience.campaign') "
+                "if m in sys.modules]; "
+                "assert not loaded, loaded; "
+                "from repro.orchestrate import JobSpec, build_machine, "
+                "run_batch; "
+                "assert run_batch.__module__ == 'repro.orchestrate.scheduler'")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 class TestSweepIntegration:
     def make_sweep(self, **kwargs):
         defaults = dict(
@@ -374,13 +393,6 @@ class TestSweepIntegration:
         with pytest.raises(ValueError, match="iterations"):
             sweep.grid()
 
-    def test_exactly_one_workload_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            Sweep(configs=["CB-One"], metrics={})
-        with pytest.raises(ValueError, match="exactly one"):
-            Sweep(configs=["CB-One"], workload=lambda p: None,
-                  workload_spec="lock", metrics={})
-
     def test_seed_plumbs_through_and_lands_in_rows(self):
         sweep = self.make_sweep(params={"iterations": [2]})
         rows3 = sweep.run(seed=3, num_cores=4)
@@ -389,13 +401,6 @@ class TestSweepIntegration:
         assert all(row["seed"] == 4 for row in rows4)
         # The seed genuinely reaches the simulation.
         assert [r["cycles"] for r in rows3] != [r["cycles"] for r in rows4]
-
-    def test_parallel_sweep_requires_declarative_workload(self):
-        sweep = self.make_sweep(
-            workload=lambda p: LockMicrobench("ttas", iterations=1),
-            workload_spec=None, spec_params={})
-        with pytest.raises(ValueError, match="workload_spec"):
-            sweep.run(jobs=2, num_cores=4)
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         sweep = self.make_sweep()
@@ -409,21 +414,18 @@ class TestSweepIntegration:
 
 
 class TestReplicateIntegration:
-    def test_spec_path_matches_factory_path(self, tmp_path):
-        seeds = (1, 2, 3)
-        factory = replicate(
-            "CB-One", lambda: LockMicrobench("ttas", iterations=2),
-            lambda r: float(r.cycles), seeds=seeds, num_cores=4)
-        spec = replicate(
-            "CB-One", None, lambda r: float(r.cycles), seeds=seeds,
-            workload_spec="lock",
-            workload_params={"lock_name": "ttas", "iterations": 2},
-            jobs=2, cache_dir=str(tmp_path), num_cores=4)
-        assert factory.values == spec.values
-
-    def test_exactly_one_workload_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            replicate("CB-One", None, lambda r: 0.0)
+    def test_serial_matches_orchestrated(self, tmp_path):
+        spec = JobSpec("CB-One", "lock",
+                       {"lock_name": "ttas", "iterations": 2},
+                       {"num_cores": 4})
+        serial = replicate(spec, lambda r: float(r.cycles), seeds=(1, 2, 3))
+        parallel = replicate(spec, lambda r: float(r.cycles),
+                             seeds=(1, 2, 3), jobs=2,
+                             cache_dir=str(tmp_path))
+        assert serial.values == parallel.values
+        # The cached re-run is identical too.
+        assert replicate(spec, lambda r: float(r.cycles), seeds=(1, 2, 3),
+                         cache_dir=str(tmp_path)).values == serial.values
 
 
 class TestCLI:

@@ -5,7 +5,10 @@ import pytest
 from repro.harness.charts import bar_chart, hbar
 from repro.harness.replication import (Replicate, replicate,
                                        replicate_comparison)
-from repro.workloads.microbench import LockMicrobench
+from repro.orchestrate import JobSpec
+
+TTAS = JobSpec("CB-One", "lock", {"lock_name": "ttas", "iterations": 3},
+               {"num_cores": 4})
 
 
 class TestReplicateStats:
@@ -30,29 +33,28 @@ class TestReplicateStats:
 
 class TestReplicateRuns:
     def test_different_seeds_give_different_runs(self):
-        r = replicate("CB-One", lambda: LockMicrobench("ttas", iterations=3),
-                      lambda res: float(res.cycles), seeds=(1, 2, 3),
-                      num_cores=4)
+        r = replicate(TTAS, lambda res: float(res.cycles), seeds=(1, 2, 3))
         assert r.n == 3
         assert r.hi > 0
         # Seeds perturb the schedule, so not all runs are identical.
         assert len(set(r.values)) > 1
 
     def test_same_seed_reproduces(self):
-        r = replicate("CB-One", lambda: LockMicrobench("ttas", iterations=3),
-                      lambda res: float(res.cycles), seeds=(7, 7),
-                      num_cores=4)
-        assert r.values[0] == r.values[1]
+        # Two separate calls: one batch would coalesce seeds=(7, 7) into
+        # a single simulation.
+        first = replicate(TTAS, lambda res: float(res.cycles), seeds=(7,))
+        second = replicate(TTAS, lambda res: float(res.cycles), seeds=(7,))
+        assert first.values == second.values
 
     def test_comparison_shape_is_seed_stable(self):
         """The Figure 1 conclusion holds on every seed: BackOff-0 touches
         the LLC more than CB-One."""
         out = replicate_comparison(
             ("BackOff-0", "CB-One"),
-            lambda: LockMicrobench("clh", iterations=4),
+            JobSpec("CB-One", "lock", {"lock_name": "clh", "iterations": 4},
+                    {"num_cores": 16}),
             lambda res: float(res.llc_sync),
             seeds=(1, 2, 3),
-            num_cores=16,
         )
         assert out["BackOff-0"].separated_from(out["CB-One"])
         assert out["BackOff-0"].lo > out["CB-One"].hi

@@ -459,10 +459,20 @@ class TestCycleDeadline:
 class TestPeriodicAudits:
     def test_clean_run_passes_audits(self):
         result = run_config("CB-One", LockMicrobench("ttas", iterations=3),
-                            audit_every=400, num_cores=4)
+                            resilience=Resilience(
+                                ResilienceConfig(audit_every=400)),
+                            num_cores=4)
         summary = result.resilience.summary()
         assert summary["audits_run"] > 0
         assert "callback_directory" in summary["audit_checks"]
+
+    def test_serial_sweep_audits_every_point(self):
+        sweep = Sweep(configs=["CB-One", "BackOff-10"],
+                      workload_spec="lock", spec_params=dict(WORKLOAD),
+                      metrics={"audits": lambda r:
+                               r.resilience.summary()["audits_run"]})
+        rows = sweep.run(audit_every=100, num_cores=4)
+        assert all(row["audits"] > 0 for row in rows)
 
     def test_audited_sweeps_are_serial_only(self):
         sweep = Sweep(configs=["CB-One"], workload_spec="lock",
