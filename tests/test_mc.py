@@ -16,6 +16,30 @@ from repro.analyze.mc import (MUTANTS, CheckConfig, ReplayError, check,
 CFG = CheckConfig(max_states=100_000)
 
 
+#: (states, transitions) of each clean-sweep scenario at ``CFG``.
+SWEEP_PINS = {
+    "mesi-handoff2": (7, 8),
+    "mesi-mutex2": (6, 7),
+    "vips-handoff2": (8, 9),
+    "vips-mutex2": (7, 8),
+    "callback-handoff2": (11, 14),
+    "callback-mutex2": (11, 12),
+    "vips-fence2": (12, 15),
+    "callback-fence2": (15, 20),
+    "callback-evict2": (11, 17),
+    "mesi-handoff3": (12, 20),
+    "mesi-mutex3": (9, 15),
+    "vips-handoff3": (16, 27),
+    "vips-mutex3": (13, 21),
+    "callback-handoff3": (23, 45),
+    "callback-mutex3": (27, 43),
+    "vips-fence3": (35, 64),
+    "callback-fence3": (43, 89),
+    "callback-overflow3": (45, 90),
+    "callback-evict3": (31, 72),
+}
+
+
 def _scenario_id(scenario):
     return f"{scenario.protocol}-{scenario.name}"
 
@@ -26,12 +50,15 @@ def _scenario_id(scenario):
 @pytest.mark.parametrize("scenario", scenario_catalog((2, 3)),
                          ids=_scenario_id)
 def test_clean_sweep(scenario):
-    """Every catalog scenario verifies clean at 2 and 3 cores."""
+    """Every catalog scenario verifies clean at 2 and 3 cores, over the
+    pinned number of states and transitions."""
     result = check(scenario, config=CFG)
     assert result.ok, result.summary()
     assert not result.truncated
     assert result.states > 1
     assert result.counterexample is None
+    assert ((result.states, result.transitions)
+            == SWEEP_PINS[_scenario_id(scenario)])
 
 
 def test_truncation_reported():
