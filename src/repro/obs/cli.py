@@ -38,8 +38,8 @@ from typing import List, Optional, Tuple
 
 from repro.config import PAPER_CONFIGS
 from repro.harness.runner import RunResult, run_spec
-from repro.obs.export import (chrome_trace, trace_events_to_spans,
-                              validate_chrome_trace, write_chrome_trace)
+from repro.obs.export import (trace_events_to_spans, validate_chrome_trace,
+                              write_chrome_trace)
 from repro.obs.spans import load_spans
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.orchestrate.registry import spec_from_flags, workload_spec_names

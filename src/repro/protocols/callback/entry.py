@@ -28,11 +28,23 @@ protocol supplies a closure that either sends a Wakeup message to the core
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import WakePolicy
 from repro.protocols.callback.table import CALLBACK_ENTRY_TABLE, callback_cores
-from repro.protocols.table import Event, StepResult, TransitionTable
+from repro.protocols.table import (Event, PerCore, State, StepResult,
+                                   TransitionTable)
+
+_CONSUME = PerCore(Event, "consume")
+_PARK = PerCore(Event, "park")
+_WRITE_ALL = Event("write_all")
+_WRITE_ZERO = Event("write_zero")
+_EVICT = Event("evict")
+
+
+def _field(key: str) -> Any:
+    """A read-only view of one field of an entry's table state."""
+    return property(lambda entry: entry.state[key])
 
 
 class Waiter:
@@ -52,10 +64,10 @@ class Waiter:
 
 
 class CBEntry:
-    """F/E + CB bit vectors for one word address."""
+    """F/E + CB bit vectors for one word address: the table's state."""
 
-    __slots__ = ("word", "num_cores", "fe", "cb", "mode_all", "rr_ptr",
-                 "waiters", "arrival", "table", "last_step")
+    __slots__ = ("word", "num_cores", "state", "waiters", "table",
+                 "last_step")
 
     def __init__(self, word: int, num_cores: int,
                  table: Optional[TransitionTable] = None) -> None:
@@ -64,25 +76,19 @@ class CBEntry:
         self.table = table if table is not None else CALLBACK_ENTRY_TABLE
         self.waiters: Dict[int, Waiter] = {}
         self.last_step: Optional[StepResult] = None
-        self._adopt(self.table.initial(num_cores))
+        self.state: State = self.table.initial(num_cores)
 
     # ----------------------------------------------------------- table glue
 
-    def _view(self) -> Dict[str, object]:
-        return {"fe": self.fe, "cb": self.cb, "mode_all": self.mode_all,
-                "rr": self.rr_ptr, "arrival": tuple(self.arrival),
-                "n": self.num_cores}
-
-    def _adopt(self, state: Mapping[str, Any]) -> None:
-        self.fe = int(state["fe"])
-        self.cb = int(state["cb"])
-        self.mode_all = bool(state["mode_all"])
-        self.rr_ptr = int(state["rr"])
-        self.arrival = list(state["arrival"])
+    fe = _field("fe")
+    cb = _field("cb")
+    mode_all = _field("mode_all")
+    rr_ptr = _field("rr")
+    arrival = _field("arrival")  # parked cores, FIFO order
 
     def _step(self, event: Event) -> StepResult:
-        result = self.table.step(self._view(), event)
-        self._adopt(result.state)
+        result = self.table.step(self.state, event)
+        self.state = result.state
         # Exposed for the model-checker replay harness, which inspects
         # the emits (e.g. a mutant table emitting ``free`` on a write).
         self.last_step = result
@@ -106,7 +112,7 @@ class CBEntry:
         return bool(self.fe & (1 << core))
 
     def has_callbacks(self) -> bool:
-        return self.cb != 0
+        return bool(self.state["cb"])
 
     def callback_cores(self) -> List[int]:
         return callback_cores(self.cb, self.num_cores)
@@ -118,7 +124,7 @@ class CBEntry:
 
         All mode: the core's own bit. One mode: all bits act in unison.
         """
-        result = self._step(Event("consume", core=core))
+        result = self._step(_CONSUME[core])
         return result.transition.name == "consume_hit"
 
     # ---------------------------------------------------------------- park
@@ -128,7 +134,7 @@ class CBEntry:
             raise RuntimeError(
                 f"core {waiter.core} already has a callback on {self.word:#x}"
             )
-        self._step(Event("park", core=waiter.core))
+        self._step(_PARK[waiter.core])
         waiter.word = self.word
         self.waiters[waiter.core] = waiter
 
@@ -137,14 +143,14 @@ class CBEntry:
     def write_all(self) -> List[Waiter]:
         """st_cbA / st_through: wake everybody; cores without a callback get
         their F/E bit set full. Resets the A/O bit to All."""
-        return self._pop_woken(self._step(Event("write_all")))
+        return self._pop_woken(self._step(_WRITE_ALL))
 
     def write_one(self, policy: WakePolicy,
                   rng_next: Callable[[int], int]) -> Optional[Waiter]:
         """st_cb1: One mode; wake a single waiter (F/E undisturbed), or, if
         nobody waits, make the value consumable once (all F/E full)."""
         pick = 0
-        if policy is WakePolicy.RANDOM and self.cb:
+        if policy is WakePolicy.RANDOM and self.state["cb"]:
             # Draw from the caller's RNG stream exactly when the legacy
             # imperative code did, preserving seeded-run bit parity.
             pick = rng_next(len(self.callback_cores()))
@@ -155,7 +161,7 @@ class CBEntry:
 
     def write_zero(self) -> None:
         """st_cb0: One mode; wake nobody; the value is not consumable."""
-        self._step(Event("write_zero"))
+        self._step(_WRITE_ZERO)
 
     # ----------------------------------------------------------- checkpoint
 
@@ -175,4 +181,4 @@ class CBEntry:
     def evict(self) -> List[Waiter]:
         """Replacement: answer every pending callback with the current
         value; all bits are lost (the entry object is discarded)."""
-        return self._pop_woken(self._step(Event("evict")))
+        return self._pop_woken(self._step(_EVICT))

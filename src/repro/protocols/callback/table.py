@@ -33,7 +33,8 @@ from __future__ import annotations
 from typing import Any, List, Mapping, Tuple
 
 from repro.config import WakePolicy
-from repro.protocols.table import Effect, Emit, Event, State, Transition, TransitionTable
+from repro.protocols.table import (Effect, Emit, Event, PerCore, State,
+                                   Transition, TransitionTable)
 
 __all__ = [
     "CALLBACK_ENTRY_TABLE",
@@ -50,7 +51,13 @@ def full_mask(n: int) -> int:
 
 def callback_cores(cb: int, n: int) -> List[int]:
     """Cores with a pending callback, ascending (the wake fan-out order)."""
-    return [core for core in range(n) if cb & (1 << core)]
+    cb &= (1 << n) - 1
+    cores: List[int] = []
+    while cb:
+        low = cb & -cb
+        cores.append(low.bit_length() - 1)
+        cb ^= low
+    return cores
 
 
 def initial_entry(n: int) -> State:
@@ -62,11 +69,10 @@ def initial_entry(n: int) -> State:
 
 def choose_victim(state: Mapping[str, Any], policy: WakePolicy, pick: int) -> int:
     """The wake victim under ``policy``; ``pick`` resolves RANDOM."""
-    cores = callback_cores(state["cb"], state["n"])
     if policy is WakePolicy.FIFO:
         return int(state["arrival"][0])
     if policy is WakePolicy.RANDOM:
-        return cores[pick]
+        return callback_cores(state["cb"], state["n"])[pick]
     # Pseudo-random round-robin (the paper's policy): scan upward from
     # the rotating pointer, wrapping at the highest core id.
     n = state["n"]
@@ -109,27 +115,28 @@ def _apply_park(state: Mapping[str, Any], event: Event) -> Effect:
     assert event.core is not None
     nxt = dict(state)
     nxt["cb"] = state["cb"] | _bit(event)
-    nxt["arrival"] = tuple(state["arrival"]) + (event.core,)
+    nxt["arrival"] = state["arrival"] + (event.core,)
     return Effect(nxt)
 
 
-def _wakes(cores: List[int]) -> Tuple[Emit, ...]:
-    return tuple(Emit("wake", core=core) for core in cores)
+_WAKE = PerCore(Emit, "wake")
+_FREE = Emit("free")
+
+
+def _wakes(cb: int, n: int) -> Tuple[Emit, ...]:
+    return tuple([_WAKE[core] for core in callback_cores(cb, n)])
 
 
 def _apply_write_all(state: Mapping[str, Any], event: Event) -> Effect:
-    woken = callback_cores(state["cb"], state["n"])
-    woken_mask = 0
-    for core in woken:
-        woken_mask |= 1 << core
     # Waiters consumed the write (their F/E stays empty); everyone else
     # may now read it directly. A/O resets to All.
+    n = state["n"]
     nxt = dict(state)
     nxt["mode_all"] = True
     nxt["cb"] = 0
     nxt["arrival"] = ()
-    nxt["fe"] = full_mask(state["n"]) & ~woken_mask
-    return Effect(nxt, _wakes(woken))
+    nxt["fe"] = full_mask(n) & ~state["cb"]
+    return Effect(nxt, _wakes(state["cb"], n))
 
 
 def _guard_write_one_wake(state: Mapping[str, Any], event: Event) -> bool:
@@ -142,11 +149,11 @@ def _apply_write_one_wake(state: Mapping[str, Any], event: Event) -> Effect:
     nxt = dict(state)
     nxt["mode_all"] = False
     nxt["cb"] = state["cb"] & ~(1 << victim)
-    nxt["arrival"] = tuple(c for c in state["arrival"] if c != victim)
+    nxt["arrival"] = tuple([c for c in state["arrival"] if c != victim])
     if policy is WakePolicy.ROUND_ROBIN:
         nxt["rr"] = (victim + 1) % state["n"]
     # F/E undisturbed: exactly one waiter consumes the value.
-    return Effect(nxt, (Emit("wake", core=victim),))
+    return Effect(nxt, (_WAKE[victim],))
 
 
 def _guard_write_one_arm(state: Mapping[str, Any], event: Event) -> bool:
@@ -171,8 +178,8 @@ def _apply_write_zero(state: Mapping[str, Any], event: Event) -> Effect:
 def _apply_evict(state: Mapping[str, Any], event: Event) -> Effect:
     # Replacement answers every pending callback with the current value;
     # the entry resets to the known re-initialization state (§2.3.1).
-    woken = callback_cores(state["cb"], state["n"])
-    return Effect(initial_entry(state["n"]), _wakes(woken) + (Emit("free"),))
+    n = state["n"]
+    return Effect(initial_entry(n), _wakes(state["cb"], n) + (_FREE,))
 
 
 def _true(state: Mapping[str, Any], event: Event) -> bool:

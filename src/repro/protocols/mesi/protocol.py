@@ -36,7 +36,11 @@ from repro.protocols import ops
 from repro.protocols.base import CoherenceProtocol, Done
 from repro.protocols.mesi.states import DirEntry, L1Line, MESIState, l1_step
 from repro.protocols.mesi.table import MESI_DIR_TABLE
-from repro.protocols.table import Event as TableEvent
+from repro.protocols.table import Event, PerCore
+
+_GETS = PerCore(Event, "gets")
+_GETX = PerCore(Event, "getx")
+_PUT = PerCore(Event, "put")
 
 
 class _Watch:
@@ -140,7 +144,7 @@ class MESIProtocol(CoherenceProtocol):
 
     def _dir_put(self, line: int, core: int) -> None:
         entry = self._entry(line)
-        step = MESI_DIR_TABLE.step(entry.view(), TableEvent("put", core=core))
+        step = MESI_DIR_TABLE.step(entry.view(), _PUT[core])
         entry.adopt(step.state)
 
     def _invalidate_l1(self, core: int, line: int) -> None:
@@ -242,9 +246,11 @@ class MESIProtocol(CoherenceProtocol):
         directory table; this method adds the timing and messaging."""
         node = self._tile_of[tid]
         entry = self._entry(line)
-        step = MESI_DIR_TABLE.step(entry.view(), TableEvent("gets", core=node))
+        step = MESI_DIR_TABLE.step(entry.view(), _GETS[node])
         if step.transition.name == "gets_forward":
-            owner = next(e.core for e in step.emits if e.kind == "fwd")
+            for emit in step.emits:
+                if emit.kind == "fwd":
+                    owner = emit.core
             assert owner is not None
             self.stats.forwards += 1
             wait = self.bank_service(bank, data=False, sync=sync)
@@ -269,10 +275,10 @@ class MESIProtocol(CoherenceProtocol):
         else:
             wait = self.bank_service(bank, data=True, sync=sync)
             wait += self.llc_fill_latency(line)
-            grant = next(e.get("grant") for e in step.emits
-                         if e.kind == "data")
-            state = (MESIState.EXCLUSIVE if grant == "E"
-                     else MESIState.SHARED)
+            for emit in step.emits:
+                if emit.kind == "data":
+                    state = (MESIState.EXCLUSIVE if emit.get("grant") == "E"
+                             else MESIState.SHARED)
             entry.adopt(step.state)
             self.engine.schedule(
                 wait,
@@ -310,9 +316,11 @@ class MESIProtocol(CoherenceProtocol):
                   on_owned: Callable[[], None], sync: bool) -> None:
         node = self._tile_of[tid]
         entry = self._entry(line)
-        step = MESI_DIR_TABLE.step(entry.view(), TableEvent("getx", core=node))
+        step = MESI_DIR_TABLE.step(entry.view(), _GETX[node])
         if step.transition.name == "getx_forward":
-            owner = next(e.core for e in step.emits if e.kind == "fwd")
+            for emit in step.emits:
+                if emit.kind == "fwd":
+                    owner = emit.core
             assert owner is not None
             self.stats.forwards += 1
             wait = self.bank_service(bank, data=False, sync=sync)
@@ -331,9 +339,10 @@ class MESIProtocol(CoherenceProtocol):
             return
 
         # The table plans the invalidation fan-out (ascending sharer
-        # order) and whether the requester needs data or just an ack.
-        sharers = [e.core for e in step.emits if e.kind == "inv"]
-        was_sharer = any(e.kind == "grant" for e in step.emits)
+        # order), then whether the requester needs data or just an ack.
+        *invs, granted = step.emits
+        sharers = [emit.core for emit in invs]
+        was_sharer = granted.kind == "grant"
         entry.adopt(step.state)
 
         # Completion requires the grant/data plus one ack per invalidated

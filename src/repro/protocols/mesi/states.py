@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
-                    Set, Tuple)
+                    Tuple)
 
 from repro.protocols.mesi.table import MESI_L1_TABLE
 from repro.protocols.table import Event
@@ -64,29 +64,21 @@ class DirEntry:
 
     def __init__(self) -> None:
         self.owner: Optional[int] = None   # E/M holder
-        self.sharers: Set[int] = set()
+        self.sharers: FrozenSet[int] = frozenset()
         self.busy = False
         self.queue: List[Callable[[], None]] = []
-
-    @property
-    def state(self) -> str:
-        if self.owner is not None:
-            return "EM"
-        if self.sharers:
-            return "S"
-        return "I"
 
     def view(self) -> Dict[str, Any]:
         """The directory-table state for this record (the stable part;
         ``busy``/``queue`` are serialization plumbing the table never
-        sees — it only receives requests that won arbitration)."""
-        return {"owner": self.owner, "sharers": frozenset(self.sharers)}
+        sees — it only receives requests that won arbitration). The
+        sharer set is the table's own immutable frozenset: no copy."""
+        return {"owner": self.owner, "sharers": self.sharers}
 
     def adopt(self, state: Mapping[str, Any]) -> None:
         """Install a directory-table next-state."""
         self.owner = state["owner"]
-        self.sharers.clear()
-        self.sharers.update(state["sharers"])
+        self.sharers = state["sharers"]
 
     def ckpt_state(self) -> Dict[str, object]:
         """Owner/sharers/serialization point (checkpoint capture). The

@@ -16,84 +16,86 @@ model checker:
   replacement action (``putm`` + ``writeback``, ``pute``, or silent).
 
 Invalidation fan-out order: the table emits ``inv`` messages in
-ascending sharer order, which is the order the simulator sends them.
+ascending sharer order, which is the order the simulator sends them,
+and then the requester's ``grant`` or ``data``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, FrozenSet, Mapping, Optional
 
-from repro.protocols.table import Effect, Emit, Event, State, Transition, TransitionTable
+from repro.protocols.table import (Effect, Emit, Event, PerCore, State,
+                                   Transition, TransitionTable)
 
 __all__ = ["MESI_DIR_TABLE", "MESI_L1_TABLE", "initial_dir", "initial_l1"]
 
 
 # ------------------------------------------------------------ directory FSM
 
+_NO_SHARERS: FrozenSet[int] = frozenset()
+_FWD = PerCore(Emit, "fwd")
+_WRITEBACK = PerCore(Emit, "writeback")
+_INV = PerCore(Emit, "inv")
+_DATA_S = PerCore(lambda core: Emit("data", core, (("grant", "S"),)))
+_DATA_E = PerCore(lambda core: Emit("data", core, (("grant", "E"),)))
+_DATA_M = PerCore(lambda core: Emit("data", core, (("grant", "M"),)))
+_GRANT_M = PerCore(lambda core: Emit("grant", core, (("grant", "M"),)))
+
 
 def initial_dir() -> State:
-    return {"owner": None, "sharers": frozenset()}
+    return {"owner": None, "sharers": _NO_SHARERS}
 
 
-def _owner(state: Mapping[str, Any]) -> Optional[int]:
-    return state["owner"]
-
-
-def _g_gets_forward(state: Mapping[str, Any], event: Event) -> bool:
-    return _owner(state) is not None and _owner(state) != event.core
+def _g_remote_owner(state: Mapping[str, Any], event: Event) -> bool:
+    owner: Optional[int] = state["owner"]
+    return owner is not None and owner != event.core
 
 
 def _a_gets_forward(state: Mapping[str, Any], event: Event) -> Effect:
     # Fwd to owner; owner downgrades to S, sends data to the requester
     # and a (data) copy back to the LLC; both end up sharers.
-    owner = _owner(state)
-    assert owner is not None and event.core is not None
-    nxt = {"owner": None,
-           "sharers": frozenset(state["sharers"]) | {owner, event.core}}
-    return Effect(nxt, (
-        Emit("fwd", core=owner),
-        Emit("writeback", core=owner),
-        Emit("data", core=event.core, info=(("grant", "S"),)),
-    ))
+    owner = state["owner"]
+    core = event.core
+    assert owner is not None and core is not None
+    nxt = {"owner": None, "sharers": state["sharers"] | {owner, core}}
+    return Effect(nxt, (_FWD[owner], _WRITEBACK[owner], _DATA_S[core]))
 
 
 def _g_gets_fill_e(state: Mapping[str, Any], event: Event) -> bool:
-    return _owner(state) is None and not state["sharers"]
+    return state["owner"] is None and not state["sharers"]
 
 
 def _a_gets_fill_e(state: Mapping[str, Any], event: Event) -> Effect:
-    nxt = {"owner": event.core, "sharers": frozenset()}
-    return Effect(nxt, (Emit("data", core=event.core, info=(("grant", "E"),)),))
+    assert event.core is not None
+    nxt = {"owner": event.core, "sharers": _NO_SHARERS}
+    return Effect(nxt, (_DATA_E[event.core],))
 
 
 def _g_gets_fill_s(state: Mapping[str, Any], event: Event) -> bool:
-    return not _g_gets_forward(state, event) and not _g_gets_fill_e(state, event)
+    # Neither a remote owner to forward through nor an idle line.
+    owner: Optional[int] = state["owner"]
+    if owner is None:
+        return bool(state["sharers"])
+    return owner == event.core
 
 
 def _a_gets_fill_s(state: Mapping[str, Any], event: Event) -> Effect:
     assert event.core is not None
-    nxt = {"owner": _owner(state),
-           "sharers": frozenset(state["sharers"]) | {event.core}}
-    return Effect(nxt, (Emit("data", core=event.core, info=(("grant", "S"),)),))
-
-
-def _g_getx_forward(state: Mapping[str, Any], event: Event) -> bool:
-    return _owner(state) is not None and _owner(state) != event.core
+    nxt = {"owner": state["owner"],
+           "sharers": state["sharers"] | {event.core}}
+    return Effect(nxt, (_DATA_S[event.core],))
 
 
 def _a_getx_forward(state: Mapping[str, Any], event: Event) -> Effect:
-    owner = _owner(state)
-    assert owner is not None
-    nxt = {"owner": event.core, "sharers": frozenset()}
-    return Effect(nxt, (
-        Emit("fwd", core=owner),
-        Emit("inv", core=owner),
-        Emit("data", core=event.core, info=(("grant", "M"),)),
-    ))
+    owner = state["owner"]
+    assert owner is not None and event.core is not None
+    nxt = {"owner": event.core, "sharers": _NO_SHARERS}
+    return Effect(nxt, (_FWD[owner], _INV[owner], _DATA_M[event.core]))
 
 
 def _g_getx_local(state: Mapping[str, Any], event: Event) -> bool:
-    return not _g_getx_forward(state, event)
+    owner: Optional[int] = state["owner"]
+    return owner is None or owner == event.core
 
 
 def _a_getx_local(state: Mapping[str, Any], event: Event) -> Effect:
@@ -101,25 +103,27 @@ def _a_getx_local(state: Mapping[str, Any], event: Event) -> Effect:
     # gets an ack-only grant if it already held a copy, data otherwise.
     requester = event.core
     assert requester is not None
-    invalidees = sorted(set(state["sharers"]) - {requester})
-    was_sharer = requester in state["sharers"] or _owner(state) == requester
-    nxt = {"owner": requester, "sharers": frozenset()}
-    emits = tuple(Emit("inv", core=sharer) for sharer in invalidees)
-    emits += (Emit("grant" if was_sharer else "data", core=requester,
-                   info=(("grant", "M"),)),)
-    return Effect(nxt, emits)
+    sharers = state["sharers"]
+    emits = [_INV[sharer] for sharer in sorted(sharers)
+             if sharer != requester]
+    was_sharer = requester in sharers or state["owner"] == requester
+    emits.append((_GRANT_M if was_sharer else _DATA_M)[requester])
+    return Effect({"owner": requester, "sharers": _NO_SHARERS},
+                  tuple(emits))
 
 
 def _g_put_owner(state: Mapping[str, Any], event: Event) -> bool:
-    return _owner(state) == event.core
+    owner: Optional[int] = state["owner"]
+    return owner == event.core
 
 
 def _a_put_owner(state: Mapping[str, Any], event: Event) -> Effect:
-    return Effect({"owner": None, "sharers": frozenset(state["sharers"])})
+    return Effect({"owner": None, "sharers": state["sharers"]})
 
 
 def _g_put_stale(state: Mapping[str, Any], event: Event) -> bool:
-    return _owner(state) != event.core
+    owner: Optional[int] = state["owner"]
+    return owner != event.core
 
 
 def _a_identity(state: Mapping[str, Any], event: Event) -> Effect:
@@ -132,13 +136,13 @@ MESI_DIR_TABLE = TransitionTable(
     initial=initial_dir,
     description="Home-bank directory record (owner + sharer set)",
     transitions=(
-        Transition("gets_forward", "gets", _g_gets_forward, _a_gets_forward,
+        Transition("gets_forward", "gets", _g_remote_owner, _a_gets_forward,
                    "GetS with a remote E/M owner: forward; owner downgrades"),
         Transition("gets_fill_e", "gets", _g_gets_fill_e, _a_gets_fill_e,
                    "GetS on an idle line: fill Exclusive from the LLC"),
         Transition("gets_fill_s", "gets", _g_gets_fill_s, _a_gets_fill_s,
                    "GetS with existing sharers: fill Shared from the LLC"),
-        Transition("getx_forward", "getx", _g_getx_forward, _a_getx_forward,
+        Transition("getx_forward", "getx", _g_remote_owner, _a_getx_forward,
                    "GetX with a remote E/M owner: forward + invalidate owner"),
         Transition("getx_local", "getx", _g_getx_local, _a_getx_local,
                    "GetX at the LLC: invalidate all other sharers, grant M"),

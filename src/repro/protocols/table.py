@@ -26,8 +26,9 @@ import json
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, TypeVar)
 
+V = TypeVar("V")
 State = Dict[str, Any]
 Guard = Callable[[Mapping[str, Any], "Event"], bool]
 Apply = Callable[[Mapping[str, Any], "Event"], "Effect"]
@@ -35,9 +36,9 @@ Apply = Callable[[Mapping[str, Any], "Event"], "Effect"]
 #: The payload of an :class:`Event` built without one (never mutated).
 _NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 
-# The per-step value types below are named tuples: the simulator builds
-# one Event, Effect and StepResult per table step, and a tuple is far
-# cheaper to create than a frozen dataclass. They compare as tuples.
+# The per-step value types below are named tuples, far cheaper to
+# create than frozen dataclasses (state-independent Events and Emits
+# are built once, see PerCore). They compare as tuples.
 
 
 class Event(NamedTuple):
@@ -65,6 +66,19 @@ class Emit(NamedTuple):
             if item_key == key:
                 return item_value
         return default
+
+
+class PerCore(Dict[int, V]):
+    """Values ``make(*args, core)`` built once per core, on first lookup:
+    the per-core emits and events, at most cores x kinds of them."""
+
+    def __init__(self, make: Callable[..., V], *args: Any) -> None:
+        super().__init__()
+        self._make, self._args = make, args
+
+    def __missing__(self, core: int) -> V:
+        value = self[core] = self._make(*self._args, core)
+        return value
 
 
 class Effect(NamedTuple):
@@ -144,21 +158,25 @@ class TransitionTable:
     # ------------------------------------------------------------- stepping
 
     def step(self, state: Mapping[str, Any], event: Event) -> StepResult:
-        """Fire the unique enabled transition; raise if none or many."""
-        enabled = self.enabled(state, event)
-        if not enabled:
+        """Fire the unique enabled transition; raise if none or many.
+        One pass over the event's transitions evaluates every guard."""
+        fired: Optional[Transition] = None
+        for transition in self._by_event.get(event.kind, ()):
+            if transition.guard(state, event):
+                if fired is not None:
+                    names = [t.name for t in self.enabled(state, event)]
+                    raise AmbiguousTransitionError(
+                        f"{self.name}: transitions {names} all enabled for "
+                        f"event {event.kind!r} in state {dict(state)!r}"
+                    )
+                fired = transition
+        if fired is None:
             raise StuckError(
                 f"{self.name}: no transition enabled for event "
                 f"{event.kind!r} in state {dict(state)!r}"
             )
-        if len(enabled) > 1:
-            names = [transition.name for transition in enabled]
-            raise AmbiguousTransitionError(
-                f"{self.name}: transitions {names} all enabled for event "
-                f"{event.kind!r} in state {dict(state)!r}"
-            )
-        effect = enabled[0].apply(state, event)
-        return StepResult(enabled[0], effect.state, effect.emits)
+        next_state, emits = fired.apply(state, event)
+        return StepResult(fired, next_state, emits)
 
     def try_step(self, state: Mapping[str, Any], event: Event) -> Optional[StepResult]:
         """Like :meth:`step` but None when nothing is enabled."""

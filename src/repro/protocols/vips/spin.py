@@ -177,6 +177,28 @@ class SpinRunner:
 
     # ------------------------------------------------------------- running
 
+    def _book_tallies(self, accesses: int, requests: int, replies: int,
+                      flits: int, flit_hops: int, byte_hops: int,
+                      backed_off: int) -> None:
+        """Book ``run_spins``' tallies: LLC data accesses, inline requests
+        (probes) and replies, their flits and hops, back-off cycles."""
+        stats = self.stats
+        if accesses:
+            stats.llc_accesses += accesses
+            stats.llc_data_accesses += accesses
+            stats.llc_sync_accesses += accesses
+        if requests or replies:
+            stats.messages += requests + replies
+            stats.flits += flits
+            stats.flit_hops += flit_hops
+            stats.byte_hops += byte_hops
+            if requests:
+                stats.llc_spin_probes += requests
+                stats.msg_kinds[_LOAD_THROUGH] += requests
+            if replies:
+                stats.msg_kinds[_DATA_WORD] += replies
+        stats.backoff_cycles += backed_off
+
     def step_spin(self) -> None:
         """Run the spin head (the engine checked it comes first)."""
         self.run_spins(NO_LIMIT, 1, 0)
@@ -198,15 +220,13 @@ class SpinRunner:
         hooked latency goes through ``Engine.push_spin``, which rejects
         a negative one.
 
-        Counters the inline phases bump are tallied in locals and booked
-        onto ``stats`` by ``book()`` before every call out of the runner
-        and when it returns or raises, so no one outside the runner ever
-        sees a partial count."""
+        Counters the inline phases bump are tallied in locals and, if
+        any, booked onto ``stats`` by ``_book_tallies`` before every call
+        out of the runner and when it returns or raises, so no one
+        outside the runner ever sees a partial count."""
         engine = self.engine
         network = self.network
         spins, queue, daemons = engine._spins, engine._queue, engine._daemons
-        stats = self.stats
-        kinds = stats.msg_kinds
         values = self.store._values
         present = self._llc_present
         data_latency = self.config.llc_data_latency
@@ -218,37 +238,9 @@ class SpinRunner:
         # A pause sends the next probe itself unless a trace hook or
         # (per spin) an F/E-bit hook must see it.
         fire_inline = fast and self.probe_hook is None
-        # Tallies: LLC data accesses, requests and replies sent inline
-        # (each request is one probe), their flits, flit-hops and
-        # byte-hops, and back-off cycles.
+        # Tallies, see _book_tallies.
         accesses = requests = replies = 0
         flits = flit_hops = byte_hops = backed_off = 0
-
-        def book() -> None:
-            nonlocal accesses, requests, replies, flits, flit_hops
-            nonlocal byte_hops, backed_off
-            if accesses:
-                stats.llc_accesses += accesses
-                stats.llc_data_accesses += accesses
-                stats.llc_sync_accesses += accesses
-                accesses = 0
-            if requests or replies:
-                stats.messages += requests + replies
-                stats.flits += flits
-                stats.flit_hops += flit_hops
-                stats.byte_hops += byte_hops
-                flits = flit_hops = byte_hops = 0
-                if requests:
-                    stats.llc_spin_probes += requests
-                    kinds[_LOAD_THROUGH] += requests
-                    requests = 0
-                if replies:
-                    kinds[_DATA_WORD] += replies
-                    replies = 0
-            if backed_off:
-                stats.backoff_cycles += backed_off
-                backed_off = 0
-
         now = engine.now
         try:
             while spins:
@@ -276,13 +268,11 @@ class SpinRunner:
                     ready = (now if now > busy else busy) + data_latency
                     port.busy_until = ready
                     accesses += 1
-                    wait = ready - now
-                    if spin.line not in present:
-                        book()
-                        wait += self.llc_fill_latency(spin.line)
-                    seq = engine._seq
-                    engine._seq = seq + 1
-                    heapreplace(spins, (now + wait, seq, REPLY, spin))
+                    if spin.line in present:
+                        seq = engine._seq
+                        engine._seq = seq + 1
+                        heapreplace(spins, (ready, seq, REPLY, spin))
+                        continue
                 elif phase == REPLY:
                     if fast:
                         replies += 1
@@ -293,36 +283,26 @@ class SpinRunner:
                         engine._seq = seq + 1
                         heapreplace(spins, (now + spin.resp_latency, seq,
                                             DELIVER, spin))
-                    else:
-                        heappop(spins)
-                        book()
-                        self._book_probe(spin, spin.bank, spin.node,
-                                         MsgKind.DATA_WORD, False, DELIVER)
+                        continue
                 elif phase == DELIVER:
                     value = values.get(spin.key, 0)
                     pred = spin.pred
-                    if pred is None or pred(value):
-                        heappop(spins)
-                        book()
-                        spin.done(value)
-                        continue
-                    core = spin.core
-                    core.ops_retired += 1
-                    attempt = spin.attempt
-                    spin.attempt = attempt + 1
-                    if core.fault_hook is None and core.obs is None:
-                        delay = backoff[attempt if attempt < last else last]
-                        backed_off += delay
-                        seq = engine._seq
-                        engine._seq = seq + 1
-                        heapreplace(spins, (now + (delay if delay > 1 else 1),
-                                            seq, PAUSE, spin))
-                    else:
-                        heappop(spins)
-                        book()
-                        delay = core._backoff(attempt)
-                        engine.push_spin(delay if delay > 1 else 1, PAUSE,
-                                         spin)
+                    hit = pred is None or pred(value)
+                    if not hit:
+                        core = spin.core
+                        core.ops_retired += 1
+                        attempt = spin.attempt
+                        spin.attempt = attempt + 1
+                        if core.fault_hook is None and core.obs is None:
+                            delay = backoff[attempt if attempt < last
+                                            else last]
+                            backed_off += delay
+                            seq = engine._seq
+                            engine._seq = seq + 1
+                            heapreplace(spins, (
+                                now + (delay if delay > 1 else 1), seq,
+                                PAUSE, spin))
+                            continue
                 else:
                     spin.core.ops_retired += 1
                     if fire_inline and spin.read_through is None:
@@ -334,10 +314,33 @@ class SpinRunner:
                         engine._seq = seq + 1
                         heapreplace(spins, (now + spin.req_latency, seq,
                                             AT_BANK, spin))
-                    else:
-                        heappop(spins)
-                        book()
-                        self._fire_probe(spin, fast)
+                        continue
+                # The phase calls out of the runner: book the tallies
+                # first, so the callee sees whole counts.
+                if accesses or requests or replies or backed_off:
+                    self._book_tallies(accesses, requests, replies, flits,
+                                       flit_hops, byte_hops, backed_off)
+                    accesses = requests = replies = backed_off = 0
+                    flits = flit_hops = byte_hops = 0
+                if phase == AT_BANK:
+                    wait = ready - now + self.llc_fill_latency(spin.line)
+                    seq = engine._seq
+                    engine._seq = seq + 1
+                    heapreplace(spins, (now + wait, seq, REPLY, spin))
+                    continue
+                heappop(spins)
+                if phase == REPLY:
+                    self._book_probe(spin, spin.bank, spin.node,
+                                     MsgKind.DATA_WORD, False, DELIVER)
+                elif phase == PAUSE:
+                    self._fire_probe(spin, fast)
+                elif hit:
+                    spin.done(value)
+                else:
+                    delay = core._backoff(attempt)
+                    engine.push_spin(delay if delay > 1 else 1, PAUSE, spin)
         finally:
-            book()
+            if accesses or requests or replies or backed_off:
+                self._book_tallies(accesses, requests, replies, flits,
+                                   flit_hops, byte_hops, backed_off)
         return executed

@@ -137,7 +137,7 @@ class TestFigure4CallbackOne:
         # Core 2 consumes (gets the lock).
         issue(m, 2, ops.LoadCB(ADDR))
         e = entry(m)
-        e.rr_ptr = 3  # the paper's example starts its scan at core 3
+        e.state["rr"] = 3  # the paper's example starts its scan at core 3
         # Cores 0, 1, 3 park (arrival order 0, 1, 3).
         futures = {c: issue_pending(m, c, ops.LoadCB(ADDR))
                    for c in (0, 1, 3)}

@@ -94,7 +94,7 @@ class TestCorruptionDetected:
         word = machine.protocol.addr_map.word_base(ADDR)
         entry = machine.protocol.cb_dirs[
             machine.protocol.bank_of(ADDR)].lookup(word)
-        entry.cb = 0b1010  # bits without waiters
+        entry.state["cb"] = 0b1010  # bits without waiters
         with pytest.raises(InvariantViolation, match="disagree"):
             check_callback_directory(machine.protocol)
 
@@ -112,7 +112,7 @@ class TestCorruptionDetected:
 
     def test_arrival_fifo_desync_detected(self):
         machine, entry = self._parked_entry()
-        entry.arrival.append(2)  # phantom arrival with no waiter record
+        entry.state["arrival"] += (2,)  # phantom arrival, no waiter record
         with pytest.raises(InvariantViolation, match="arrival FIFO"):
             check_callback_directory(machine.protocol)
 
@@ -136,7 +136,7 @@ class TestCorruptionDetected:
         # Corrupt: the directory forgets a live S copy entirely.
         dir_entry = machine.protocol._dir.get(line)
         dir_entry.owner = None
-        dir_entry.sharers.clear()
+        dir_entry.sharers = frozenset()
         with pytest.raises(InvariantViolation, match="missing from"):
             check_mesi_swmr(machine.protocol)
 
