@@ -5,8 +5,6 @@ alternatives (random, FIFO) carry different implementation costs but
 similar behaviour. This bench quantifies the (small) differences.
 """
 
-import pytest
-
 from benchmarks.conftest import BENCH_CORES, BENCH_ITERS
 from repro.harness.experiments import ablation_policy
 

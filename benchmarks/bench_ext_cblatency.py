@@ -8,8 +8,6 @@ once per parked read (not per spin iteration), so even 8 cycles per
 access is noise against the round trips it eliminates.
 """
 
-import pytest
-
 from benchmarks.conftest import BENCH_CORES, BENCH_ITERS
 from repro.harness.runner import run_config
 from repro.workloads.microbench import LockMicrobench

@@ -6,8 +6,6 @@ punishes the LLC-spinning storm (BackOff-0 hammers the home bank's links)
 much harder than the callback system (one wakeup message per value).
 """
 
-import pytest
-
 from benchmarks.conftest import BENCH_CORES, BENCH_ITERS
 from repro.harness.extensions import link_contention
 

@@ -7,8 +7,6 @@ sleepable fraction of core-cycles on a skewed barrier workload (the
 thrifty-barrier scenario the paper cites).
 """
 
-import pytest
-
 from benchmarks.conftest import BENCH_CORES
 from repro.harness.extensions import power_saving
 

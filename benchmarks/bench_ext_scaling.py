@@ -6,8 +6,6 @@ size and checks that the callback traffic win grows with core count
 probe storms scale with the waiter count).
 """
 
-import pytest
-
 from repro.harness.extensions import scaling
 
 

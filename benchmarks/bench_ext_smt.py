@@ -7,8 +7,6 @@ microbenchmark on an SMT machine and checks the callback advantage
 survives: per-thread bits let siblings park independently.
 """
 
-import pytest
-
 from repro.config import config_for
 from repro.harness.runner import run_workload
 from repro.workloads.microbench import LockMicrobench

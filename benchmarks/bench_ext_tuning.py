@@ -6,8 +6,6 @@ execution time and traffic — the paper's core motivation for replacing
 tuned back-off with callbacks.
 """
 
-import pytest
-
 from benchmarks.conftest import BENCH_CORES, BENCH_ITERS
 from repro.harness.extensions import backoff_tuning
 

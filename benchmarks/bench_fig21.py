@@ -6,8 +6,6 @@ representative 4-app subset, and a second (non-normalizing) check runs
 the complete suite under the three headline configurations.
 """
 
-import pytest
-
 from benchmarks.conftest import BENCH_CORES, BENCH_SCALE
 from repro.harness.experiments import fig21
 from repro.workloads.suite import APP_NAMES

@@ -9,14 +9,18 @@ pair that, for a deterministic machine, is provably equivalent:
   one was attached) that rebuilds the machine bit-identically;
 * a **cycle boundary** ``C`` and the full canonical **state capture**
   (with its SHA-256 fingerprint) of the machine after every event
-  before ``C`` has executed and none at-or-after it.
+  before ``C`` has executed and none at-or-after it, its clock at
+  ``C - 1``.
 
 Restoring means rebuilding the machine from the recipe and
 fast-forwarding — re-executing history up to the boundary — then
 *verifying* the capture matches the checkpoint. The verification is the
 point: a restore is only declared valid when the machine provably
 reached the exact recorded state, so code drift, a changed seed, or a
-corrupted blob can never silently resume into a diverged run.
+corrupted blob can never silently resume into a diverged run. The
+capture is invariant under observers (telemetry, watchdogs, audits, the
+race monitor), so every restore verifies the full fingerprint, whatever
+either side attached.
 
 :class:`Checkpointer` drives a checkpointed run end to end: resume from
 the newest valid checkpoint in a :class:`~repro.ckpt.store.CheckpointStore`,
@@ -53,7 +57,7 @@ __all__ = ["Checkpoint", "CheckpointMismatchError", "Checkpointer",
            "restore_checkpoint"]
 
 #: Format version of the checkpoint blob.
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 class CheckpointMismatchError(SimulationError):
@@ -79,13 +83,8 @@ class Checkpoint:
     state: Dict[str, Any]
     fingerprint: str
     functional: str
-    clock: int
     events_executed: int
     plan: Optional[Dict[str, Any]] = None
-    #: Whether telemetry was attached when this was captured (telemetry
-    #: wraps network handlers, perturbing the full capture; restores on
-    #: the other side of the divide verify functionally).
-    observed: bool = False
     final: bool = False
     progress: Dict[str, int] = field(default_factory=dict)
     version: int = CKPT_VERSION
@@ -100,9 +99,7 @@ class Checkpoint:
             "spec": self.spec,
             "plan": self.plan,
             "boundary": self.boundary,
-            "clock": self.clock,
             "events_executed": self.events_executed,
-            "observed": self.observed,
             "final": self.final,
             "progress": dict(self.progress),
             "fingerprint": self.fingerprint,
@@ -116,9 +113,7 @@ class Checkpoint:
             spec=dict(data["spec"]),
             plan=data.get("plan"),
             boundary=int(data["boundary"]),
-            clock=int(data["clock"]),
             events_executed=int(data["events_executed"]),
-            observed=bool(data.get("observed", False)),
             final=bool(data.get("final", False)),
             progress=dict(data.get("progress", {})),
             fingerprint=data["fingerprint"],
@@ -130,8 +125,7 @@ class Checkpoint:
     def describe(self) -> str:
         tag = "final" if self.final else f"cycle {self.boundary}"
         return (f"{self.job_key[:12]} @ {tag} "
-                f"(clock {self.clock}, {self.events_executed} events, "
-                f"{self.fingerprint[:12]})")
+                f"({self.events_executed} events, {self.fingerprint[:12]})")
 
 
 def take_checkpoint(machine: Machine, spec: JobSpec, boundary: int,
@@ -144,9 +138,7 @@ def take_checkpoint(machine: Machine, spec: JobSpec, boundary: int,
         spec=spec.to_dict(),
         plan=plan.to_dict() if plan is not None else None,
         boundary=boundary,
-        clock=machine.engine.now,
         events_executed=machine.events_executed,
-        observed=machine.telemetry is not None,
         final=final,
         progress={str(k): v for k, v in machine.progress().items()},
         fingerprint=state_fingerprint(state),
@@ -159,16 +151,16 @@ def restore_checkpoint(ckpt: Checkpoint,
                        telemetry: Optional["Telemetry"] = None,
                        resilience: Optional["Resilience"] = None,
                        prepare: Optional[Callable[[Machine], None]] = None,
-                       verify: str = "auto") -> Machine:
+                       verify: str = "full") -> Machine:
     """Rebuild + fast-forward to the checkpoint's boundary, verified.
 
-    ``verify`` is ``"full"`` (the entire capture must match),
-    ``"functional"`` (word-store digest only), ``"none"``, or ``"auto"``
-    — full when neither side attached telemetry, else functional.
-    Raises :class:`CheckpointMismatchError` when re-execution does not
-    reproduce the recorded state.
+    ``verify`` is ``"full"`` (the entire capture's fingerprint must
+    match, whatever either side attached) or ``"none"``. Raises
+    :class:`CheckpointMismatchError` when re-execution does not
+    reproduce the recorded state; its ``divergence`` names the differing
+    components when the checkpoint carries its capture.
     """
-    if verify not in ("auto", "full", "functional", "none"):
+    if verify not in ("full", "none"):
         raise ValueError(f"unknown verify level: {verify!r}")
     from repro.resilience.faults import FaultPlan
     plan = FaultPlan.from_dict(ckpt.plan) if ckpt.plan else None
@@ -176,26 +168,15 @@ def restore_checkpoint(ckpt: Checkpoint,
                             telemetry=telemetry, resilience=resilience,
                             prepare=prepare)
     machine.fast_forward(ckpt.boundary)
-    if verify == "auto":
-        observed = ckpt.observed or telemetry is not None
-        verify = "functional" if observed else "full"
     if verify == "full":
         actual = capture_state(machine)
-        fingerprint = state_fingerprint(actual)
-        if fingerprint != ckpt.fingerprint:
-            divergence = diff_captures(ckpt.state, actual)
+        if state_fingerprint(actual) != ckpt.fingerprint:
+            divergence = (diff_captures(ckpt.state, actual)
+                          if ckpt.state else {})
             raise CheckpointMismatchError(
                 f"restore of {ckpt.describe()} diverged in "
                 f"{', '.join(divergence) or 'fingerprint'}",
                 divergence=divergence)
-    elif verify == "functional":
-        actual = functional_fingerprint(machine.store)
-        if actual != ckpt.functional:
-            raise CheckpointMismatchError(
-                f"restore of {ckpt.describe()} diverged functionally "
-                f"({ckpt.functional[:12]} != {actual[:12]})",
-                divergence={"store": f"{ckpt.functional[:12]} != "
-                                     f"{actual[:12]}"})
     return machine
 
 
@@ -306,7 +287,7 @@ class Checkpointer:
 
     @staticmethod
     def _ring_entry(ckpt: Checkpoint) -> Dict[str, Any]:
-        return {"boundary": ckpt.boundary, "clock": ckpt.clock,
+        return {"boundary": ckpt.boundary,
                 "events_executed": ckpt.events_executed,
                 "fingerprint": ckpt.fingerprint,
                 "functional": ckpt.functional,

@@ -5,7 +5,7 @@ Usage::
     # Run a job with checkpoints every 2000 cycles (resumes from the
     # newest valid checkpoint if the store already has one).
     repro-ckpt save --dir ckpts --workload lock:ttas --config CB-One \\
-        --cores 8 --every 2000
+        --cores 16 --every 2000
 
     # Audit blob checksums; quarantine nothing, just report.
     repro-ckpt verify --dir ckpts
@@ -101,7 +101,6 @@ def cmd_restore(args: argparse.Namespace) -> int:
         print(f"MISMATCH: {exc}", file=sys.stderr)
         return 3
     print(f"verified ({args.verify}) at boundary {ckpt.boundary}; "
-          f"clock={machine.engine.now} "
           f"events={machine.events_executed}")
     if args.finish:
         stats = machine.run()
@@ -154,8 +153,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
                              f"ring has {boundaries}")
         # Ring entries are light (digests only): re-point the terminal
         # snapshot's recipe at the chosen boundary and let re-execution
-        # verify against the ring's functional digest.
-        base.update(boundary=ours["boundary"], clock=ours["clock"],
+        # verify against the ring's full fingerprint.
+        base.update(boundary=ours["boundary"],
                     events_executed=ours["events_executed"],
                     fingerprint=ours["fingerprint"],
                     functional=ours["functional"], state={}, final=False)
@@ -172,8 +171,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         monitors.append(RaceMonitor(machine))
 
     machine = restore_checkpoint(snapshot, telemetry=telemetry,
-                                 prepare=attach_monitor,
-                                 verify="functional")
+                                 prepare=attach_monitor)
     try:
         machine.run()
         print("replay completed without failing — the failure depended "
@@ -241,7 +239,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     restore.add_argument("--at", type=int, default=None,
                          help="boundary cycle (default: newest valid)")
     restore.add_argument("--verify", default="full",
-                         choices=["auto", "full", "functional", "none"])
+                         choices=["full", "none"])
     restore.add_argument("--finish", action="store_true",
                          help="after verifying, run to completion")
     restore.set_defaults(fn=cmd_restore)

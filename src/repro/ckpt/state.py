@@ -10,30 +10,26 @@ JSON-able data (sorted, canonical, object-id-free), and
 ====================  ====================================================
 component             capture
 ====================  ====================================================
-Engine                clock + live event queue as (time, callback name)
+Engine                clock + live event queue as (time, label)
 WordStore             word values and version counters
 Stats                 every counter, message-kind count, episode sample
 Network               link occupancy still relevant now-or-later
 CoherenceProtocol     bank ports, LLC residency, page classifier, plus
-                      per-protocol state: L1 arrays (MESI or VIPS
-                      payloads), directory entries, spin watches, MSHR
-                      locks, callback-directory F/E + CB + A/O bits and
-                      parked waiters, RNG stream digests
+                      per-protocol state: L1 tag arrays (MESI states or
+                      VIPS payloads), directory entries, spin watches,
+                      MSHR locks, callback-directory F/E + CB + A/O bits
+                      and parked waiters, RNG stream digests
 Core                  retirement counts, lifecycle cycles, spin flag
 ====================  ====================================================
 
 Two machines with equal captures behave identically from that point on;
-the capture's SHA-256 is the checkpoint **fingerprint**. A second,
-weaker digest — the **functional fingerprint**, SHA-256 over the word
-store's non-zero values only (the digest the fault campaigns use,
-:func:`repro.mem.store.functional_fingerprint`) — survives
-attachments that legitimately perturb the full capture (telemetry wraps
-network handlers, changing queued-callback names).
-
-Captures deliberately exclude daemon events and raw event sequence
-numbers, making the fingerprint invariant under observers (telemetry
-ticks, watchdog checks, audit timers) — the repo-wide "observers never
-change results" contract, now mechanically checkable.
+the capture's SHA-256 is the checkpoint **fingerprint**, and every
+restore verifies it. Queued events are listed by the label their
+scheduling site gave them, the clock at a boundary is the boundary, and
+daemon events and raw sequence numbers are left out, so observers
+(telemetry, watchdogs, audits, the race monitor) never change a capture
+(``tests/test_observer_invariance.py``). The fault campaigns compare the
+**functional fingerprint**, :func:`repro.mem.store.functional_fingerprint`.
 """
 
 from __future__ import annotations

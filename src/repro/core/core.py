@@ -92,7 +92,7 @@ class Core:
         self._gen = gen
         self.start_cycle = self.engine.now
         self._outstanding = True
-        self.engine.schedule(0, lambda: self._resume(None))
+        self.engine.schedule(0, lambda: self._resume(None), "core.start")
 
     #: Op classes whose retirement is not evidence of forward progress:
     #: a thread can execute these in a loop forever without its program
@@ -166,13 +166,14 @@ class Core:
             self.stats.l1_hits += accesses
             delay = op.cycles if op.cycles > 1 else 1
             self.computing_until = self.engine.now + delay
-            self.engine.schedule(delay, lambda: self._resume(None))
+            self.engine.schedule(delay, lambda: self._resume(None),
+                                 "core.resume")
         elif branch == _SPIN_THROUGH:
             self.protocol.spin_through(self, op)
         else:
             delay = self._backoff(op.attempt)
             self.engine.schedule(delay if delay > 1 else 1,
-                                 lambda: self._resume(None))
+                                 lambda: self._resume(None), "core.resume")
 
     def _backoff(self, attempt: int) -> int:
         """Book one back-off pause before retry ``attempt``; returns its

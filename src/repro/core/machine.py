@@ -168,15 +168,16 @@ class Machine:
         at every crossed multiple of ``N`` cycles and invoking
         ``on_checkpoint(boundary)`` with all events before ``boundary``
         executed and none at-or-after it — the cycle-boundary state a
-        checkpoint captures. Slicing never changes results: the engine
-        pops the same events in the same order either way."""
+        checkpoint captures, with the clock at ``boundary - 1``. Slicing
+        never changes results: the engine pops the same events in the
+        same order either way."""
         if not self._started:
             raise RuntimeError("spawn threads before running")
         if checkpoint_every:
             while self.engine.live_pending > 0:
                 # Jump to the first boundary past both the clock and the
-                # next event, so dead time (a far-future wakeup) never
-                # spins through empty boundaries.
+                # next live event: dead time (a far-future wakeup) and
+                # daemons (observers) never add boundaries.
                 head = max(self.engine.now, self.engine.next_time())
                 boundary = (head // checkpoint_every + 1) * checkpoint_every
                 self._run_engine(until=boundary - 1)

@@ -143,24 +143,25 @@ class SetAssociativeCache:
     def lines(self) -> List[int]:
         return [entry.line for entry in self]
 
-    def ckpt_state(self, payload_state: Callable[[Any], Any]) -> List[list]:
-        """Per-set resident lines in replacement order (oldest first),
-        each as ``[line, payload_state(payload)]`` — the tag-array half
-        of a checkpoint fingerprint. Replacement order is part of the
+    def ckpt_state(self, payload_state: Callable[[Any], Any]
+                   ) -> Dict[str, Any]:
+        """The tag-array half of a checkpoint fingerprint: the set count,
+        and the resident lines of every non-empty set keyed by set index,
+        in replacement order (oldest first), each as ``[line,
+        payload_state(payload)]``. Replacement order is part of the
         state: it decides future victims, so two caches that differ only
         in recency are *not* interchangeable. ``random``-policy caches
-        additionally pin their RNG stream."""
-        state: List[list] = [
-            [[entry.line, payload_state(entry.payload)]
-             for entry in bucket.values()]
-            for bucket in self._sets
-        ]
+        additionally pin their RNG stream. Empty sets are left out: an
+        emptied set and a never-filled one behave alike."""
+        state: Dict[str, Any] = {"sets": self.sets, "lines": {
+            index: [[entry.line, payload_state(entry.payload)]
+                    for entry in bucket.values()]
+            for index, bucket in enumerate(self._sets) if bucket}}
         if self._rng is not None:
             import hashlib
-            digest = hashlib.sha256(
-                repr(self._rng.getstate()).encode()).hexdigest()
-            return [state, digest[:16]]
-        return [state]
+            state["rng"] = hashlib.sha256(
+                repr(self._rng.getstate()).encode()).hexdigest()[:16]
+        return state
 
     def _buckets_of(self, lines: Iterable[int]
                     ) -> List["OrderedDict[int, CacheLine]"]:

@@ -29,10 +29,11 @@ from repro.sim.stats import Stats
 
 LOCAL_DELIVERY_LATENCY = 1
 
-#: One message kind's wire facts: (bytes, flits, latency by hop count),
-#: where ``latency_by_hops[h]`` is the uncontended delivery time over
-#: ``h`` hops.
-WireEntry = Tuple[int, int, Tuple[int, ...]]
+#: One message kind's wire facts: (bytes, flits, latency by hop count,
+#: delivery labels by destination), where ``latency_by_hops[h]`` is the
+#: uncontended delivery time over ``h`` hops and ``labels[dst]``
+#: (``msg.<kind>@<dst>``) names a delivery in ``Engine.ckpt_state()``.
+WireEntry = Tuple[int, int, Tuple[int, ...], Tuple[str, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -51,6 +52,13 @@ def hop_table(topology: str,
     table = {src: {dst: mesh.hops(src, dst) for dst in nodes}
              for src in nodes}
     return table, max(max(row.values()) for row in table.values())
+
+
+@lru_cache(maxsize=None)
+def delivery_labels(value: str, num_nodes: int) -> Tuple[str, ...]:
+    """``labels[dst]``: the event label of a ``value`` message delivered
+    at node ``dst``, built once per process per kind and node count."""
+    return tuple(f"msg.{value}@{node}" for node in range(num_nodes))
 
 
 def _drop_duplicate() -> None:
@@ -98,8 +106,8 @@ class Network:
     @property
     def track_inflight(self) -> bool:
         """When telemetry is attached, delivery handlers are wrapped to
-        maintain the flits-in-flight gauge. The wrapping changes only
-        handler identity, never (time, seq) ordering."""
+        maintain the flits-in-flight gauge. The wrapper keeps the
+        delivery's label and its (time, seq) place."""
         return self._track_inflight
 
     @track_inflight.setter
@@ -148,7 +156,9 @@ class Network:
             latency_by_hops = (LOCAL_DELIVERY_LATENCY,) + tuple(
                 hops * config.switch_latency + (flits - 1)
                 for hops in range(1, diameter + 1))
-            table[kind._value_] = (size, flits, latency_by_hops)
+            table[kind._value_] = (size, flits, latency_by_hops,
+                                   delivery_labels(kind._value_,
+                                                   self.mesh.num_nodes))
         return table
 
     def message_latency(self, src: int, dst: int, kind: MsgKind) -> int:
@@ -181,6 +191,8 @@ class Network:
         ``sync`` tags the message as synchronization traffic (used by the
         Figure 20 LLC-sync-access metric upstream; the tag itself is only
         recorded in per-kind counters here). Returns the latency charged.
+        The delivery event is labelled ``msg.<kind>@<dst>`` on either
+        path.
         """
         if not self._plain:
             latency, inflight, duplicates = self.book(src, dst, kind, sync)
@@ -191,7 +203,8 @@ class Network:
                     self.inflight_flits -= inflight
                     inner()
 
-            self.engine.schedule(latency, handler)
+            self.engine.schedule(latency, handler,
+                                 self._wire[kind._value_][3][dst])
             if duplicates:
                 self.send_duplicates(src, dst, kind, latency, duplicates)
             return latency
@@ -202,7 +215,7 @@ class Network:
             self.mesh.hops(src, dst)  # raises the range error for the bad id
             raise
         value = kind._value_
-        size, flits, latency_by_hops = self._wire[value]
+        size, flits, latency_by_hops, labels = self._wire[value]
         latency = latency_by_hops[hops]
         stats = self.stats
         stats.messages += 1
@@ -213,7 +226,8 @@ class Network:
         engine = self.engine
         seq = engine._seq
         engine._seq = seq + 1
-        heappush(engine._queue, (engine.now + latency, seq, handler))
+        heappush(engine._queue,
+                 (engine.now + latency, seq, handler, labels[dst]))
         return latency
 
     def book(self, src: int, dst: int, kind: MsgKind,
@@ -234,7 +248,7 @@ class Network:
             self.mesh.hops(src, dst)  # raises the range error for the bad id
             raise
         value = kind._value_
-        size, flits, latency_by_hops = self._wire[value]
+        size, flits, latency_by_hops, _labels = self._wire[value]
         if self._contention:
             latency = self._contended_latency(src, dst, kind)
         else:
@@ -262,7 +276,7 @@ class Network:
         delivered after ``latency`` cycles."""
         hops = self._hops[src][dst]
         value = kind._value_
-        size, flits, _latency_by_hops = self._wire[value]
+        size, flits, _latency_by_hops, _labels = self._wire[value]
         for copy in range(duplicates):
             # The duplicate crosses the network (charged as traffic) but
             # the receiver discards it: a daemon no-op one cycle behind
@@ -270,14 +284,14 @@ class Network:
             self.stats.record_message(value, flits, hops, size)
             self.stats.msgs_duplicated += 1
             self.engine.schedule(latency + 1 + copy, _drop_duplicate,
-                                 daemon=True)
+                                 "msg.duplicate", daemon=True)
 
     def route_facts(self, src: int, dst: int,
                     kind: MsgKind) -> Tuple[int, int, int, int]:
         """``(latency, flits, flit_hops, byte_hops)`` of an uncontended,
         unhooked message — what :meth:`book` would charge for it."""
         hops = self._hops[src][dst]
-        size, flits, latency_by_hops = self._wire[kind._value_]
+        size, flits, latency_by_hops, _labels = self._wire[kind._value_]
         return latency_by_hops[hops], flits, flits * hops, size * hops
 
     def ckpt_state(self) -> dict:

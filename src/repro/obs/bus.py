@@ -103,7 +103,7 @@ class ProbeBus:
             raise ValueError(f"cycle window must be positive: {cycles}")
         window = _Window(self.engine, cycles, fn)
         self.engine.schedule_at(max(self.engine.now, phase), window.tick,
-                                daemon=True)
+                                "obs.window", daemon=True)
 
 
 class _Window:
@@ -121,4 +121,5 @@ class _Window:
 
     def tick(self) -> None:
         self.fn(self.engine.now)
-        self.engine.schedule(self.cycles, self.tick, daemon=True)
+        self.engine.schedule(self.cycles, self.tick, "obs.window",
+                             daemon=True)

@@ -264,7 +264,8 @@ class CoherenceProtocol:
                       value: object = None) -> None:
         """Call ``done(value)`` after ``delay`` cycles (always via the
         engine, so completions never recurse into the core synchronously)."""
-        self.engine.schedule(delay if delay > 1 else 1, partial(done, value))
+        self.engine.schedule(delay if delay > 1 else 1, partial(done, value),
+                             "op.done")
 
 
 class _Burst:

@@ -122,6 +122,7 @@ class CallbackProtocol(VIPSProtocol):
                 lambda: self.network.send(
                     bank, node, MsgKind.DATA_WORD,
                     lambda: done(self.store.read(word))),
+                "cb.read_reply",
             )
 
         def woken(value: int) -> None:

@@ -28,7 +28,7 @@ acked and otherwise ignored).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.mem.cache import SetAssociativeCache
 from repro.noc.messages import MsgKind
@@ -76,10 +76,12 @@ class MESIProtocol(CoherenceProtocol):
     # ------------------------------------------------------------ utilities
 
     def ckpt_state(self) -> Dict[str, object]:
-        """Base capture + L1 arrays, directory records, and parked
-        SpinUntil watches (checkpoint snapshottability contract)."""
+        """Base capture + L1 arrays (each resident line's MESI state; its
+        words are the store's), directory records, and parked SpinUntil
+        watches (checkpoint snapshottability contract)."""
         state = super().ckpt_state()
-        state["l1"] = [self._l1_ckpt_state(cache) for cache in self.l1]
+        state["l1"] = [cache.ckpt_state(lambda payload: payload.state.value)
+                       for cache in self.l1]
         state["dir"] = {line: entry.ckpt_state()
                         for line, entry in sorted(self._dir.items())
                         if entry.owner is not None or entry.sharers
@@ -98,19 +100,6 @@ class MESIProtocol(CoherenceProtocol):
             entry = DirEntry()
             self._dir[line] = entry
         return entry
-
-    def _l1_ckpt_state(self, cache: SetAssociativeCache) -> List[list]:
-        """One L1 tag array: each resident line's MESI state and its word
-        values, read from the store (a resident copy always equals it)."""
-        captured = cache.ckpt_state(lambda payload: payload.state.value)
-        line_bytes = self.config.line_bytes
-        offsets = range(0, line_bytes, self.config.word_bytes)
-        for bucket in captured[0]:
-            for resident in bucket:
-                base = resident[0] * line_bytes
-                resident[1] = {"state": resident[1], "snapshot": {
-                    base + off: self.store.read(base + off) for off in offsets}}
-        return captured
 
     def _l1_lookup(self, tid: int, line: int) -> Optional[L1Line]:
         cached = self.l1[self._tile_of[tid]].lookup(line)
@@ -161,8 +150,8 @@ class MESIProtocol(CoherenceProtocol):
             # The spin loop reloads immediately (invalidate-and-refetch).
             self.engine.schedule(
                 1, lambda w=watch: self._spin_attempt(w.tid, w.word_addr,
-                                                      w.pred, w.done)
-            )
+                                                      w.pred, w.done),
+                "mesi.spin_retry")
 
     def _check_local_watches(self, core: int, line: int) -> None:
         """A store that commits locally (M/E hit) is visible to SMT
@@ -214,7 +203,7 @@ class MESIProtocol(CoherenceProtocol):
             raise RuntimeError(f"directory release of idle line {line:#x}")
         if entry.queue:
             thunk = entry.queue.pop(0)
-            self.engine.schedule(0, thunk)
+            self.engine.schedule(0, thunk, "mesi.dir_release")
         else:
             entry.busy = False
 
@@ -270,7 +259,8 @@ class MESIProtocol(CoherenceProtocol):
             self.engine.schedule(wait,
                                  lambda: self.network.send(bank, owner,
                                                            MsgKind.FWD,
-                                                           at_owner))
+                                                           at_owner),
+                                 "mesi.gets_fwd")
             entry.adopt(step.state)
         else:
             wait = self.bank_service(bank, data=True, sync=sync)
@@ -286,6 +276,7 @@ class MESIProtocol(CoherenceProtocol):
                     bank, node, MsgKind.DATA,
                     lambda: self._finish_gets(tid, line, state, on_fill),
                 ),
+                "mesi.gets_fill",
             )
 
     def _finish_gets(self, core: int, line: int, state: MESIState,
@@ -334,7 +325,8 @@ class MESIProtocol(CoherenceProtocol):
 
             self.engine.schedule(
                 wait, lambda: self.network.send(bank, owner, MsgKind.FWD,
-                                                at_owner))
+                                                at_owner),
+                "mesi.getx_fwd")
             entry.adopt(step.state)
             return
 
@@ -374,11 +366,13 @@ class MESIProtocol(CoherenceProtocol):
 
             self.engine.schedule(
                 wait, lambda s=sharer: self.network.send(bank, s, MsgKind.INV,
-                                                         make_inv(s)))
+                                                         make_inv(s)),
+                "mesi.getx_inv")
 
         grant_kind = MsgKind.ACK if was_sharer else MsgKind.DATA
         self.engine.schedule(
-            wait, lambda: self.network.send(bank, node, grant_kind, arrived))
+            wait, lambda: self.network.send(bank, node, grant_kind, arrived),
+            "mesi.getx_grant")
 
     def _finish_getx(self, core: int, line: int,
                      on_owned: Callable[[], None]) -> None:

@@ -158,6 +158,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
                 lambda: self.network.send(bank, node, MsgKind.DATA,
                                           lambda: self._fill(core, line,
                                                              shared, done)),
+                "vips.fill",
             )
 
         self.network.send(node, bank, MsgKind.GETS, at_bank)
@@ -319,6 +320,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
                 wait,
                 lambda: self.network.send(bank, node, MsgKind.ACK,
                                           lambda: done(None)),
+                "vips.write_ack",
             )
 
         self.network.send(node, bank, MsgKind.STORE_THROUGH, at_bank,
@@ -357,7 +359,7 @@ class VIPSProtocol(SpinRunner, CoherenceProtocol):
             self.network.send(bank, self._tile_of[core], MsgKind.DATA_WORD,
                               lambda: done(result))
 
-        self.engine.schedule(wait, respond)
+        self.engine.schedule(wait, respond, "vips.rmw_reply")
 
     def _mshr_acquire(self, word: int, thunk: Callable[[], None]) -> None:
         queue = self._mshr_locked.get(word)

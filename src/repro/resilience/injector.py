@@ -67,10 +67,10 @@ class FaultInjector:
         for fault in self.plan.faults:
             if fault.kind is FaultKind.CB_EVICT:
                 engine.schedule(fault.cycle, self._evict_thunk(fault),
-                                daemon=True)
+                                "fault.cb_evict", daemon=True)
             elif fault.kind is FaultKind.L1_DROP:
                 engine.schedule(fault.cycle, self._drop_thunk(fault),
-                                daemon=True)
+                                "fault.l1_drop", daemon=True)
             elif fault.kind is FaultKind.WAKEUP_DELAY:
                 self._delay_windows.append(fault)
             elif fault.kind is FaultKind.WAKEUP_DUP:

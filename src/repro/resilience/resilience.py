@@ -97,7 +97,7 @@ class Resilience:
             self.watchdog.attach(machine)
         if self.config.audit_every:
             machine.engine.schedule(self.config.audit_every, self._audit,
-                                    daemon=True)
+                                    "audit", daemon=True)
 
     def _audit(self) -> None:
         """One periodic audit (a daemon tick that re-arms itself)."""
@@ -113,7 +113,8 @@ class Resilience:
         if machine.obs is not None:
             machine.obs.emit("audit.pass", cycle=engine.now,
                              checks=len(self.audit_checks))
-        engine.schedule(self.config.audit_every, self._audit, daemon=True)
+        engine.schedule(self.config.audit_every, self._audit, "audit",
+                        daemon=True)
 
     def summary(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"audits_run": self.audits_run,

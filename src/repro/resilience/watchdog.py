@@ -200,12 +200,14 @@ class LivenessWatchdog:
         if self._machine is not None:
             raise RuntimeError("watchdog already attached to a machine")
         self._machine = weakref.ref(machine)
-        machine.engine.schedule(self.check_every, self._tick, daemon=True)
+        machine.engine.schedule(self.check_every, self._tick,
+                                "watchdog.check", daemon=True)
 
     def _tick(self) -> None:
         engine = self.machine.engine
         self._check(engine.now)
-        engine.schedule(self.check_every, self._tick, daemon=True)
+        engine.schedule(self.check_every, self._tick, "watchdog.check",
+                        daemon=True)
 
     def _vector(self) -> tuple:
         return tuple((core.done, core.useful_ops)

@@ -11,12 +11,13 @@ events scheduled for the same cycle fire in the order they were scheduled
 
 Events live in three heaps that draw ``seq`` from one counter:
 
-* the **general heap** of live ``(time, seq, callback)`` events;
+* the **general heap** of live ``(time, seq, callback, label)`` events,
+  ``label`` naming what the event is (``msg.GetS@3``, ``op.done``);
 * the **spin heap** of ``(time, seq, phase, spin)`` entries: the phases
   of BackOff-N ``ld_through`` probes, which are not closures but steps
   of a spin record run by the record's ``runner``
   (:mod:`repro.protocols.vips.spin`);
-* the **daemon heap** of ``(time, seq, callback)`` daemon events
+* the **daemon heap** of ``(time, seq, callback, label)`` daemon events
   (``schedule(..., daemon=True)``). They fire like live events but do
   not keep the simulation alive: :meth:`run` stops once only daemon
   events remain, and the clock never advances past the last live event.
@@ -101,29 +102,12 @@ def _rebuild_timeout(message: str, reason: str, cycle: int, events: int,
                              events=events, progress=progress)
 
 
-def _callback_name(callback: Callable[[], None]) -> str:
-    """A stable, process-independent label for a queued callback.
-
-    Qualified names identify the code the event will run (e.g.
-    ``Core.start.<locals>.<lambda>``) without depending on object ids,
-    so two processes that replayed the same history produce the same
-    label sequence.
-    """
-    qualname = getattr(callback, "__qualname__", None)
-    if qualname is not None:
-        return qualname
-    func = getattr(callback, "func", None)  # functools.partial
-    if func is not None:
-        return f"partial:{_callback_name(func)}"
-    return type(callback).__name__
-
-
 class Engine:
     """A minimal deterministic discrete-event scheduler.
 
-    Live events are ``(time, seq, callback)`` tuples in a binary heap,
-    daemon events the same in a heap of their own. ``seq`` breaks ties
-    so that same-cycle events run in scheduling order, making runs
+    Live events are ``(time, seq, callback, label)`` tuples in a binary
+    heap, daemon events the same in a heap of their own. ``seq`` breaks
+    ties so that same-cycle events run in scheduling order, making runs
     bit-reproducible regardless of callback identity.
     """
 
@@ -146,27 +130,28 @@ class Engine:
         #: once (see repro.obs.profiler).
         self.profile_hook: Optional[Callable[[Callable[[], None]], None]] = None
 
-    def schedule(self, delay: int, callback: Callable[[], None],
+    def schedule(self, delay: int, callback: Callable[[], None], label: str,
                  daemon: bool = False) -> None:
         """Run ``callback`` ``delay`` cycles from the current time.
 
         ``delay`` must be non-negative; a zero delay runs the callback later
         in the same cycle (after already-queued same-cycle events).
+        ``label`` names what the event is, for :meth:`ckpt_state`.
         ``daemon`` events observe the simulation without keeping it alive.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         heappush(self._daemons if daemon else self._queue,
-                 (self.now + delay, self._seq, callback))
+                 (self.now + delay, self._seq, callback, label))
         self._seq += 1
 
     def schedule_at(self, time: int, callback: Callable[[], None],
-                    daemon: bool = False) -> None:
+                    label: str, daemon: bool = False) -> None:
         """Run ``callback`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         heappush(self._daemons if daemon else self._queue,
-                 (time, self._seq, callback))
+                 (time, self._seq, callback, label))
         self._seq += 1
 
     def push_spin(self, delay: int, phase: int, spin: Any) -> None:
@@ -195,25 +180,24 @@ class Engine:
         return len(self._queue) + len(self._spins)
 
     def next_time(self) -> Optional[int]:
-        """Cycle of the earliest queued event (daemon or live), or None."""
-        heads = [heap[0] for heap in (self._queue, self._spins,
-                                      self._daemons) if heap]
-        return min(heads)[0] if heads else None
+        """Cycle of the earliest live event, or None."""
+        heads = [heap[0][0] for heap in (self._queue, self._spins) if heap]
+        return min(heads) if heads else None
 
     def ckpt_state(self) -> Dict[str, Any]:
         """Deterministic view of the scheduler state for checkpoint
         fingerprints (see :mod:`repro.ckpt.state`).
 
-        Only *live* events are listed: daemon observers (telemetry ticks,
-        watchdog checks, audit timers) may or may not be attached on a
-        restore, and the repo-wide contract is that they never change
-        results. Events are listed in execution order — ``(time, seq)``
-        — but the raw sequence numbers are omitted, because interleaved
-        daemon scheduling shifts them without changing the order of the
-        live events themselves.
+        Only *live* events are listed, each by its label: daemon
+        observers (telemetry ticks, watchdog checks, audit timers) may or
+        may not be attached on a restore, and the repo-wide contract is
+        that they never change results. Events are listed in execution
+        order — ``(time, seq)`` — but the raw sequence numbers are
+        omitted, because interleaved daemon scheduling shifts them
+        without changing the order of the live events themselves.
         """
-        live = [(time, seq, _callback_name(callback))
-                for time, seq, callback in self._queue]
+        live = [(time, seq, label)
+                for time, seq, _callback, label in self._queue]
         live += [(time, seq, spin.runner.spin_label(phase))
                  for time, seq, phase, spin in self._spins]
         live.sort()
@@ -247,7 +231,10 @@ class Engine:
 
         Trailing daemon events — e.g. a sampler tick beyond the last real
         event — are left unexecuted so the clock ends at the last live
-        event. Returns the number of events executed.
+        event. An ``until`` stop with live events left past it leaves the
+        clock at ``until``, whichever daemons ran, unless a budget stops
+        the run before its next live event (a timeout reports the clock).
+        Returns the number of events executed.
 
         While the spin head comes first, control passes to its runner,
         which stops where these checks would trip and leaves them to this
@@ -272,6 +259,10 @@ class Engine:
             time = entry[0]
             if time > stop_time or executed >= stop_events:
                 if until is not None and time > until:
+                    if (until > self.now and executed < stop_events
+                            and (max_cycles is None
+                                 or self.next_time() <= max_cycles)):
+                        self.now = until
                     break
                 if max_cycles is not None and time > max_cycles:
                     raise SimulationTimeout(

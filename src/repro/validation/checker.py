@@ -10,7 +10,8 @@ Checked invariants:
 * **MESI SWMR** (single-writer/multiple-reader): no line is M/E in two
   L1s; a line that is M/E anywhere has no S copies elsewhere; the
   directory's owner/sharer records agree with (or conservatively
-  over-approximate) the actual L1 contents.
+  over-approximate) the actual L1 contents, except for a busy line,
+  whose directory adopts the new owner before the forward lands.
 * **VIPS dirty-shared containment**: every dirty word recorded in an L1
   line belongs to that line; private lines are never flushed by fences
   (checked statistically via counters).
@@ -35,7 +36,8 @@ class InvariantViolation(AssertionError):
 
 
 def check_mesi_swmr(protocol: MESIProtocol) -> None:
-    """Single-writer/multiple-reader over all L1s + directory agreement."""
+    """Single-writer/multiple-reader over all L1s + directory agreement
+    (not for busy lines)."""
     holders: dict = {}
     for core, l1 in enumerate(protocol.l1):
         for entry in l1:
@@ -53,6 +55,8 @@ def check_mesi_swmr(protocol: MESIProtocol) -> None:
                 f"line {line:#x} owned by {owners[0]} but shared by "
                 f"{sharers}")
         dir_entry = protocol._dir.get(line)
+        if dir_entry is not None and dir_entry.busy:
+            continue
         if owners:
             if dir_entry is None or dir_entry.owner != owners[0]:
                 raise InvariantViolation(

@@ -100,7 +100,7 @@ class TestLazySets:
         cache = SetAssociativeCache(sets=4, ways=2)
         shared = cache_module._NO_LINES
         assert all(bucket is shared for bucket in cache._sets)
-        assert cache.ckpt_state(str) == [[[], [], [], []]]
+        assert cache.ckpt_state(str) == {"sets": 4, "lines": {}}
         # Misses, removals and scans of untouched sets mutate nothing.
         assert cache.lookup(6) is None and cache.remove(6) is None
         assert cache.choose_victim(6) is None
@@ -109,7 +109,7 @@ class TestLazySets:
         assert cache._sets[1] is not shared
         assert [bucket is shared for bucket in cache._sets] == [
             True, False, True, True]
-        assert cache.ckpt_state(str) == [[[], [[5, "a"]], [], []]]
+        assert cache.ckpt_state(str) == {"sets": 4, "lines": {1: [[5, "a"]]}}
         assert list(cache.entries_in_sets_of([6, 5, 4])) == [
             cache.lookup(5)]
         assert not shared

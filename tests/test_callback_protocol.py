@@ -3,7 +3,7 @@ held-off RMWs, and the paper's 3-message claim."""
 
 import pytest
 
-from repro.config import CallbackMode, WakePolicy, config_for
+from repro.config import WakePolicy, config_for
 from repro.core.machine import Machine
 from repro.protocols import ops
 

@@ -159,27 +159,36 @@ class TestCheckpointParity:
 
 
 class TestObservedRuns:
-    def test_telemetry_run_checkpoints_functionally(self, tmp_path):
+    def test_telemetry_run_checkpoints_verify_in_full(self, tmp_path):
+        """Telemetry is an observer: the blobs a telemetry run saves are
+        the unobserved run's, boundary for boundary, and restore with
+        full verification on a machine without it (and vice versa)."""
         from repro.obs.telemetry import Telemetry, TelemetryConfig
         spec = spec_for()
-        plain = build_machine(spec)
+        plain_store = CheckpointStore(str(tmp_path / "plain"))
+        plain = Checkpointer(spec, plain_store, every=300)
         plain.run()
-        _, base_functional = finished_fingerprints(plain)
 
-        store = CheckpointStore(str(tmp_path))
+        store = CheckpointStore(str(tmp_path / "observed"))
         checkpointer = Checkpointer(
             spec, store, every=300,
-            telemetry=Telemetry(TelemetryConfig(sample_every=100)))
+            telemetry=Telemetry(TelemetryConfig(sample_every=100,
+                                                spans=True)))
         checkpointer.run()
-        final = store.latest(spec.job_key())
-        assert final.observed
-        # The word store the program computed is what matters — it must
-        # match the fully uninstrumented run.
-        assert final.functional == base_functional
-        # Auto-verification picks the functional check for observed blobs.
-        machine = restore_checkpoint(
-            store.load(spec.job_key(), checkpointer.saved[0]))
-        assert machine.engine.now <= checkpointer.saved[0]
+        assert checkpointer.saved == plain.saved
+        key = spec.job_key()
+        for boundary in checkpointer.saved:
+            observed = store.load(key, boundary)
+            unobserved = plain_store.load(key, boundary)
+            assert observed.fingerprint == unobserved.fingerprint
+            assert observed.state == unobserved.state
+        first = store.load(key, checkpointer.saved[0])
+        machine = restore_checkpoint(first, verify="full")
+        assert machine.telemetry is None
+        assert machine.engine.now == first.boundary - 1
+        restore_checkpoint(
+            plain_store.load(key, plain.saved[0]), verify="full",
+            telemetry=Telemetry(TelemetryConfig(sample_every=100)))
 
     def test_fault_plan_recorded_and_replayed(self, tmp_path):
         from repro.resilience.faults import FaultKind, make_fault_plan
@@ -318,12 +327,14 @@ class TestCheckpointStore:
 
 class TestRestoreVerification:
     def test_bad_verify_level_rejected(self, tmp_path):
+        """Restores verify the full capture or nothing."""
         store = CheckpointStore(str(tmp_path))
         checkpointer = Checkpointer(spec_for(), store, every=300)
         checkpointer.run()
         ckpt = store.latest(checkpointer.job_key)
-        with pytest.raises(ValueError):
-            restore_checkpoint(ckpt, verify="sometimes")
+        for level in ("sometimes", "auto", "functional"):
+            with pytest.raises(ValueError):
+                restore_checkpoint(ckpt, verify=level)
 
     def test_tampered_fingerprint_raises_with_divergence(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

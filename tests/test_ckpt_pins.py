@@ -30,46 +30,46 @@ OVERRIDES = {"num_cores": 4}
 PINS = {
     "Invalidation": [
         (700,
-         "5ee01aaff68e079e090159d331c83d2998290f8d2743c3b61e9fa08828ecbf8f",
+         "6242048a645fdefae014e589026b00f7207e268b79ee042606b297d01c1e9e14",
          "8b20be209e8ef216e80780e482e7083a50c852a5fb7ae9f0ccaee42c0d735d3f"),
         (1400,
-         "641e6167afeadfc67a99a4637b34b53ae2d9c50f39320b2b74bdedda3087d85f",
+         "e0eda13bac042ffe0000d8624417c902fb29b855476cbb7d1c40b84564186ecb",
          "55e8480146b7a7df2f447ab8a604bcc70adab35dea461805b0dfb47e9c69749d"),
         (2100,
-         "fda12802482d8e8f17534842f4a2bdad8c0f5012abaf924141678de99c11fb8d",
+         "c1d6ad267eabbe6bd039a0929aa4b76ec8dcffc0577cf1aabc5910b1faeda34f",
          "52b6997c9dd0b82046e2e1b99810411f24aa745ca76985f4997397fced9b2291"),
     ],
     "BackOff-10": [
         (700,
-         "6190ecf30f6b5eca560f984039cfd8667dd801a59c6eb0a4a756e6b02c19d6f8",
+         "7d7a2216692b580dc2647d9468ecd7ba4ab6208f604ca2b8339fc830fec7b582",
          "8c5005152a74ae091b553aede6879b7cccdf7289c1712ad3e5a8d487ed588e8a"),
         (1400,
-         "c3a74966e7c155fda20266ff464c68ec6b2e101e24620c780c5d023723c36583",
+         "a449f3d02eb2208cc6ebe84a6fba49283be78080802f0c30e84cac3718a05dd0",
          "1fb74d7495649dd68a20048bdd432bcefd3f652be9b2eb0bc12b616b751e2534"),
         (2100,
-         "2453c1fd2171dded07dd13ccd86c09de29fdb135f516073e2fff54da562bda78",
+         "3e9ecc3daebcb8544a0278e5f35176b0e4106118775fc0bdad8f0a1aab6a79f1",
          "2d0d027277ffd88248ea3c876ddd95b781771939f1c68f5c3817499acb6357ca"),
     ],
     "CB-One": [
         (700,
-         "52c7a00805aa36749d30b77b4d66b425e4af6b349d3fce3720b8e874efc3042e",
+         "3050077edb592114c77c593c0daed7a40113b26865ab193e0936a46ac455b3e4",
          "dfc8e81f5f5ede1674700f4cf7bdf3c7d43df84a330d82acaeb4691243c482bb"),
         (1400,
-         "0cce64b5928e40df919512d9b3025a309805bd9a928f76aab624762ef04c12bb",
+         "dc968a8f8a4d807e43258d2d99aef404ac6457384b0f73b140bd8a70ca320723",
          "9ad66d19e79ae16dcc5ed29fccd3575954d4d760cae7107ef0a7f9dd71bf8b20"),
         (2100,
-         "70d636389377be8d4ea38991e6bf7620f9486363a68da214e62329d11f91d298",
+         "e0e1e6d4ea551e64ff9811529d50e29d9047a792a39a065ab7afa7ab1f85c987",
          "71ab3e237f632e51af17427aba9ac4cfb17220e8b4bf029ee17c780d088a735f"),
     ],
     "CB-One+cb_evict": [
         (700,
-         "e48b3b5af7945dede2ef063699cca715f4041b1a709fd308d8d10ceb45a32657",
+         "4263ada0b0633593608811489817cd77dcdd5f5f0f4190e9e95c445b46f16ef0",
          "dfc8e81f5f5ede1674700f4cf7bdf3c7d43df84a330d82acaeb4691243c482bb"),
         (1400,
-         "85fd9f19ef2692f8a95e9a3e03cf3cdd5234b8b886b4d75fa8b285ad00c2c154",
+         "89a439447746aeea82426ef88a2270ba48d9c96bbb2c702e276eb7f40f579eeb",
          "9ad66d19e79ae16dcc5ed29fccd3575954d4d760cae7107ef0a7f9dd71bf8b20"),
         (2100,
-         "698165ccd481fb81e1632b1f966bf2bb800736912da82cc3da5768baa9ce41c9",
+         "30081453774e0311273837bf1468b0f3911bf8222041e80baed6d0c58b799178",
          "8920db374598cd6019d8314190f4df17eded7566bcbed47e98fb8cea09251905"),
     ],
 }

@@ -1,7 +1,5 @@
 """Result-diffing tool."""
 
-import pytest
-
 from repro.harness.results_io import save_result
 from repro.tools.compare import diff_results, main as compare_main
 

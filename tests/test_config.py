@@ -1,11 +1,9 @@
 """SystemConfig: Table 2 defaults, derived geometry, validation."""
 
-import math
-
 import pytest
 
 from repro.config import (PAPER_CONFIGS, CallbackMode, Protocol, SystemConfig,
-                          WakePolicy, config_for)
+                          config_for)
 from repro.orchestrate.scheduler import is_retryable
 from repro.resilience.classify import classify_failure
 

@@ -67,9 +67,9 @@ def _run(label, seed, reference):
             captured_at = mark
         samples.append((engine.now, machine.stats.ckpt_state(),
                         _digest(protocol.ckpt_state()) if capture else None))
-        engine.schedule(SAMPLE_EVERY, tick, daemon=True)
+        engine.schedule(SAMPLE_EVERY, tick, "tick", daemon=True)
 
-    engine.schedule(SAMPLE_EVERY, tick, daemon=True)
+    engine.schedule(SAMPLE_EVERY, tick, "tick", daemon=True)
     stats = machine.run()
     return {"samples": samples, "events": machine.events_executed,
             "cycles": stats.cycles, "bursts": len(bursts),

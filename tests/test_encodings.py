@@ -7,8 +7,6 @@ matches the listing. This pins the *encodings*, independently of the
 protocols executing them.
 """
 
-import pytest
-
 from repro.config import SystemConfig
 from repro.mem.layout import MemoryLayout
 from repro.protocols import ops

@@ -1,8 +1,6 @@
 """Encoding fidelity for the extension algorithms (MCS, ticket, RW lock,
 dissemination barrier), in the style of tests/test_encodings.py."""
 
-import pytest
-
 from repro.config import SystemConfig
 from repro.mem.layout import MemoryLayout
 from repro.protocols import ops

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import config_for
 from repro.energy.model import (FLIT_HOP_PJ, L1_ACCESS_PJ, LLC_DATA_PJ,
                                 LLC_TAG_PJ, energy_of)
 from repro.harness.runner import run_config

@@ -13,9 +13,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self):
         engine = Engine()
         fired = []
-        engine.schedule(30, lambda: fired.append("c"))
-        engine.schedule(10, lambda: fired.append("a"))
-        engine.schedule(20, lambda: fired.append("b"))
+        engine.schedule(30, lambda: fired.append("c"), "event")
+        engine.schedule(10, lambda: fired.append("a"), "event")
+        engine.schedule(20, lambda: fired.append("b"), "event")
         engine.run()
         assert fired == ["a", "b", "c"]
 
@@ -23,14 +23,14 @@ class TestScheduling:
         engine = Engine()
         fired = []
         for i in range(10):
-            engine.schedule(5, lambda i=i: fired.append(i))
+            engine.schedule(5, lambda i=i: fired.append(i), "event")
         engine.run()
         assert fired == list(range(10))
 
     def test_clock_advances_to_event_time(self):
         engine = Engine()
         seen = []
-        engine.schedule(42, lambda: seen.append(engine.now))
+        engine.schedule(42, lambda: seen.append(engine.now), "event")
         engine.run()
         assert seen == [42]
         assert engine.now == 42
@@ -38,33 +38,36 @@ class TestScheduling:
     def test_zero_delay_runs_same_cycle(self):
         engine = Engine()
         seen = []
-        engine.schedule(7, lambda: engine.schedule(0, lambda: seen.append(engine.now)))
+        engine.schedule(7, lambda: engine.schedule(
+            0, lambda: seen.append(engine.now), "event"), "event")
         engine.run()
         assert seen == [7]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Engine().schedule(-1, lambda: None)
+            Engine().schedule(-1, lambda: None, "event")
 
     def test_schedule_at_absolute(self):
         engine = Engine()
         seen = []
-        engine.schedule_at(100, lambda: seen.append(engine.now))
+        engine.schedule_at(100, lambda: seen.append(engine.now), "event")
         engine.run()
         assert seen == [100]
 
     def test_schedule_at_past_rejected(self):
         engine = Engine()
-        engine.schedule(10, lambda: None)
+        engine.schedule(10, lambda: None, "event")
         engine.run()
         with pytest.raises(ValueError):
-            engine.schedule_at(5, lambda: None)
+            engine.schedule_at(5, lambda: None, "event")
 
     def test_nested_scheduling(self):
         engine = Engine()
         fired = []
         engine.schedule(1, lambda: (fired.append(engine.now),
-                                    engine.schedule(5, lambda: fired.append(engine.now))))
+                                    engine.schedule(
+                                        5, lambda: fired.append(engine.now),
+                                        "event")), "event")
         engine.run()
         assert fired == [1, 6]
 
@@ -73,19 +76,49 @@ class TestRunControls:
     def test_run_until_stops_before_later_events(self):
         engine = Engine()
         fired = []
-        engine.schedule(5, lambda: fired.append(5))
-        engine.schedule(50, lambda: fired.append(50))
+        engine.schedule(5, lambda: fired.append(5), "event")
+        engine.schedule(50, lambda: fired.append(50), "event")
         engine.run(until=10)
         assert fired == [5]
         assert engine.pending == 1
+        assert engine.now == 10   # the clock at a boundary is the boundary
+
+    def test_clock_at_until_ignores_daemons(self):
+        """A daemon that ran before ``until`` leaves no trace on the
+        clock a stopped run reports."""
+        clocks = []
+        for ticks in (False, True):
+            engine = Engine()
+            engine.schedule(3, lambda: None, "event")
+            engine.schedule(50, lambda: None, "event")
+            if ticks:
+                engine.schedule(7, lambda: None, "tick", daemon=True)
+            engine.run(until=10)
+            clocks.append((engine.now, engine.ckpt_state()))
+        assert clocks[0] == clocks[1] == (10, {
+            "now": 10, "live_pending": 1, "queue": [(50, "event")]})
+
+    def test_clock_stays_where_a_budget_will_stop_the_run(self):
+        """When the next slice can only time out, the clock stays at the
+        last event, where an unsliced run's timeout reports it."""
+        engine = Engine()
+        engine.schedule(3, lambda: None, "event")
+        engine.schedule(50, lambda: None, "event")
+        engine.run(until=10, max_cycles=40)
+        assert engine.now == 3
+        engine.run(until=10, max_events=0)
+        assert engine.now == 3
+        with pytest.raises(SimulationError, match="40-cycle") as info:
+            engine.run(until=100, max_cycles=40)
+        assert info.value.cycle == 3
 
     def test_watchdog_raises(self):
         engine = Engine()
 
         def rearm():
-            engine.schedule(1, rearm)
+            engine.schedule(1, rearm, "event")
 
-        engine.schedule(1, rearm)
+        engine.schedule(1, rearm, "event")
         with pytest.raises(SimulationError, match="watchdog"):
             engine.run(max_events=100)
 
@@ -95,7 +128,7 @@ class TestRunControls:
     def test_run_returns_event_count(self):
         engine = Engine()
         for _ in range(5):
-            engine.schedule(1, lambda: None)
+            engine.schedule(1, lambda: None, "event")
         assert engine.run() == 5
 
 
@@ -135,20 +168,17 @@ class TestSpinHeap:
         engine = Engine()
         log = []
         spin = _LogRunner(engine, log)
-        engine.schedule(5, lambda: log.append("a"))
+        engine.schedule(5, lambda: log.append("a"), "a")
         engine.push_spin(5, "b", spin)
-        engine.schedule(5, lambda: log.append("c"))
+        engine.schedule(5, lambda: log.append("c"), "c")
         engine.push_spin(3, "d", spin)
-        engine.schedule(9, lambda: log.append("e"), daemon=True)
+        engine.schedule(9, lambda: log.append("e"), "tick", daemon=True)
         engine.push_spin(8, "f", spin)
         assert engine.pending == 6 and engine.live_pending == 5
         assert engine.next_time() == 3
         queue = engine.ckpt_state()["queue"]
         assert [name for _time, name in queue] == [
-            "spin.d", "TestSpinHeap.test_both_heaps_run_in_one_time_seq_"
-            "order.<locals>.<lambda>", "spin.b",
-            "TestSpinHeap.test_both_heaps_run_in_one_time_seq_order."
-            "<locals>.<lambda>", "spin.f"]
+            "spin.d", "a", "spin.b", "c", "spin.f"]
         assert engine.run(until=5) == 4
         assert log == ["d", "a", "b", "c"]
         assert engine.run() == 1
@@ -180,10 +210,10 @@ class TestDaemonHeap:
         engine = Engine()
         log = []
         spin = _LogRunner(engine, log)
-        engine.schedule(4, lambda: log.append("daemon"), daemon=True)
+        engine.schedule(4, lambda: log.append("daemon"), "tick", daemon=True)
         engine.push_spin(4, "spin", spin)
-        engine.schedule(4, lambda: log.append("live"))
-        engine.schedule(4, lambda: log.append("daemon2"), daemon=True)
+        engine.schedule(4, lambda: log.append("live"), "event")
+        engine.schedule(4, lambda: log.append("daemon2"), "tick", daemon=True)
         engine.push_spin(4, "spin2", spin)
         assert engine.run() == 5
         assert log == ["daemon", "spin", "live", "daemon2", "spin2"]
@@ -195,21 +225,21 @@ class TestDaemonHeap:
 
         def tick():
             fired.append(engine.now)
-            engine.schedule(3, tick, daemon=True)
+            engine.schedule(3, tick, "tick", daemon=True)
 
-        engine.schedule(0, tick, daemon=True)
-        engine.schedule(10, lambda: fired.append("live"))
+        engine.schedule(0, tick, "tick", daemon=True)
+        engine.schedule(10, lambda: fired.append("live"), "event")
         assert engine.run() == 5   # ticks at 0, 3, 6, 9, then the event
         assert fired == [0, 3, 6, 9, "live"]
         assert engine.now == 10
         assert engine.live_pending == 0 and engine.pending == 1
-        assert engine.next_time() == 12
+        assert engine.next_time() is None   # only a daemon is left
 
     def test_max_events_counts_daemon_events(self):
         engine = Engine()
         for delay in range(1, 6):
-            engine.schedule(delay, lambda: None, daemon=True)
-        engine.schedule(10, lambda: None)
+            engine.schedule(delay, lambda: None, "tick", daemon=True)
+        engine.schedule(10, lambda: None, "event")
         with pytest.raises(SimulationError, match="exceeded 3 events") as info:
             engine.run(max_events=3)
         assert info.value.events == 3 and info.value.cycle == 3
@@ -219,7 +249,7 @@ class TestDaemonHeap:
         log = []
         spin = _LogRunner(engine, log)
         engine.push_spin(1, "a", spin)
-        engine.schedule(2, lambda: log.append("daemon"), daemon=True)
+        engine.schedule(2, lambda: log.append("daemon"), "tick", daemon=True)
         engine.push_spin(2, "b", spin)
         engine.push_spin(3, "c", spin)
         # The runner alone stops before the daemon head at cycle 2.
@@ -230,8 +260,8 @@ class TestDaemonHeap:
 
     def test_drop_daemons_empties_only_the_daemon_heap(self):
         engine = Engine()
-        engine.schedule(5, lambda: None, daemon=True)
-        engine.schedule(1, lambda: None)
+        engine.schedule(5, lambda: None, "tick", daemon=True)
+        engine.schedule(1, lambda: None, "event")
         with pytest.raises(SimulationError, match="live events"):
             engine.drop_daemons()
         assert engine.pending == 2
@@ -245,17 +275,17 @@ class TestDaemonHeap:
         spin = _LogRunner(engine, [])
         assert (engine.pending, engine.live_pending) == (0, 0)
         assert engine.next_time() is None
-        engine.schedule(2, lambda: None, daemon=True)
+        engine.schedule(2, lambda: None, "tick", daemon=True)
         assert (engine.pending, engine.live_pending) == (1, 0)
-        assert engine.next_time() == 2
+        assert engine.next_time() is None   # daemons are not pending work
         assert engine.ckpt_state() == {"now": 0, "live_pending": 0,
                                        "queue": []}
-        engine.schedule(7, lambda: None)
+        engine.schedule(7, lambda: None, "event")
         engine.push_spin(7, 0, spin)
-        engine.schedule_at(3, lambda: None, daemon=True)
+        engine.schedule_at(3, lambda: None, "tick", daemon=True)
         assert (engine.pending, engine.live_pending) == (4, 2)
         assert engine.scheduled == 4
-        assert engine.next_time() == 2
+        assert engine.next_time() == 7
         state = engine.ckpt_state()
         assert state["live_pending"] == 2
         assert [time for time, _name in state["queue"]] == [7, 7]
@@ -270,7 +300,7 @@ class TestDeterminism:
         engine = Engine()
         times = []
         for d in delays:
-            engine.schedule(d, lambda: times.append(engine.now))
+            engine.schedule(d, lambda: times.append(engine.now), "event")
         engine.run()
         assert times == sorted(times)
         assert len(times) == len(delays)
@@ -283,7 +313,8 @@ class TestDeterminism:
             engine = Engine()
             order = []
             for i, d in enumerate(delays):
-                engine.schedule(d, lambda i=i: order.append((engine.now, i)))
+                engine.schedule(d, lambda i=i: order.append((engine.now, i)),
+                                "event")
             engine.run()
             return order
 

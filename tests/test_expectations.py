@@ -3,8 +3,7 @@
 import pytest
 
 from repro.harness import experiments
-from repro.harness.expectations import (FIG21_TIME_CLAIMS,
-                                        FIG21_TRAFFIC_CLAIMS, Claim,
+from repro.harness.expectations import (FIG21_TRAFFIC_CLAIMS, Claim,
                                         Verdict, evaluate_fig21,
                                         evaluate_fig22, failures, report)
 

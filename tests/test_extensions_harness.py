@@ -1,7 +1,5 @@
 """Extension experiment functions (scaling, power, tuning, contention)."""
 
-import pytest
-
 from repro.harness.extensions import (backoff_tuning, link_contention,
                                       power_saving, scaling)
 

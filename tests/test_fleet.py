@@ -11,9 +11,7 @@ a scaled-down partition drill. The full-size drill is CI's
 ``fleet-smoke`` job (``python -m repro.fleet.drill``).
 """
 
-import json
 import os
-import signal
 import subprocess
 import sys
 import time

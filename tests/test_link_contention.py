@@ -47,7 +47,7 @@ class TestContentionModel:
     def test_time_advances_drain_links(self):
         cfg, engine, net = make_network(True)
         net._contended_latency(0, 1, MsgKind.DATA)
-        engine.schedule(10_000, lambda: None)
+        engine.schedule(10_000, lambda: None, "event")
         engine.run()
         later = net._contended_latency(0, 1, MsgKind.DATA)
         assert later == net.message_latency(0, 1, MsgKind.DATA)

@@ -1,6 +1,5 @@
 """Property-based NoC checks: latency structure and traffic conservation."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -74,7 +74,7 @@ class TestProbeBus:
         bus = ProbeBus(engine)
         seen = []
         bus.subscribe("t", lambda t, c, f: seen.append(c))
-        engine.schedule(5, lambda: bus.emit("t"))
+        engine.schedule(5, lambda: bus.emit("t"), "event")
         engine.run()
         assert seen == [5]
 
@@ -100,13 +100,13 @@ class TestDaemonEvents:
     def test_daemon_events_do_not_keep_run_alive(self):
         engine = Engine()
         fired = []
-        engine.schedule(10, lambda: fired.append("real"))
+        engine.schedule(10, lambda: fired.append("real"), "event")
 
         def tick():
             fired.append("tick")
-            engine.schedule(4, tick, daemon=True)
+            engine.schedule(4, tick, "tick", daemon=True)
 
-        engine.schedule(0, tick, daemon=True)
+        engine.schedule(0, tick, "tick", daemon=True)
         engine.run()
         # Ticks at 0/4/8 fire before the last real event at 10; the tick
         # scheduled for 12 never runs and never moves the clock.
@@ -115,7 +115,7 @@ class TestDaemonEvents:
 
     def test_all_daemon_run_executes_nothing(self):
         engine = Engine()
-        engine.schedule(5, lambda: None, daemon=True)
+        engine.schedule(5, lambda: None, "tick", daemon=True)
         engine.run()
         assert engine.now == 0
         assert engine.live_pending == 0
@@ -397,7 +397,7 @@ class TestProfiler:
             sum(range(500))
 
         for delay in (1, 2, 3):
-            engine.schedule(delay, busy)
+            engine.schedule(delay, busy, "event")
         engine.run()
         profiler.detach()
         rows = profiler.by_component()

@@ -6,9 +6,7 @@ draws — the strongest evidence that the mechanism implemented here is
 the mechanism described.
 """
 
-import pytest
-
-from repro.config import CallbackMode, config_for
+from repro.config import config_for
 from repro.core.machine import Machine
 from repro.protocols import ops
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import config_for
-from repro.core.machine import Machine
 from repro.energy.power import (CORE_ACTIVE_PJ_PER_CYCLE,
                                 CORE_SLEEP_PJ_PER_CYCLE, core_power_report)
 from repro.harness.runner import run_config

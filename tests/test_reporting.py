@@ -1,7 +1,5 @@
 """Reporting helpers: geomean, normalization, table formatting."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

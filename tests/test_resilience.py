@@ -466,6 +466,29 @@ class TestPeriodicAudits:
         assert summary["audits_run"] > 0
         assert "callback_directory" in summary["audit_checks"]
 
+    @pytest.mark.parametrize("cores", [4, 16])
+    @pytest.mark.parametrize("lock", ["ttas", "tas", "clh", "mcs"])
+    def test_contended_mesi_runs_pass_audits(self, lock, cores):
+        """Audits land mid-transaction: the directory has adopted the
+        new owner while the forward is still in flight. A busy line is
+        exempt from directory agreement, never from SWMR itself."""
+        result = run_config("Invalidation",
+                            LockMicrobench(lock, iterations=3),
+                            resilience=Resilience(
+                                ResilienceConfig(audit_every=100)),
+                            num_cores=cores)
+        summary = result.resilience.summary()
+        assert summary["audits_run"] > 0
+        assert summary["audit_checks"] == ["mesi_swmr"]
+
+    def test_mesi_app_passes_audits(self):
+        result = run_config("Invalidation",
+                            get_workload("barnes", scale=0.05),
+                            resilience=Resilience(
+                                ResilienceConfig(audit_every=100)),
+                            num_cores=16)
+        assert result.resilience.summary()["audits_run"] > 0
+
     def test_serial_sweep_audits_every_point(self):
         sweep = Sweep(configs=["CB-One", "BackOff-10"],
                       workload_spec="lock", spec_params=dict(WORKLOAD),

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.harness.figures import main as figures_main
 from repro.harness.results_io import (load_result, save_result, stats_dict,
                                       _jsonable)

@@ -47,7 +47,7 @@ SEEDS = (1, 7)
 SAMPLE_EVERY = 13
 #: The queued event a ``BackoffWait`` pause is in the thread-side loop;
 #: the spin runner queues the same pause as its ``spin.pause`` phase.
-LOOP_PAUSE = "Core._dispatch.<locals>.<lambda>"
+LOOP_PAUSE = "core.resume"
 
 
 def _perturb_plan(label, construct, seed):
@@ -125,9 +125,9 @@ def _run(construct, label, seed, expand, monkeypatch, observe=False,
 
         def tick():
             samples.append((engine.now, machine.stats.ckpt_state()))
-            engine.schedule(SAMPLE_EVERY, tick, daemon=True)
+            engine.schedule(SAMPLE_EVERY, tick, "tick", daemon=True)
 
-        engine.schedule(SAMPLE_EVERY, tick, daemon=True)
+        engine.schedule(SAMPLE_EVERY, tick, "tick", daemon=True)
     with monkeypatch.context() as patch:
         if expand:
             start = Core.start

@@ -1,7 +1,6 @@
 """Property-based synchronization tests: randomized schedules must never
 break mutual exclusion, barrier epochs, or forward progress."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import config_for
-from repro.harness.runner import run_config, run_workload
+from repro.harness.runner import run_config
 from repro.noc.mesh import Mesh, Torus, make_topology
 from repro.workloads.microbench import LockMicrobench
 

@@ -7,7 +7,6 @@ from repro.core.machine import Machine
 from repro.workloads import (APP_NAMES, PROFILES, BarrierMicrobench,
                              LockMicrobench, SignalWaitMicrobench,
                              get_workload, make_burst)
-from repro.workloads.suite import AppWorkload
 
 
 def run(label, workload, cores=4):
